@@ -129,11 +129,11 @@ class CaPolicy:
 
 
 class CaIdentity:
-    """One certificate authority: a certificate, a live-or-destroyed key,
-    and the bookkeeping to never repeat a serial.
+    """One certificate authority: a certificate and a live-or-destroyed key.
 
     All mutating operations take the per-CA lock, so a single identity can
-    serve concurrent enrollment threads.
+    serve concurrent enrollment threads. Serials are drawn at random per
+    issuance (see :func:`random_serial`); nothing records them.
     """
 
     def __init__(
@@ -151,8 +151,6 @@ class CaIdentity:
         # Ancestors, nearest parent first, ending at the root. Empty for roots.
         self.lineage = tuple(lineage)
         self._lock = threading.Lock()
-        self._issued_serials: set[int] = {certificate.serial}
-        self._journal = None  # optional append-mode file for issued serials
 
     # -- introspection ------------------------------------------------------
 
@@ -176,11 +174,6 @@ class CaIdentity:
     def not_after(self) -> datetime:
         return self.certificate.not_after
 
-    @property
-    def issued_serials(self) -> frozenset:
-        with self._lock:
-            return frozenset(self._issued_serials)
-
     def chain_to_root(self) -> CertificationChain:
         """This CA's certificate followed by its ancestors up to the root."""
         return CertificationChain((self.certificate, *self.lineage))
@@ -194,32 +187,9 @@ class CaIdentity:
         if not self._keypair.is_live:
             raise CaRetiredError(f"{self.name} is retired", code=code)
 
-    def _fresh_serial(self) -> int:
-        serial = random_serial(self._issued_serials)
-        self._issued_serials.add(serial)
-        if self._journal is not None:
-            self._journal.write(f"{serial:x}\n")
-            self._journal.flush()
-        return serial
-
     def _sign_child_certificate(self, builder: x509.CertificateBuilder) -> Certificate:
         key = self._keypair._signing_key()
         return Certificate(builder.sign(key, self.suite.digest.hash_primitive()))
-
-    def attach_serial_journal(self, path: Union[str, Path]):
-        """Append each newly issued serial (lowercase hex, one per line) to
-        a file, and fold any serials already recorded there into the
-        duplicate-avoidance set."""
-        path = Path(path)
-        with self._lock:
-            if self._journal is not None:
-                self._journal.close()
-            if path.exists():
-                for line in path.read_text().splitlines():
-                    line = line.strip()
-                    if line:
-                        self._issued_serials.add(int(line, 16))
-            self._journal = open(path, "a", encoding="ascii")
 
     # -- operations ---------------------------------------------------------
 
@@ -250,7 +220,7 @@ class CaIdentity:
                 .subject_name(csr.raw.subject)
                 .issuer_name(self.certificate.raw.subject)
                 .public_key(csr.public_key)
-                .serial_number(self._fresh_serial())
+                .serial_number(random_serial())
                 .not_valid_before(not_before)
                 .not_valid_after(self.certificate.not_after)
                 .add_extension(binding.to_x509(), critical=binding.critical)
@@ -278,9 +248,6 @@ class CaIdentity:
         """Destroy the private key. Idempotent. Previously issued
         certificates keep verifying; new issuance becomes impossible."""
         with self._lock:
-            if self._journal is not None:
-                self._journal.close()
-                self._journal = None
             return self._keypair.destroy()
 
 
@@ -367,7 +334,7 @@ def create_subordinate(
             subject.to_x509(),
             parent.certificate.raw.subject,
             keypair.public_key,
-            parent._fresh_serial(),
+            random_serial(),
             max(_now(), parent.certificate.not_before),
             parent.certificate.not_after,
             role,
@@ -445,8 +412,9 @@ def init_hierarchy(
 #   cert.pem      the CA certificate
 #   key.pem       encrypted PKCS#8 private key
 #   chain.pem     own certificate followed by ancestors up to the root
-#   serials.txt   issued serials, lowercase hex, one per line
 #   crl.pem       the blank CRL
+# Directories written by older versions may also hold serials.txt, a journal
+# of issued serials; it is ignored.
 # ---------------------------------------------------------------------------
 
 def passphrase_from_env() -> bytes:
@@ -460,7 +428,8 @@ def passphrase_from_env() -> bytes:
 
 
 def save_ca(ca: CaIdentity, directory: Union[str, Path], passphrase: bytes):
-    """Write a CA to its directory and start journaling serials there."""
+    """Write a CA's certificate, encrypted key, chain and blank CRL to its
+    directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     key = ca._keypair._signing_key()
@@ -474,13 +443,7 @@ def save_ca(ca: CaIdentity, directory: Union[str, Path], passphrase: bytes):
     key_path.write_bytes(key_pem)
     key_path.chmod(0o600)
     (directory / "chain.pem").write_bytes(ca.chain_to_root().to_pem())
-    serials = directory / "serials.txt"
-    serials.write_text(
-        "".join(f"{serial:x}\n" for serial in sorted(ca.issued_serials)),
-        encoding="ascii",
-    )
     (directory / "crl.pem").write_bytes(ca.issue_blank_crl().to_pem())
-    ca.attach_serial_journal(serials)
 
 
 def _suite_of(certificate: Certificate) -> AlgorithmSuite:
@@ -530,7 +493,5 @@ def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
     if chain.leaf != certificate:
         raise RoleViolationError("chain.pem does not start with this CA's certificate")
     policy = CaPolicy(chain_not_after=certificate.not_after, suite=suite)
-    ca = CaIdentity(certificate, EphemeralKeyPair(suite, key), role, policy,
-                    lineage=chain.certificates[1:])
-    ca.attach_serial_journal(directory / "serials.txt")
-    return ca
+    return CaIdentity(certificate, EphemeralKeyPair(suite, key), role, policy,
+                      lineage=chain.certificates[1:])

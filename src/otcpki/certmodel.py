@@ -45,6 +45,7 @@ __all__ = [
     "RevocationList",
     "CertificationChain",
     "EncodingFormat",
+    "PEM_CONTENT_TYPE",
     "build_csr",
     "verify_csr_pop",
     "encode",
@@ -553,6 +554,10 @@ def verify_csr_pop(csr: SigningRequest) -> bool:
 class EncodingFormat(enum.Enum):
     DER = "der"
     PEM = "pem"
+
+
+# Media type of every PEM body the enrollment service and its clients exchange.
+PEM_CONTENT_TYPE = "application/x-pem-file"
 
 
 _T = TypeVar("_T", SigningRequest, Certificate, RevocationList)

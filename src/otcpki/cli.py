@@ -119,12 +119,15 @@ def cmd_sign(args: argparse.Namespace) -> int:
             if not passphrase:
                 return _fail(f"--keep-key requires {KEY_PASSPHRASE_ENV} to be set")
         client = HttpEnrollmentClient(args.enroll)
-        with open(doc_path, "rb") as document:
-            result = one_shot_sign(
-                document, args.subject, client,
-                suite=suite, keep_key=args.keep_key,
-                document_locator=str(doc_path),
-            )
+        try:
+            with open(doc_path, "rb") as document:
+                result = one_shot_sign(
+                    document, args.subject, client,
+                    suite=suite, keep_key=args.keep_key,
+                    document_locator=str(doc_path),
+                )
+        finally:
+            client.close()
     except (EnrollmentRejectedError, EnrollmentUnreachableError) as exc:
         return _fail(f"enrollment failed: {exc}", code=1)
     except (OtcError, ValueError, OSError) as exc:

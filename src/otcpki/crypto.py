@@ -291,13 +291,16 @@ def verify_signature(
     return True
 
 
-def random_serial(taken: "set[int] | frozenset[int]" = frozenset()) -> int:
-    """A fresh 159-bit random certificate serial, avoiding ``taken``.
+def random_serial() -> int:
+    """A fresh 159-bit random certificate serial.
 
     159 bits keeps the DER INTEGER encoding non-negative within the 20-octet
-    ceiling certificates allow for serials.
+    ceiling certificates allow for serials. Uniqueness rests on the CSPRNG
+    alone: after 10**7 draws the chance of any repeat is about 10**-34, so
+    no record of earlier serials is kept (RFC 5280 §4.1.2.2 and the CA/B
+    Forum Baseline Requirements §7.1 ask for at least 64 random bits).
     """
     while True:
         serial = secrets.randbits(159)
-        if serial > 0 and serial not in taken:
+        if serial > 0:
             return serial

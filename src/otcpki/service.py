@@ -10,6 +10,9 @@ Issuance rotates round-robin across the pool; every pool member hangs off
 the same root, so which member signs is invisible to verifiers. Error
 responses are a single ``code: message`` line with status 400 (unreadable
 request), 422 (well-formed but unissuable), or 503 (no active issuer left).
+
+Connections are kept alive (HTTP/1.1) and closed after ``HANDLER_TIMEOUT_S``
+seconds without a byte from the client.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 from .ca import CaIdentity, load_ca, passphrase_from_env
-from .certmodel import CertificationChain, SigningRequest, decode
+from .certmodel import PEM_CONTENT_TYPE, CertificationChain, SigningRequest, decode
 from .errors import (
     CaRetiredError,
     ConfigError,
@@ -39,8 +42,11 @@ __all__ = [
 
 LOGGER = logging.getLogger(__name__)
 
-_PEM_CONTENT_TYPE = "application/x-pem-file"
 _MAX_REQUEST_BYTES = 1 << 20
+# Socket timeout of every connection: an idle keep-alive connection, or a
+# body that stops short of its Content-Length, frees its handler thread
+# after this long. Handler threads are daemons that stop() does not join.
+HANDLER_TIMEOUT_S = 30.0
 
 
 class _Server(ThreadingHTTPServer):
@@ -217,24 +223,40 @@ class EnrollmentService:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # A response left in two sends stalls a keep-alive client: Nagle
+            # holds the second segment until the client's delayed ACK of the
+            # first, ~40 ms later. Buffer it whole; handle_one_request flushes
+            # once per request.
+            wbufsize = -1
+            disable_nagle_algorithm = True
+            timeout = HANDLER_TIMEOUT_S
 
-            def _reply(self, status: int, body: bytes):
+            def _reply(self, status: int, body: bytes, close: bool = False):
                 self.send_response(status)
-                content_type = _PEM_CONTENT_TYPE if status == 200 else "text/plain"
+                content_type = PEM_CONTENT_TYPE if status == 200 else "text/plain"
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(body)))
+                if close:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
 
             def do_POST(self):
+                # Any early reply leaves the body unread, so the connection
+                # cannot carry another request.
                 if self.path != "/enroll":
-                    self._reply(404, b"not-found: unknown endpoint")
+                    self._reply(404, b"not-found: unknown endpoint", close=True)
                     return
-                length = int(self.headers.get("Content-Length", "0") or "0")
-                if length <= 0 or length > _MAX_REQUEST_BYTES:
-                    self._reply(400, b"malformed-encoding: missing or oversized body")
+                declared = self.headers.get("Content-Length", "")
+                length = int(declared) if declared.isascii() and declared.isdigit() else 0
+                if not 0 < length <= _MAX_REQUEST_BYTES:
+                    self._reply(400, b"malformed-encoding: missing, invalid or oversized"
+                                     b" Content-Length", close=True)
                     return
                 body = self.rfile.read(length)
+                if len(body) < length:  # the client hung up mid-body
+                    self.close_connection = True
+                    return
                 self._reply(*service.handle_enroll(body))
 
             def do_GET(self):
@@ -272,7 +294,9 @@ class EnrollmentService:
         return self.url
 
     def stop(self):
-        """Stop accepting and join in-flight handlers."""
+        """Stop accepting connections and join the serving thread. Handler
+        threads are daemons; each ends when its client closes the connection
+        or it idles for ``HANDLER_TIMEOUT_S``."""
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()

@@ -9,8 +9,10 @@ nothing left to revoke.
 
 from __future__ import annotations
 
-import urllib.error
-import urllib.request
+import http.client
+import threading
+import urllib.parse
+import weakref
 import zipfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -21,6 +23,7 @@ from cryptography.hazmat.primitives import serialization
 
 from .ca import CaIdentity
 from .certmodel import (
+    PEM_CONTENT_TYPE,
     CertificationChain,
     DistinguishedName,
     RevocationList,
@@ -37,6 +40,7 @@ from .crypto import (
     digest_document,
 )
 from .errors import (
+    ConfigError,
     EnrollmentRejectedError,
     EnrollmentUnreachableError,
     KeyDestroyedError,
@@ -53,7 +57,6 @@ __all__ = [
     "resign_with_existing_key",
 ]
 
-_PEM_CONTENT_TYPE = "application/x-pem-file"
 _ARCHIVE_MEMBERS = ("meta.txt", "signature.bin", "chain.pem", "crl.pem")
 
 
@@ -91,40 +94,96 @@ def _pick_crl(pem: bytes, chain: CertificationChain) -> RevocationList:
     )
 
 
+# A kept-alive connection the service has since closed fails this way before
+# any byte of the response arrives; the request is then sent again once.
+_STALE_CONNECTION_ERRORS = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
+
+
 class HttpEnrollmentClient:
-    """Talks to the enrollment service over HTTP with PEM bodies."""
+    """Talks to the enrollment service over HTTP/1.1 with PEM bodies.
+
+    Each calling thread keeps one persistent connection, so a client shared
+    by threads still sends their requests in parallel. Each issuing CA's
+    blank CRL is fetched once and cached: it stays the same until the chain
+    expires. The client connects directly; proxy variables are not read.
+    """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self._base = base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self._base)
+        connection_classes = {"http": http.client.HTTPConnection,
+                              "https": http.client.HTTPSConnection}
+        try:
+            self._connection_class = connection_classes[url.scheme]
+            self._address = (url.hostname, url.port)
+        except (KeyError, ValueError):
+            raise ConfigError(f"not an http:// or https:// URL: {base_url!r}") from None
+        if not url.hostname:
+            raise ConfigError(f"no host in enrollment URL {base_url!r}")
+        self._path = url.path
         self._timeout = timeout
+        self._local = threading.local()
+        # A connection is dropped with its thread or with the client;
+        # close() closes those still open.
+        self._connections = weakref.WeakSet()
+        self._crls: dict = {}  # issuing CA certificate DER -> RevocationList
+
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(*self._address, timeout=self._timeout)
+            self._local.connection = connection
+            self._connections.add(connection)
+        return connection
 
     def _request(self, path: str, body: Optional[bytes] = None) -> bytes:
-        request = urllib.request.Request(
-            f"{self._base}{path}",
-            data=body,
-            headers={"Content-Type": _PEM_CONTENT_TYPE} if body else {},
-            method="POST" if body is not None else "GET",
-        )
+        connection = self._connection()
+        method, target = ("GET" if body is None else "POST"), self._path + path
+        headers = {} if body is None else {"Content-Type": PEM_CONTENT_TYPE}
+        reused = connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace").strip()
+            try:
+                connection.request(method, target, body, headers)
+                response = connection.getresponse()
+            except _STALE_CONNECTION_ERRORS:
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, target, body, headers)
+                response = connection.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise EnrollmentUnreachableError(f"{self._base}: {exc}") from exc
+        if response.status != 200:
+            detail = payload.decode("utf-8", "replace").strip()
             code, _, message = detail.partition(":")
             raise EnrollmentRejectedError(
-                message.strip() or detail or exc.reason, ca_code=code.strip()
-            ) from exc
-        except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
-            raise EnrollmentUnreachableError(f"{self._base}: {exc}") from exc
+                message.strip() or detail or response.reason, ca_code=code.strip()
+            )
+        return payload
 
     def enroll(self, csr: SigningRequest) -> CertificationChain:
         return CertificationChain.from_pem(self._request("/enroll", csr.to_pem()))
 
     def fetch_crl(self, chain: CertificationChain) -> RevocationList:
-        return _pick_crl(self._request("/crl"), chain)
+        issuer_der = (chain.issuing_ca or chain.leaf).to_der()
+        crl = self._crls.get(issuer_der)
+        if crl is None:
+            crl = self._crls[issuer_der] = _pick_crl(self._request("/crl"), chain)
+        return crl
 
     def fetch_chain(self) -> CertificationChain:
         return CertificationChain.from_pem(self._request("/chain"))
+
+    def close(self):
+        """Close every thread's connection; a later request reconnects."""
+        for connection in list(self._connections):
+            connection.close()
 
 
 class LocalEnrollmentClient:
@@ -254,6 +313,16 @@ def _parse_meta(raw: bytes) -> dict:
 # The one-shot workflow
 # ---------------------------------------------------------------------------
 
+def _as_subject(subject: Union[str, DistinguishedName]) -> DistinguishedName:
+    """A string with ``=`` is a full subject (``CN=...,O=...``); any other
+    string is a common name."""
+    if isinstance(subject, DistinguishedName):
+        return subject
+    if "=" in subject:
+        return DistinguishedName.from_string(subject)
+    return DistinguishedName.from_common_name(subject)
+
+
 def _enroll_and_sign(
     keypair: EphemeralKeyPair,
     digest: DocumentDigest,
@@ -309,9 +378,7 @@ def one_shot_sign(
     bundle; the caller then owns its lifecycle (any further certificate
     still requires a fresh enrollment).
     """
-    if isinstance(subject, str):
-        subject = DistinguishedName.from_string(subject) if "=" in subject \
-            else DistinguishedName.from_common_name(subject)
+    subject = _as_subject(subject)
     digest = digest_document(document, suite.digest)
     keypair = EphemeralKeyPair.generate(suite)
     try:
@@ -341,8 +408,6 @@ def resign_with_existing_key(
     """
     if not keypair.is_live:
         raise KeyDestroyedError("cannot re-enroll a destroyed key")
-    if isinstance(subject, str):
-        subject = DistinguishedName.from_string(subject) if "=" in subject \
-            else DistinguishedName.from_common_name(subject)
+    subject = _as_subject(subject)
     digest = digest_document(document, keypair.suite.digest)
     return _enroll_and_sign(keypair, digest, subject, enrollment, document_locator)

@@ -1,14 +1,19 @@
 """CA engine: hierarchy rules, uniform expiry, one-time issuance, blank
 CRLs, retirement-by-key-destruction, pools, and disk persistence."""
 
+import os
+import subprocess
+import sys
 import threading
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from cryptography import x509
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otcpki
 from otcpki.ca import (
     CaPolicy,
     CaRole,
@@ -33,6 +38,20 @@ from otcpki.errors import (
 
 from conftest import fresh_policy, utcnow
 from dersurgery import forge_duplicate_binding_csr
+
+
+# Load an issuer saved on disk and print the serials of N fresh leaves.
+_ISSUE_FROM_DISK = """
+import sys
+from otcpki.ca import load_ca
+from otcpki.certmodel import DistinguishedName, build_csr
+from otcpki.crypto import EphemeralKeyPair, digest_document
+issuer = load_ca(sys.argv[1], sys.argv[2].encode())
+keypair = EphemeralKeyPair.generate()
+name = DistinguishedName.from_common_name("Process Leaf")
+for i in range(int(sys.argv[3])):
+    print(issuer.issue_otc(build_csr(keypair, name, digest_document(b"%d" % i))).serial)
+"""
 
 
 def make_csr(keypair, name="Leaf", payload=b"document"):
@@ -288,24 +307,44 @@ class TestPersistence:
         assert b"ENCRYPTED PRIVATE KEY" in key_pem
         assert (tmp_path / "key.pem").stat().st_mode & 0o077 == 0
 
-    def test_serial_journal_appends_and_reloads(self, tmp_path, passphrase, keypair_pool):
-        hierarchy = init_hierarchy("Journal Root", fresh_policy())
+    def test_serials_distinct_across_save_and_reload(self, tmp_path, passphrase,
+                                                     keypair_pool):
+        hierarchy = init_hierarchy("Reload Root", fresh_policy())
         issuer = hierarchy.first_issuer()
-        directory = tmp_path / "iss"
-        save_ca(issuer, directory, passphrase)
-        first = issuer.issue_otc(make_csr(keypair_pool[0]))
-        journal = (directory / "serials.txt").read_text().split()
-        assert f"{first.serial:x}" in journal
-        issuer.retire()  # closes the journal
-        loaded = load_ca(directory, passphrase)
-        assert first.serial in loaded.issued_serials
-        second = loaded.issue_otc(make_csr(keypair_pool[1]))
-        assert second.serial != first.serial
-        journal = (directory / "serials.txt").read_text().split()
-        assert f"{second.serial:x}" in journal
+        save_ca(issuer, tmp_path, passphrase)
+        serials = [issuer.issue_otc(make_csr(keypair_pool[i % 8])).serial for i in range(20)]
+        issuer.retire()
+        for _ in range(2):
+            loaded = load_ca(tmp_path, passphrase)
+            serials += [loaded.issue_otc(make_csr(keypair_pool[i % 8])).serial
+                        for i in range(20)]
+        serials.append(issuer.certificate.serial)
+        assert len(set(serials)) == len(serials) == 61
+
+    def test_serials_distinct_across_processes(self, tmp_path, passphrase):
+        hierarchy = init_hierarchy("Two Process Root", fresh_policy())
+        save_ca(hierarchy.first_issuer(), tmp_path, passphrase)
+        env = dict(os.environ, PYTHONPATH=str(Path(otcpki.__file__).resolve().parents[1]))
+        command = [sys.executable, "-c", _ISSUE_FROM_DISK, str(tmp_path), "unit-test-pw", "40"]
+        processes = [subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True)
+                     for _ in range(2)]
+        outputs = [process.communicate(timeout=60)[0].split() for process in processes]
+        assert [process.returncode for process in processes] == [0, 0]
+        assert [len(serials) for serials in outputs] == [40, 40]
+        assert len(set(outputs[0]) | set(outputs[1])) == 80
+
+    def test_legacy_serial_journal_is_ignored(self, tmp_path, passphrase, keypair_pool):
+        issuer = init_hierarchy("Legacy Root", fresh_policy()).first_issuer()
+        save_ca(issuer, tmp_path, passphrase)
+        journal = tmp_path / "serials.txt"
+        journal.write_text(f"{issuer.certificate.serial:x}\nnot hex\n")
+        loaded = load_ca(tmp_path, passphrase)
+        leaf = loaded.issue_otc(make_csr(keypair_pool[0]))
+        assert leaf.verify_signed_by(issuer.certificate)
+        assert journal.read_text() == f"{issuer.certificate.serial:x}\nnot hex\n"
 
     def test_expected_files_on_disk(self, tmp_path, passphrase):
         root = create_root("Layout Root", fresh_policy())
         save_ca(root, tmp_path, passphrase)
         names = {path.name for path in tmp_path.iterdir()}
-        assert names == {"cert.pem", "key.pem", "chain.pem", "serials.txt", "crl.pem"}
+        assert names == {"cert.pem", "key.pem", "chain.pem", "crl.pem"}

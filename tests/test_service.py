@@ -1,8 +1,13 @@
-"""Enrollment service: endpoint behavior over real HTTP, pool rotation,
-retirement handling, and config parsing."""
+"""Enrollment service: endpoint behavior over real HTTP, request framing,
+keep-alive connections, pool rotation, retirement handling, and config
+parsing."""
 
+import http.client
+import select
+import socket
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 from datetime import timedelta
 
@@ -16,6 +21,7 @@ from otcpki.certmodel import (
 )
 from otcpki.crypto import EphemeralKeyPair, digest_document
 from otcpki.errors import ConfigError, EnrollmentRejectedError, EnrollmentUnreachableError
+from otcpki import service as service_module
 from otcpki.service import EnrollmentService, ServiceConfig
 from otcpki.signer import HttpEnrollmentClient, one_shot_sign
 from otcpki.verifier import RecencyPolicy, verify_bundle
@@ -34,6 +40,60 @@ def stack():
     url = service.start()
     yield hierarchy, service, url
     service.stop()
+
+
+@pytest.fixture(scope="module")
+def single_issuer_url():
+    """A running service over one issuer, so every leaf shares one CRL."""
+    hierarchy = init_hierarchy("Single Issuer Root", fresh_policy())
+    service = EnrollmentService([hierarchy.first_issuer()])
+    yield service.start()
+    service.stop()
+
+
+@pytest.fixture
+def short_timeout_stack(monkeypatch):
+    """A one-issuer service whose connections time out after 0.2 s."""
+    monkeypatch.setattr(service_module, "HANDLER_TIMEOUT_S", 0.2)
+    hierarchy = init_hierarchy("Short Timeout Root", fresh_policy())
+    service = EnrollmentService([hierarchy.first_issuer()])
+    url = service.start()
+    yield hierarchy, url
+    service.stop()
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count HTTPConnection connects and requests; keep each connected socket."""
+    counts = {"connect": 0, "request": 0}
+    sockets = []
+    connect = http.client.HTTPConnection.connect
+    request = http.client.HTTPConnection.request
+
+    def counting_connect(self):
+        counts["connect"] += 1
+        connect(self)
+        sockets.append(self.sock)
+
+    def counting_request(self, *args, **kwargs):
+        counts["request"] += 1
+        return request(self, *args, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+    monkeypatch.setattr(http.client.HTTPConnection, "request", counting_request)
+    return counts, sockets
+
+
+def raw_exchange(url, data):
+    """Send raw bytes and read until the service closes the connection; a
+    service that never closes it fails the test after 5 s."""
+    address = urllib.parse.urlsplit(url)
+    with socket.create_connection((address.hostname, address.port), timeout=5) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def fetch(url, path, body=None):
@@ -98,6 +158,86 @@ class TestEnrollEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             fetch(url, "/nope")
         assert excinfo.value.code == 404
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("declared", [b"abc", b"-1", b"+12", b"1_0"])
+    def test_invalid_content_length_is_400(self, stack, capfd, declared):
+        _, _, url = stack
+        reply = raw_exchange(url, b"POST /enroll HTTP/1.1\r\nHost: x\r\n"
+                                  b"Content-Length: " + declared + b"\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.endswith(b"\r\n\r\nmalformed-encoding: missing, invalid or"
+                              b" oversized Content-Length")
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_unknown_post_path_closes_with_body_unread(self, stack):
+        _, _, url = stack
+        reply = raw_exchange(url, b"POST /nope HTTP/1.1\r\nContent-Length: 14\r\n\r\n"
+                                  b"GET / HTTP/1.1")
+        assert reply.startswith(b"HTTP/1.1 404 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_idle_connection_is_closed(self, short_timeout_stack):
+        _, url = short_timeout_stack
+        assert raw_exchange(url, b"") == b""
+
+    def test_short_body_times_out_quietly(self, short_timeout_stack, capfd):
+        _, url = short_timeout_stack
+        reply = raw_exchange(url, b"POST /enroll HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                                  b"-----BEGIN")
+        assert reply == b""
+        assert "Traceback" not in capfd.readouterr().err
+
+
+class TestKeepAlive:
+    def test_two_signs_one_connection_three_requests(self, single_issuer_url, counted):
+        counts, _ = counted
+        client = HttpEnrollmentClient(single_issuer_url)
+        one_shot_sign(b"first", "First", client)
+        one_shot_sign(b"second", "Second", client)
+        client.close()
+        assert counts == {"connect": 1, "request": 3}  # /enroll twice, /crl once
+
+    def test_closed_connection_reopened_once(self, short_timeout_stack, counted):
+        hierarchy, url = short_timeout_stack
+        counts, sockets = counted
+        client = HttpEnrollmentClient(url)
+        one_shot_sign(b"before", "Before", client)
+        # The service closes the idle connection; its FIN makes the socket readable.
+        assert select.select(sockets, [], [], 5)[0] == sockets
+        bundle = one_shot_sign(b"after", "After", client)
+        client.close()
+        report = verify_bundle(bundle, b"after", [hierarchy.root.certificate], POLICY)
+        assert report.accepted, report.to_text()
+        # /enroll, /crl, then /enroll on the closed connection and once more.
+        assert counts == {"connect": 2, "request": 4}
+
+    def test_second_failure_is_unreachable(self, shared_issuer, counted):
+        counts, _ = counted
+        chain_pem = shared_issuer.chain_to_root().to_pem()
+        replies = [b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                   % (len(chain_pem), chain_pem), b""]
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5)
+
+            def answer_once_then_hang_up():
+                for reply in replies:
+                    connection, _ = listener.accept()
+                    with connection:
+                        connection.recv(65536)
+                        connection.sendall(reply)
+
+            server = threading.Thread(target=answer_once_then_hang_up)
+            server.start()
+            client = HttpEnrollmentClient(f"http://127.0.0.1:{listener.getsockname()[1]}",
+                                          timeout=5)
+            assert client.fetch_chain() == shared_issuer.chain_to_root()
+            with pytest.raises(EnrollmentUnreachableError):
+                client.fetch_chain()
+            server.join(5)
+        assert not server.is_alive()
+        assert counts == {"connect": 2, "request": 3}
 
 
 class TestReadEndpoints:
