@@ -47,6 +47,7 @@ from .errors import (
     CaRetiredError,
     DuplicateBindingError,
     InvalidPolicyError,
+    MalformedEncodingError,
     MissingBindingError,
     PopFailureError,
     RoleViolationError,
@@ -197,8 +198,9 @@ class CaIdentity:
         """Issue a one-time certificate for a request.
 
         The request must prove possession of its key and carry exactly one
-        document binding; the binding bytes are copied into the certificate
-        verbatim. The certificate expires when the whole chain does.
+        document binding in its canonical encoding, the only one that
+        decodes, so the certificate carries the request's binding bytes
+        unchanged. The certificate expires when the whole chain does.
         """
         if self.role is not CaRole.ISSUER:
             raise RoleViolationError(
@@ -212,6 +214,8 @@ class CaIdentity:
                 binding = csr.binding
             except x509.DuplicateExtension as exc:
                 raise DuplicateBindingError(str(exc)) from exc
+            except ValueError as exc:  # cryptography parses extensions lazily
+                raise MalformedEncodingError(f"request extensions: {exc}") from exc
             if binding is None:
                 raise MissingBindingError("request carries no document binding")
             not_before = max(_now(), self.certificate.not_before)

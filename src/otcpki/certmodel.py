@@ -1,17 +1,20 @@
 """X.509 object model: the digest-binding extension, names, CSRs,
 certificates, CRLs, chains, and the DER/PEM codec.
 
-The extension payload is a small DER structure authored here rather than
-delegated, because its exact byte layout is the contract that makes a
-certificate a one-time certificate:
+The binding payload's exact bytes are the contract that makes a certificate a
+one-time certificate, so they are authored here rather than delegated:
 
     OtcBinding ::= SEQUENCE {
         digestAlgorithm   AlgorithmIdentifier,   -- no parameters
         digestValue       OCTET STRING
     }
 
-carried under a private-enterprise OID as a non-critical extension, so
-standard validators ignore it while aware verifiers enforce it.
+DER is canonical (X.690 §10), so each digest algorithm fixes every byte but
+the digest: ``302f300b06096086480165030402010420`` then 32 bytes for SHA-256,
+``303f300b06096086480165030402020430`` then 48 for SHA-384. The codec is that
+table, so a binding has exactly one accepted encoding. It rides under a
+private-enterprise OID as a non-critical extension, so standard validators
+ignore it while aware verifiers enforce it.
 """
 
 from __future__ import annotations
@@ -56,105 +59,14 @@ __all__ = [
 # Private-enterprise arc; nothing else in the certificate profile uses it.
 OTC_EXTENSION_OID = x509.ObjectIdentifier("1.3.6.1.4.1.55555.1.1")
 
-_TAG_SEQUENCE = 0x30
-_TAG_OID = 0x06
-_TAG_OCTET_STRING = 0x04
-
-_DIGEST_OIDS = {
-    DigestAlgorithm.SHA256: "2.16.840.1.101.3.4.2.1",
-    DigestAlgorithm.SHA384: "2.16.840.1.101.3.4.2.2",
+# Each algorithm's payload bytes before the digest (see the module docstring).
+_PAYLOAD_PREFIXES = {
+    DigestAlgorithm.SHA256: bytes.fromhex("302f300b06096086480165030402010420"),
+    DigestAlgorithm.SHA384: bytes.fromhex("303f300b06096086480165030402020430"),
 }
-_DIGEST_BY_OID = {v: k for k, v in _DIGEST_OIDS.items()}
-
-
-# ---------------------------------------------------------------------------
-# Minimal DER encode/decode, enough for the binding payload
-# ---------------------------------------------------------------------------
-
-def _der_length(length: int) -> bytes:
-    if length < 0x80:
-        return bytes([length])
-    body = length.to_bytes((length.bit_length() + 7) // 8, "big")
-    return bytes([0x80 | len(body)]) + body
-
-
-def _der_tlv(tag: int, content: bytes) -> bytes:
-    return bytes([tag]) + _der_length(len(content)) + content
-
-
-def _der_oid(dotted: str) -> bytes:
-    arcs = [int(part) for part in dotted.split(".")]
-    body = bytearray([arcs[0] * 40 + arcs[1]])
-    for arc in arcs[2:]:
-        chunk = bytearray([arc & 0x7F])
-        arc >>= 7
-        while arc:
-            chunk.append(0x80 | (arc & 0x7F))
-            arc >>= 7
-        body.extend(reversed(chunk))
-    return _der_tlv(_TAG_OID, bytes(body))
-
-
-class _DerReader:
-    """Strict cursor over a DER buffer; errors carry the byte offset."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    @property
-    def offset(self) -> int:
-        return self._pos
-
-    def _fail(self, why: str):
-        raise MalformedEncodingError(f"DER error at offset {self._pos}: {why}")
-
-    def _take(self, count: int) -> bytes:
-        if self._pos + count > len(self._data):
-            self._fail(f"needed {count} more bytes")
-        out = self._data[self._pos : self._pos + count]
-        self._pos += count
-        return out
-
-    def read_tlv(self, expected_tag: int) -> bytes:
-        start = self._pos
-        tag = self._take(1)[0]
-        if tag != expected_tag:
-            self._pos = start
-            self._fail(f"expected tag 0x{expected_tag:02x}, found 0x{tag:02x}")
-        first = self._take(1)[0]
-        if first < 0x80:
-            length = first
-        else:
-            n = first & 0x7F
-            if n == 0 or n > 4:
-                self._fail("unsupported DER length form")
-            raw = self._take(n)
-            length = int.from_bytes(raw, "big")
-            if length < 0x80 or raw[0] == 0:
-                self._fail("non-minimal DER length")
-        return self._take(length)
-
-    def expect_end(self):
-        if self._pos != len(self._data):
-            self._fail(f"{len(self._data) - self._pos} trailing bytes")
-
-
-def _decode_oid(body: bytes) -> str:
-    if not body:
-        raise MalformedEncodingError("empty OID body")
-    arcs = [body[0] // 40, body[0] % 40]
-    value = 0
-    pending = False
-    for byte in body[1:]:
-        value = (value << 7) | (byte & 0x7F)
-        pending = bool(byte & 0x80)
-        if not pending:
-            arcs.append(value)
-            value = 0
-    if pending:
-        raise MalformedEncodingError("truncated OID arc")
-    return ".".join(str(a) for a in arcs)
+# The AlgorithmIdentifier is payload bytes 2..14 under either algorithm.
+_ALG_ID = slice(2, 15)
+_DIGEST_BY_ALG_ID = {prefix[_ALG_ID]: alg for alg, prefix in _PAYLOAD_PREFIXES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -178,33 +90,28 @@ class OtcExtension:
 
     def payload(self) -> bytes:
         """DER-encode the binding structure."""
-        alg_id = _der_tlv(_TAG_SEQUENCE, _der_oid(_DIGEST_OIDS[self.digest.algorithm]))
-        value = _der_tlv(_TAG_OCTET_STRING, self.digest.value)
-        return _der_tlv(_TAG_SEQUENCE, alg_id + value)
+        return _PAYLOAD_PREFIXES[self.digest.algorithm] + self.digest.value
 
     @classmethod
     def from_payload(cls, data: bytes, critical: bool = False) -> "OtcExtension":
-        """Decode a binding payload; rejects trailing garbage and any digest
-        whose length disagrees with the declared algorithm."""
-        outer = _DerReader(data)
-        body = outer.read_tlv(_TAG_SEQUENCE)
-        outer.expect_end()
-        inner = _DerReader(body)
-        alg_body = inner.read_tlv(_TAG_SEQUENCE)
-        digest_value = inner.read_tlv(_TAG_OCTET_STRING)
-        inner.expect_end()
-        alg = _DerReader(alg_body)
-        oid = _decode_oid(alg.read_tlv(_TAG_OID))
-        alg.expect_end()  # AlgorithmIdentifier for these hashes has no params
-        algorithm = _DIGEST_BY_OID.get(oid)
+        """Decode a binding payload. Only the canonical encoding of a known
+        algorithm's binding is accepted; any other bytes raise
+        :class:`MalformedEncodingError` naming the offset at fault."""
+        algorithm = _DIGEST_BY_ALG_ID.get(data[_ALG_ID])
         if algorithm is None:
-            raise MalformedEncodingError(f"unknown digest algorithm OID {oid}")
-        if len(digest_value) != algorithm.digest_length:
+            raise MalformedEncodingError(f"binding payload at offset {_ALG_ID.start}:"
+                                         f" unknown digest algorithm {data[_ALG_ID].hex()!r}")
+        prefix = _PAYLOAD_PREFIXES[algorithm]
+        size = len(prefix) + algorithm.digest_length
+        if len(data) != size:
             raise MalformedEncodingError(
-                f"{algorithm.value} digest must be {algorithm.digest_length}"
-                f" bytes, got {len(digest_value)}"
-            )
-        return cls(DocumentDigest(algorithm, digest_value), critical=critical)
+                f"binding payload at offset {min(len(data), size)}: {algorithm.value} takes a"
+                f" {algorithm.digest_length}-byte digest, {size} bytes in all; got {len(data)}")
+        for offset, (found, wanted) in enumerate(zip(data, prefix)):
+            if found != wanted:
+                raise MalformedEncodingError(f"binding payload at offset {offset}:"
+                                             f" expected 0x{wanted:02x}, found 0x{found:02x}")
+        return cls(DocumentDigest(algorithm, data[len(prefix):]), critical=critical)
 
     def to_x509(self) -> x509.UnrecognizedExtension:
         return x509.UnrecognizedExtension(OTC_EXTENSION_OID, self.payload())
@@ -216,9 +123,9 @@ def _extract_binding(extensions: x509.Extensions) -> Optional[OtcExtension]:
         ext = extensions.get_extension_for_oid(OTC_EXTENSION_OID)
     except x509.ExtensionNotFound:
         return None
-    value = ext.value
-    payload = value.value if isinstance(value, x509.UnrecognizedExtension) else bytes(value.public_bytes())
-    return OtcExtension.from_payload(payload, critical=ext.critical)
+    # cryptography has no parser for this OID, so the value is always an
+    # UnrecognizedExtension holding the raw payload.
+    return OtcExtension.from_payload(ext.value.value, critical=ext.critical)
 
 
 # ---------------------------------------------------------------------------

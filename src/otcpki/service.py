@@ -231,6 +231,11 @@ class EnrollmentService:
             disable_nagle_algorithm = True
             timeout = HANDLER_TIMEOUT_S
 
+            # Answer a request line that carries no HTTP version, or cannot be
+            # parsed far enough to find one, with a status line and headers:
+            # the stdlib default, HTTP/0.9, sends a bare body with neither.
+            default_request_version = "HTTP/1.0"
+
             def _reply(self, status: int, body: bytes, close: bool = False):
                 self.send_response(status)
                 content_type = PEM_CONTENT_TYPE if status == 200 else "text/plain"
@@ -241,15 +246,26 @@ class EnrollmentService:
                 self.end_headers()
                 self.wfile.write(body)
 
+            def _body_length(self) -> Optional[int]:
+                """The declared body length (0 when none is declared), or
+                None when the body cannot be framed: Transfer-Encoding, which
+                this service does not decode (RFC 9112 §6.3), or anything but
+                one Content-Length of 1*DIGIT."""
+                if "Transfer-Encoding" in self.headers:
+                    return None
+                declared = self.headers.get_all("Content-Length", ["0"])
+                if len(declared) != 1 or not (declared[0].isascii() and declared[0].isdigit()):
+                    return None
+                return int(declared[0])
+
             def do_POST(self):
                 # Any early reply leaves the body unread, so the connection
                 # cannot carry another request.
                 if self.path != "/enroll":
                     self._reply(404, b"not-found: unknown endpoint", close=True)
                     return
-                declared = self.headers.get("Content-Length", "")
-                length = int(declared) if declared.isascii() and declared.isdigit() else 0
-                if not 0 < length <= _MAX_REQUEST_BYTES:
+                length = self._body_length()
+                if length is None or not 0 < length <= _MAX_REQUEST_BYTES:
                     self._reply(400, b"malformed-encoding: missing, invalid or oversized"
                                      b" Content-Length", close=True)
                     return
@@ -260,7 +276,12 @@ class EnrollmentService:
                 self._reply(*service.handle_enroll(body))
 
             def do_GET(self):
-                if self.path == "/crl":
+                # A GET body is never read, so it would be parsed as the next
+                # request on the connection.
+                if self._body_length() != 0:
+                    self._reply(400, b"malformed-encoding: a GET request carries no body",
+                                close=True)
+                elif self.path == "/crl":
                     self._reply(*service.handle_crl())
                 elif self.path == "/chain":
                     self._reply(*service.handle_chain())

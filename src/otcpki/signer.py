@@ -9,11 +9,14 @@ nothing left to revoke.
 
 from __future__ import annotations
 
+import collections
 import http.client
+import lzma
 import threading
 import urllib.parse
 import weakref
 import zipfile
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,7 +24,7 @@ from typing import BinaryIO, Optional, Protocol, Tuple, Union
 
 from cryptography.hazmat.primitives import serialization
 
-from .ca import CaIdentity
+from .ca import CaIdentity, _utc_second
 from .certmodel import (
     PEM_CONTENT_TYPE,
     CertificationChain,
@@ -41,6 +44,7 @@ from .crypto import (
 )
 from .errors import (
     ConfigError,
+    DigestMismatchError,
     EnrollmentRejectedError,
     EnrollmentUnreachableError,
     KeyDestroyedError,
@@ -58,6 +62,13 @@ __all__ = [
 ]
 
 _ARCHIVE_MEMBERS = ("meta.txt", "signature.bin", "chain.pem", "crl.pem")
+# Largest bundle member load() reads, in bytes; the service caps a request
+# body the same.
+_MAX_MEMBER_BYTES = 1 << 20
+# What zipfile and its decompressors raise on a corrupt or unsupported archive
+# (an out-of-range offset in the directory surfaces as an OSError from seek).
+_ZIP_READ_ERRORS = (zipfile.BadZipFile, EOFError, NotImplementedError, OSError,
+                    RuntimeError, ValueError, zlib.error, lzma.LZMAError)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +239,7 @@ class SignedDocumentBundle:
     document_locator: Optional[str] = None
 
     def __post_init__(self):
-        moment = self.created_at
-        if moment.tzinfo is None:
-            moment = moment.replace(tzinfo=timezone.utc)
-        object.__setattr__(
-            self, "created_at", moment.astimezone(timezone.utc).replace(microsecond=0)
-        )
+        object.__setattr__(self, "created_at", _utc_second(self.created_at))
 
     @property
     def subject(self) -> DistinguishedName:
@@ -258,32 +264,50 @@ class SignedDocumentBundle:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SignedDocumentBundle":
-        path = Path(path)
-        try:
-            with zipfile.ZipFile(path) as archive:
-                names = set(archive.namelist())
-                missing = {"meta.txt", "signature.bin", "chain.pem"} - names
-                if missing:
-                    raise MalformedEncodingError(
-                        f"bundle missing {', '.join(sorted(missing))}"
-                    )
-                meta = _parse_meta(archive.read("meta.txt"))
-                signature = archive.read("signature.bin")
-                chain = CertificationChain.from_pem(archive.read("chain.pem"))
-                crl = (
-                    decode(archive.read("crl.pem"), RevocationList)
-                    if "crl.pem" in names
-                    else None
-                )
-        except zipfile.BadZipFile as exc:
-            raise MalformedEncodingError(f"not a bundle archive: {exc}") from exc
+        members = _read_members(Path(path))
+        missing = {"meta.txt", "signature.bin", "chain.pem"} - members.keys()
+        if missing:
+            raise MalformedEncodingError(f"bundle missing {', '.join(sorted(missing))}")
+        meta = _parse_meta(members["meta.txt"])
+        crl = members.get("crl.pem")
         return cls(
             document_digest=meta["digest"],
-            signature=signature,
-            chain=chain,
-            crl=crl,
+            signature=members["signature.bin"],
+            chain=CertificationChain.from_pem(members["chain.pem"]),
+            crl=None if crl is None else decode(crl, RevocationList),
             created_at=meta["created_at"],
         )
+
+
+def _read_members(path: Path) -> dict:
+    """The bytes of each bundle member in an archive, by name.
+
+    The archive may be hostile: duplicate member names, a member over
+    ``_MAX_MEMBER_BYTES`` and every failure of the zipfile module raise
+    :class:`MalformedEncodingError`. Each member is inflated no further than
+    one byte past the cap, whatever size its header declares.
+    """
+    with open(path, "rb") as handle:  # a missing file stays an OSError
+        try:
+            with zipfile.ZipFile(handle) as archive:
+                counts = collections.Counter(archive.namelist())
+                repeated = sorted(name for name, count in counts.items() if count > 1)
+                if repeated:
+                    raise MalformedEncodingError(
+                        f"bundle repeats member {', '.join(repeated)}"
+                    )
+                members = {}
+                for name in counts.keys() & _ARCHIVE_MEMBERS:
+                    with archive.open(name) as member:
+                        data = member.read(_MAX_MEMBER_BYTES + 1)
+                    if len(data) > _MAX_MEMBER_BYTES:
+                        raise MalformedEncodingError(
+                            f"bundle member {name} exceeds {_MAX_MEMBER_BYTES} bytes"
+                        )
+                    members[name] = data
+                return members
+        except _ZIP_READ_ERRORS as exc:
+            raise MalformedEncodingError(f"not a bundle archive: {exc}") from exc
 
 
 def _parse_meta(raw: bytes) -> dict:
@@ -304,7 +328,7 @@ def _parse_meta(raw: bytes) -> dict:
         )
     except KeyError as exc:
         raise MalformedEncodingError(f"meta.txt missing {exc.args[0]}") from exc
-    except ValueError as exc:
+    except (ValueError, DigestMismatchError) as exc:
         raise MalformedEncodingError(f"meta.txt: {exc}") from exc
     return {"digest": digest, "created_at": created}
 

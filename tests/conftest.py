@@ -9,9 +9,19 @@ import threading
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes
+from hypothesis import strategies as st
 
 from otcpki.ca import CaPolicy, init_hierarchy
+from otcpki.certmodel import DistinguishedName, SigningRequest
 from otcpki.crypto import DEFAULT_SUITE, EphemeralKeyPair
+
+# A SHA-256 binding payload whose OID arc 840 is padded with a leading 0x80
+# octet, which X.690 §8.19.2 forbids even in BER: a second encoding of the
+# binding of bytes(range(32)).
+PADDED_OID_PAYLOAD = (bytes.fromhex("3030300c060a608086480165030402010420")
+                      + bytes(range(32)))
 
 
 def utcnow():
@@ -20,6 +30,41 @@ def utcnow():
 
 def fresh_policy(days=365):
     return CaPolicy(chain_not_after=utcnow() + timedelta(days=days))
+
+
+def csr_with_extension(keypair, extension) -> SigningRequest:
+    """A request signed by ``keypair`` (so POP holds) carrying one extension."""
+    raw = (
+        x509.CertificateSigningRequestBuilder()
+        .subject_name(DistinguishedName.from_common_name("Odd Extension").to_x509())
+        .add_extension(extension, critical=False)
+        .sign(keypair._signing_key(), hashes.SHA256())
+    )
+    return SigningRequest(raw)
+
+
+@st.composite
+def overwritten(draw, data: bytes, max_edits: int = 3) -> bytes:
+    """``data`` with up to ``max_edits`` runs of 0-2 bytes replaced by 0-3
+    arbitrary bytes."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0, max_edits))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.integers(0, 2))] = draw(st.binary(max_size=3))
+    return bytes(data)
+
+
+def patch_central_entry(archive: bytes, name: bytes, offset: int, value: int) -> bytes:
+    """Overwrite a 2-byte little-endian field in the zip central directory
+    entry of member ``name`` (offset 8: flags, 10: compression method)."""
+    data = bytearray(archive)
+    at = -1
+    while True:
+        at = data.index(b"PK\x01\x02", at + 1)  # ValueError once past the last entry
+        if data[at + 46 : at + 46 + len(name)] == name:
+            break
+    data[at + offset : at + offset + 2] = value.to_bytes(2, "little")
+    return bytes(data)
 
 
 @pytest.fixture(scope="session")

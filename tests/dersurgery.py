@@ -9,9 +9,10 @@ so proof of possession still holds.
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding
 
-from otcpki.certmodel import OTC_EXTENSION_OID, SigningRequest, _der_oid, decode
+from otcpki.certmodel import SigningRequest, decode
 
-_OUR_OID_DER = _der_oid(OTC_EXTENSION_OID.dotted_string)
+# DER of OTC_EXTENSION_OID, 1.3.6.1.4.1.55555.1.1 (tag, length, arcs).
+_OUR_OID_DER = bytes.fromhex("060a2b0601040183b2030101")
 
 
 def parse_tree(data, pos=0):

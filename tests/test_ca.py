@@ -25,18 +25,24 @@ from otcpki.ca import (
     save_ca,
     spawn_issuer_pool,
 )
-from otcpki.certmodel import CertificationChain, DistinguishedName, build_csr
+from otcpki.certmodel import (
+    OTC_EXTENSION_OID,
+    CertificationChain,
+    DistinguishedName,
+    build_csr,
+)
 from otcpki.crypto import EphemeralKeyPair, digest_document
 from otcpki.errors import (
     CaRetiredError,
     DuplicateBindingError,
     InvalidPolicyError,
+    MalformedEncodingError,
     MissingBindingError,
     PopFailureError,
     RoleViolationError,
 )
 
-from conftest import fresh_policy, utcnow
+from conftest import PADDED_OID_PAYLOAD, csr_with_extension, fresh_policy, utcnow
 from dersurgery import forge_duplicate_binding_csr
 
 
@@ -163,6 +169,20 @@ class TestIssueOtc:
         assert forged.is_signature_valid  # POP holds, so the dup check is what fires
         with pytest.raises(DuplicateBindingError):
             shared_issuer.issue_otc(forged)
+
+    def test_non_canonical_binding_rejected(self, shared_issuer, keypair_pool):
+        csr = csr_with_extension(keypair_pool[6], x509.UnrecognizedExtension(
+            OTC_EXTENSION_OID, PADDED_OID_PAYLOAD))
+        assert csr.is_signature_valid
+        with pytest.raises(MalformedEncodingError, match="offset"):
+            shared_issuer.issue_otc(csr)
+
+    def test_unparseable_extension_rejected(self, shared_issuer, keypair_pool):
+        # A basicConstraints value that is not DER fails when first read.
+        csr = csr_with_extension(keypair_pool[6], x509.UnrecognizedExtension(
+            x509.oid.ExtensionOID.BASIC_CONSTRAINTS, b"\xff\x00"))
+        with pytest.raises(MalformedEncodingError):
+            shared_issuer.issue_otc(csr)
 
     def test_broken_pop_rejected(self, shared_issuer, keypair_pool):
         from otcpki.certmodel import SigningRequest, decode

@@ -43,16 +43,53 @@ from otcpki.errors import (
     MalformedEncodingError,
 )
 
+from conftest import PADDED_OID_PAYLOAD
+
 # Golden vectors: header bytes for SEQUENCE { AlgorithmIdentifier, OCTET
 # STRING } with the NIST hash OIDs, followed by the raw digest.
 SHA256_PAYLOAD_PREFIX = bytes.fromhex("302f300b06096086480165030402010420")
 SHA384_PAYLOAD_PREFIX = bytes.fromhex("303f300b06096086480165030402020430")
+
+# Offset of each length octet in a binding payload and the span it measures
+# (outer SEQUENCE, AlgorithmIdentifier, OID, OCTET STRING).
+_LENGTH_FIELDS = ((1, 2, None), (3, 4, 15), (5, 6, 15), (16, 17, None))
 
 OPENSSL = shutil.which("openssl")
 
 
 def sha256_digest(seed: bytes = b"doc") -> DocumentDigest:
     return digest_document(seed)
+
+
+valid_payloads = st.one_of(
+    st.binary(min_size=32, max_size=32).map(
+        lambda raw: OtcExtension(DocumentDigest(DigestAlgorithm.SHA256, raw)).payload()),
+    st.binary(min_size=48, max_size=48).map(
+        lambda raw: OtcExtension(DocumentDigest(DigestAlgorithm.SHA384, raw)).payload()),
+)
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid payload with bytes flipped, deleted, or inserted; an insertion
+    may also grow every length octet whose span covers it, so the result
+    still parses as DER-shaped TLVs."""
+    data = bytearray(draw(valid_payloads))
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, 17) | st.integers(0, len(data)))  # mostly the header
+        byte = draw(st.sampled_from([0x00, 0x80, 0xFF]) | st.integers(0, 255))
+        kind = draw(st.sampled_from(["flip", "delete", "insert", "insert-fixed"]))
+        if kind == "flip" and at < len(data):
+            data[at] = byte
+        elif kind == "delete" and at < len(data):
+            del data[at]
+        elif kind.startswith("insert"):
+            data.insert(at, byte)
+            if kind == "insert-fixed":
+                for offset, start, end in _LENGTH_FIELDS:
+                    if start <= at <= (len(data) if end is None else end) and offset < len(data):
+                        data[offset] = (data[offset] + 1) % 256
+    return bytes(data)
 
 
 class TestExtensionCodec:
@@ -107,6 +144,19 @@ class TestExtensionCodec:
     def test_error_carries_offset(self):
         with pytest.raises(MalformedEncodingError, match="offset"):
             OtcExtension.from_payload(b"\x31\x03abc")
+
+    def test_padded_oid_arc_rejected(self):
+        with pytest.raises(MalformedEncodingError, match="offset 2"):
+            OtcExtension.from_payload(PADDED_OID_PAYLOAD)
+
+    @settings(max_examples=1000)
+    @given(data=st.one_of(mutated_payloads(), st.binary(max_size=80)))
+    def test_accepts_only_canonical_payloads(self, data):
+        try:
+            ext = OtcExtension.from_payload(data)
+        except MalformedEncodingError:
+            return
+        assert ext.payload() == data
 
 
 class TestDistinguishedName:

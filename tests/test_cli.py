@@ -22,6 +22,8 @@ from otcpki.ca import PASSPHRASE_ENV
 from otcpki.cli import KEY_PASSPHRASE_ENV, main, parse_duration, parse_timestamp
 from otcpki.service import EnrollmentService, load_pool
 
+from conftest import patch_central_entry
+
 EXPIRES_RE = re.compile(r"expires (\S+)")
 
 
@@ -216,6 +218,20 @@ class TestSignAndVerify:
         assert rc == 1
         assert out.startswith("verdict: rejected")
         assert "binding-mismatch" in out
+
+    @pytest.mark.parametrize("field_offset,value", [(8, 0x0001), (10, 99)],
+                             ids=["encrypted-flag", "compression-method-99"])
+    def test_unreadable_bundle_is_usage_error(self, cli_stack, capsys, field_offset, value):
+        unreadable = cli_stack.base / "unreadable.otcb"
+        unreadable.write_bytes(patch_central_entry(cli_stack.bundle.read_bytes(),
+                                                   b"meta.txt", field_offset, value))
+        rc = main([
+            "verify", "--doc", str(cli_stack.doc),
+            "--bundle", str(unreadable),
+            "--trust", str(cli_stack.trust), "--max-age", "24h",
+        ])
+        assert rc == 2
+        assert "not a bundle archive" in capsys.readouterr().err
 
     def test_zero_tolerance_recency_goes_stale(self, cli_stack, capsys):
         later = (datetime.now(timezone.utc) + timedelta(seconds=30)).strftime(

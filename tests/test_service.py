@@ -3,8 +3,10 @@ keep-alive connections, pool rotation, retirement handling, and config
 parsing."""
 
 import http.client
+import re
 import select
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.parse
@@ -12,9 +14,13 @@ import urllib.request
 from datetime import timedelta
 
 import pytest
+from cryptography import x509
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otcpki.ca import init_hierarchy
 from otcpki.certmodel import (
+    OTC_EXTENSION_OID,
     CertificationChain,
     DistinguishedName,
     build_csr,
@@ -26,7 +32,7 @@ from otcpki.service import EnrollmentService, ServiceConfig
 from otcpki.signer import HttpEnrollmentClient, one_shot_sign
 from otcpki.verifier import RecencyPolicy, verify_bundle
 
-from conftest import fresh_policy
+from conftest import PADDED_OID_PAYLOAD, csr_with_extension, fresh_policy, overwritten
 
 POLICY = RecencyPolicy(max_age=timedelta(minutes=10))
 
@@ -153,6 +159,19 @@ class TestEnrollEndpoint:
         assert excinfo.value.code == 422
         assert excinfo.value.read().startswith(b"missing-otc-extension:")
 
+    @pytest.mark.parametrize("oid,value", [
+        (OTC_EXTENSION_OID, PADDED_OID_PAYLOAD),
+        (x509.oid.ExtensionOID.BASIC_CONSTRAINTS, b"\xff\x00"),  # not DER
+    ], ids=["padded-oid-binding", "bad-basic-constraints"])
+    def test_undecodable_extension_is_422(self, stack, oid, value):
+        _, service, _ = stack
+        keypair = EphemeralKeyPair.generate()
+        csr = csr_with_extension(keypair, x509.UnrecognizedExtension(oid, value))
+        keypair.destroy()
+        status, body = service.handle_enroll(csr.to_pem())
+        assert status == 422
+        assert body.startswith(b"malformed-encoding:")
+
     def test_unknown_path_is_404(self, stack):
         _, _, url = stack
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -178,6 +197,42 @@ class TestRequestFraming:
         assert reply.startswith(b"HTTP/1.1 404 ")
         assert reply.count(b"HTTP/1.1 ") == 1
 
+    def test_get_body_is_400_not_a_second_request(self, stack):
+        _, _, url = stack
+        reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\nContent-Length: 19\r\n\r\n"
+                                  b"GET /x HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /crl HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+        b"POST /enroll HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n"
+        b"\r\n0\r\n\r\n",
+    ], ids=["GET", "POST"])
+    def test_transfer_encoding_is_400(self, stack, request_head):
+        _, _, url = stack
+        reply = raw_exchange(url, request_head)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_get_without_body_is_served(self, stack):
+        _, _, url = stack
+        reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\n\r\n"
+                                  b"GET /chain HTTP/1.1\r\nContent-Length: 0\r\n"
+                                  b"Connection: close\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.count(b"HTTP/1.1 200 ") == 2
+
+    @pytest.mark.parametrize("request_line", [b"a b c d", b"GET /chain", b"\xff\xfe"],
+                             ids=["four-words", "no-version", "not-ascii"])
+    def test_request_line_without_version_gets_status_line(self, stack, request_line):
+        _, _, url = stack
+        reply = raw_exchange(url, request_line + b"\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 ")
+        assert b"\r\nContent-Length: " in reply
+
     def test_idle_connection_is_closed(self, short_timeout_stack):
         _, url = short_timeout_stack
         assert raw_exchange(url, b"") == b""
@@ -188,6 +243,90 @@ class TestRequestFraming:
                                   b"-----BEGIN")
         assert reply == b""
         assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def hostile_target():
+    """A one-issuer service with a 1 s connection timeout, and the exceptions
+    that reach its server's handle_error."""
+    escaped = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(service_module, "HANDLER_TIMEOUT_S", 1.0)
+        patch.setattr(service_module._Server, "handle_error",
+                      lambda server, request, address: escaped.append(sys.exc_info()[1]))
+        hierarchy = init_hierarchy("Hostile Input Root", fresh_policy())
+        service = EnrollmentService([hierarchy.first_issuer()])
+        url = service.start()
+        yield url, escaped
+        service.stop()
+
+
+def _build_request(method, target, version, headers, body):
+    line = b" ".join(part for part in (method, target, version) if part)
+    return line + b"\r\n" + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body
+
+
+http_requests = st.builds(
+    _build_request,
+    st.sampled_from([b"GET", b"POST", b"HEAD", b"PUT", b"get", b""]),
+    st.sampled_from([b"/enroll", b"/crl", b"/chain", b"/", b"*", b"/crl?x=1", b""]),
+    st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0", b"HTTP/1", b"HTTP/1.1.1", b""]),
+    st.lists(st.sampled_from([
+        b"Content-Length: 0", b"Content-Length: 7", b"Content-Length: 64",
+        b"Content-Length: abc", b"Content-Length: 99999999", b"Content-Length:",
+        b"Transfer-Encoding: chunked", b"Connection: close", b"Connection: keep-alive",
+        b"Expect: 100-continue", b"Host: x", b"no colon here", b" folded: line",
+    ]), max_size=4),
+    st.sampled_from([b"", b"-----BEGIN CERTIFICATE REQUEST-----\n", b"0\r\n\r\n"])
+    | st.binary(max_size=64),
+)
+
+
+# Up to three pipelined requests, with a few bytes overwritten.
+hostile_requests = st.lists(http_requests, min_size=1, max_size=3).map(b"".join).flatmap(
+    overwritten)
+
+
+_STATUS_LINE = re.compile(rb"HTTP/1\.1 [1-5][0-9][0-9] [^\r\n]*")
+
+
+def check_responses(data: bytes):
+    """Fail unless what a connection received splits into responses, each a
+    status line, headers and a body framed by its Content-Length."""
+    while data:
+        head, blank, data = data.partition(b"\r\n\r\n")
+        assert blank, f"unterminated response head: {head[:200]!r}"
+        status_line, *header_lines = head.split(b"\r\n")
+        assert _STATUS_LINE.fullmatch(status_line), status_line
+        headers = {}
+        for line in header_lines:
+            name, colon, value = line.partition(b":")
+            assert colon, line
+            headers[name.strip().lower()] = value.strip()
+        if status_line.startswith(b"HTTP/1.1 1"):  # interim: no body follows
+            continue
+        if headers.get(b"connection") == b"close":  # the last; a HEAD reply has no body
+            assert len(data) in (0, int(headers.get(b"content-length", 0))), head
+            return
+        length = int(headers[b"content-length"])
+        assert len(data) >= length, "body shorter than its Content-Length"
+        data = data[length:]
+
+
+class TestHostileRequests:
+    @settings(max_examples=100, deadline=None)
+    @given(data=hostile_requests | st.binary(max_size=200))
+    def test_any_bytes_get_responses_or_a_clean_close(self, hostile_target, data):
+        url, escaped = hostile_target
+        address = urllib.parse.urlsplit(url)
+        with socket.create_connection((address.hostname, address.port), timeout=10) as sock:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            chunks = []
+            while chunk := sock.recv(65536):  # a hang fails here after 10 s
+                chunks.append(chunk)
+        check_responses(b"".join(chunks))
+        assert escaped == []
 
 
 class TestKeepAlive:

@@ -2,10 +2,13 @@
 the kept-key variant, and the bundle archive format."""
 
 import io
+import warnings
 import zipfile
 from datetime import timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otcpki.ca import init_hierarchy
 from otcpki.certmodel import CertificationChain
@@ -23,7 +26,7 @@ from otcpki.signer import (
 )
 from otcpki.verifier import RecencyPolicy, verify_bundle
 
-from conftest import fresh_policy
+from conftest import fresh_policy, overwritten, patch_central_entry
 
 DOC = b"An agreement between two parties, signed exactly once."
 POLICY = RecencyPolicy(max_age=timedelta(hours=1))
@@ -202,6 +205,34 @@ class TestKeepKey:
         keypair.destroy()
 
 
+def zip_members(members: dict) -> bytes:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buffer.getvalue()
+
+
+@pytest.fixture(scope="module")
+def archive_variants(shared_issuer, tmp_path_factory):
+    """A strategy for hostile .otcb bytes made from one honest bundle, and a
+    path to write them to."""
+    bundle = one_shot_sign(DOC, "Fuzzed", LocalEnrollmentClient(shared_issuer))
+    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.otcb"
+    bundle.save(path)
+    saved = path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        parts = {name: archive.read(name) for name in archive.namelist()}
+    stored = st.fixed_dictionaries(
+        {}, optional={name: overwritten(data) for name, data in parts.items()})
+    return st.one_of(
+        overwritten(saved),  # the deflated archive as saved
+        st.integers(0, len(saved)).map(lambda size: saved[:size]),
+        stored.map(zip_members),  # stored members, some missing or edited
+        st.binary(max_size=300),
+    ), path
+
+
 class TestBundleArchive:
     def test_roundtrip(self, client, trust_anchors, tmp_path):
         bundle = one_shot_sign(DOC, "Archived", client)
@@ -254,6 +285,60 @@ class TestBundleArchive:
                     dst.writestr(name, src.read(name))
         with pytest.raises(MalformedEncodingError, match="signature.bin"):
             SignedDocumentBundle.load(broken)
+
+    def test_duplicate_member_rejected(self, client, tmp_path):
+        bundle = one_shot_sign(DOC, "Twice", client)
+        path = tmp_path / "twice.otcb"
+        bundle.save(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zipfile warns on a duplicate name
+            with zipfile.ZipFile(path, "a") as archive:
+                archive.writestr("signature.bin", b"the second signature wins")
+        with pytest.raises(MalformedEncodingError, match="signature.bin"):
+            SignedDocumentBundle.load(path)
+
+    def test_oversized_member_rejected(self, client, tmp_path):
+        bundle = one_shot_sign(DOC, "Padded", client)
+        path = tmp_path / "padded.otcb"
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr("meta.txt", bundle._meta_text())
+            archive.writestr("signature.bin", bundle.signature)
+            archive.writestr("chain.pem", bundle.chain.to_pem() + b"\n" * (2 << 20))
+        assert path.stat().st_size < 16 << 10
+        with pytest.raises(MalformedEncodingError, match="chain.pem"):
+            SignedDocumentBundle.load(path)
+
+    @pytest.mark.parametrize("field_offset,value", [(8, 0x0001), (10, 99)],
+                             ids=["encrypted-flag", "compression-method-99"])
+    def test_unreadable_member_is_malformed(self, client, tmp_path, field_offset, value):
+        bundle = one_shot_sign(DOC, "Unreadable", client)
+        path = tmp_path / "unreadable.otcb"
+        bundle.save(path)
+        path.write_bytes(patch_central_entry(path.read_bytes(), b"meta.txt",
+                                             field_offset, value))
+        with pytest.raises(MalformedEncodingError):
+            SignedDocumentBundle.load(path)
+
+    def test_bad_digest_hex_is_malformed(self, client, tmp_path):
+        bundle = one_shot_sign(DOC, "Hexless", client)
+        path = tmp_path / "hexless.otcb"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("meta.txt", bundle._meta_text().replace(
+                bundle.document_digest.hex(), "zz"))
+            archive.writestr("signature.bin", bundle.signature)
+            archive.writestr("chain.pem", bundle.chain.to_pem())
+        with pytest.raises(MalformedEncodingError, match="digest"):
+            SignedDocumentBundle.load(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_archive_bytes_load_or_are_malformed(self, archive_variants, data):
+        variants, path = archive_variants
+        path.write_bytes(data.draw(variants))
+        try:
+            assert isinstance(SignedDocumentBundle.load(path), SignedDocumentBundle)
+        except MalformedEncodingError:
+            pass
 
     def test_locator_is_not_persisted(self, client, tmp_path):
         bundle = one_shot_sign(DOC, "Located", client, document_locator="s3://x/y")
