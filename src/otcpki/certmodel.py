@@ -232,6 +232,7 @@ class Certificate:
 
     def __init__(self, raw: x509.Certificate):
         self._raw = raw
+        self._der: Optional[bytes] = None
 
     @property
     def raw(self) -> x509.Certificate:
@@ -282,8 +283,23 @@ class Certificate:
         return bc.value.path_length
 
     @property
+    def may_sign_certificates(self) -> bool:
+        """False when a keyUsage extension is present without keyCertSign
+        (RFC 5280 §4.2.1.3)."""
+        try:
+            usage = self._raw.extensions.get_extension_for_class(x509.KeyUsage)
+        except x509.ExtensionNotFound:
+            return True
+        return usage.value.key_cert_sign
+
+    @property
+    def is_self_issued(self) -> bool:
+        """Subject and issuer names are the same (RFC 5280 §3.2)."""
+        return self._raw.subject == self._raw.issuer
+
+    @property
     def is_self_signed(self) -> bool:
-        return self._raw.subject == self._raw.issuer and self.verify_signed_by(self)
+        return self.is_self_issued and self.verify_signed_by(self)
 
     def verify_signed_by(self, issuer: "Certificate") -> bool:
         """True when this certificate's signature verifies under the given
@@ -295,7 +311,9 @@ class Certificate:
             return False
 
     def to_der(self) -> bytes:
-        return self._raw.public_bytes(serialization.Encoding.DER)
+        if self._der is None:
+            self._der = self._raw.public_bytes(serialization.Encoding.DER)
+        return self._der
 
     def to_pem(self) -> bytes:
         return self._raw.public_bytes(serialization.Encoding.PEM)

@@ -9,16 +9,23 @@ Three endpoints, all speaking PEM:
 Issuance rotates round-robin across the pool; every pool member hangs off
 the same root, so which member signs is invisible to verifiers. Error
 responses are a single ``code: message`` line with status 400 (unreadable
-request), 422 (well-formed but unissuable), or 503 (no active issuer left).
+request), 422 (well-formed but unissuable), or 503 (no active issuer left,
+or too many open connections).
 
 Connections are kept alive (HTTP/1.1) and closed after ``HANDLER_TIMEOUT_S``
-seconds without a byte from the client.
+seconds without a byte from the client, or when a request (request line,
+headers and body) is not all in ``HANDLER_TIMEOUT_S`` seconds after its first
+byte. At most ``MAX_CONNECTIONS`` connections are served at once; one more is
+answered 503 with ``Connection: close``.
 """
 
 from __future__ import annotations
 
+import io
 import logging
+import socket
 import threading
+import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -43,15 +50,76 @@ __all__ = [
 LOGGER = logging.getLogger(__name__)
 
 _MAX_REQUEST_BYTES = 1 << 20
-# Socket timeout of every connection: an idle keep-alive connection, or a
-# body that stops short of its Content-Length, frees its handler thread
-# after this long. Handler threads are daemons that stop() does not join.
+# An idle keep-alive connection frees its handler thread after this long
+# without a byte, and a request must be read whole this long after its first
+# byte, however slowly it trickles in. Handler threads are daemons that
+# stop() does not join.
 HANDLER_TIMEOUT_S = 30.0
+# Connections served at once, idle keep-alive ones included; each holds a
+# handler thread. The accept loop answers one more with _BUSY_REPLY.
+MAX_CONNECTIONS = 64
+
+_BUSY_BODY = b"service-busy: too many open connections"
+_BUSY_REPLY = (b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n"
+               b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+               % (len(_BUSY_BODY), _BUSY_BODY))
 
 
 class _Server(ThreadingHTTPServer):
     # A burst of concurrent enrollments must queue, not get reset.
     request_queue_size = 128
+
+    def __init__(self, *args, **kwargs):
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            # A fresh connection's send buffer is empty, so this cannot block.
+            try:
+                request.sendall(_BUSY_REPLY)
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started to give the slot back
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+
+class _RequestReader(socket.SocketIO):
+    """A connection's incoming bytes, under two timeouts: ``timeout`` while
+    waiting for a request's first byte, and from that byte on a deadline
+    ``timeout`` later by which the whole request must have arrived."""
+
+    def __init__(self, sock: socket.socket, timeout: float):
+        super().__init__(sock, "rb")
+        self._timeout = timeout
+        self._deadline: Optional[float] = None
+
+    def next_request(self):
+        self._deadline = None
+        if self._sock.gettimeout() != self._timeout:  # a request read took more than one recv
+            self._sock.settimeout(self._timeout)
+
+    def readinto(self, buffer) -> Optional[int]:
+        if self._deadline is not None:
+            remaining = self._deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("request not read within its deadline")
+            self._sock.settimeout(remaining)
+        count = super().readinto(buffer)
+        if self._deadline is None and count:
+            self._deadline = time.monotonic() + self._timeout
+        return count
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +303,16 @@ class EnrollmentService:
             # parsed far enough to find one, with a status line and headers:
             # the stdlib default, HTTP/0.9, sends a bare body with neither.
             default_request_version = "HTTP/1.0"
+
+            def setup(self):
+                super().setup()
+                self.rfile.close()
+                self._reader = _RequestReader(self.connection, self.timeout)
+                self.rfile = io.BufferedReader(self._reader)
+
+            def handle_one_request(self):
+                self._reader.next_request()
+                super().handle_one_request()
 
             def _reply(self, status: int, body: bytes, close: bool = False):
                 self.send_response(status)

@@ -10,16 +10,24 @@ verifier picks the maximum certificate age it will honor.
 
 Every check runs and is recorded even after the first failure, so a report
 always shows the full picture.
+
+Acceptors see many leaves under a few issuer chains, so the module keeps a
+bounded memo of the checks that do not depend on the leaf: a CA path whose
+links all verify, and a CRL whose signature verifies under its issuing CA.
+Entries are keyed by exact DER bytes and only passes are stored, so a report
+reads the same whether or not its chain was seen before.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import BinaryIO, Iterable, Optional, Tuple, Union
 
-from .certmodel import Certificate, CertificationChain
+from .certmodel import Certificate, CertificationChain, OtcExtension
 from .crypto import digest_document, verify_signature
 from .signer import SignedDocumentBundle
 
@@ -35,6 +43,23 @@ __all__ = [
 ]
 
 DEFAULT_CLOCK_SKEW = timedelta(seconds=300)
+
+# Entries in the memo of passed leaf-independent checks; past it the oldest
+# entry goes. An entry holds the DER it is keyed by, under 2 KB for a
+# three-certificate ECDSA path.
+MEMO_LIMIT = 1024
+# Keys: ("ca-path", *DER of each certificate above the leaf) for a path that
+# passed _path_failure, ("crl", CRL DER, issuing CA DER) for a CRL whose
+# signature verified. Used as an insertion-ordered set.
+_passed: dict = {}
+_passed_lock = threading.Lock()
+
+
+def _remember(key: tuple) -> None:
+    with _passed_lock:
+        if len(_passed) >= MEMO_LIMIT:
+            del _passed[next(iter(_passed))]
+        _passed[key] = None
 
 
 class Verdict(enum.Enum):
@@ -122,14 +147,19 @@ def _utc(moment: datetime) -> datetime:
 # Individual checks (the composable ones)
 # ---------------------------------------------------------------------------
 
-def check_binding(certificate: Certificate, digest) -> CheckResult:
-    """Does this certificate bind exactly the given digest? Algorithm and
-    value must both match; a right value under the wrong algorithm fails."""
+def _read_binding(certificate: Certificate) -> Union[OtcExtension, None, Exception]:
+    """The certificate's binding, None when it has none, or the exception
+    that reading it raised (a duplicate or undecodable extension)."""
     try:
-        binding = certificate.binding
-    except Exception as exc:  # duplicate or undecodable extension
+        return certificate.binding
+    except Exception as exc:
+        return exc
+
+
+def _match_binding(binding: Union[OtcExtension, None, Exception], digest) -> CheckResult:
+    if isinstance(binding, Exception):
         return CheckResult(
-            "binding-match", False, f"unreadable binding: {exc}",
+            "binding-match", False, f"unreadable binding: {binding}",
             FailureCode.MISSING_BINDING,
         )
     if binding is None:
@@ -152,6 +182,12 @@ def check_binding(certificate: Certificate, digest) -> CheckResult:
     return CheckResult("binding-match", True, "document digest matches the binding")
 
 
+def check_binding(certificate: Certificate, digest) -> CheckResult:
+    """Does this certificate bind exactly the given digest? Algorithm and
+    value must both match; a right value under the wrong algorithm fails."""
+    return _match_binding(_read_binding(certificate), digest)
+
+
 def check_recency(leaf: Certificate, policy: RecencyPolicy, at_time: datetime) -> CheckResult:
     age = _utc(at_time) - leaf.not_before
     if age <= policy.limit:
@@ -167,32 +203,77 @@ def check_recency(leaf: Certificate, policy: RecencyPolicy, at_time: datetime) -
 # Full bundle verification
 # ---------------------------------------------------------------------------
 
+def _fails_undecodable(name: str, code: FailureCode):
+    """Turn an exception from a check into its failure. cryptography decodes
+    names, extensions and keys when they are first read, so a certificate or
+    CRL that loads can still raise from a check."""
+    def decorate(check):
+        @functools.wraps(check)
+        def guarded(*args) -> CheckResult:
+            try:
+                return check(*args)
+            except Exception as exc:
+                return CheckResult(name, False, f"cannot decode: {exc!r}", code)
+        return guarded
+    return decorate
+
+
+def _path_failure(certificates: tuple) -> Optional[str]:
+    """Why the links from the leaf up to a self-signed root fail RFC 5280
+    §6.1, or None. Each issuer must be a CA, assert keyCertSign if it has a
+    keyUsage extension, have no more CA certificates below it than its
+    pathLenConstraint allows, and sign the certificate below it."""
+    for depth, (child, parent) in enumerate(zip(certificates, certificates[1:])):
+        if not parent.is_ca:
+            return f"{parent.subject} is not a CA certificate"
+        if not parent.may_sign_certificates:
+            return f"{parent.subject} keyUsage does not assert keyCertSign"
+        # depth CA certificates sit between the leaf and parent; only those
+        # that are not self-issued count against the constraint.
+        limit = parent.path_length
+        if limit is not None and depth > limit:
+            below = sum(not cert.is_self_issued for cert in certificates[1:depth + 1])
+            if below > limit:
+                return (f"{parent.subject} pathLenConstraint {limit}"
+                        f" exceeded by {below} CA certificates below it")
+        if not child.verify_signed_by(parent):
+            return f"{child.subject} is not signed by {parent.subject}"
+    if not certificates[-1].is_self_signed:
+        return "chain does not end in a self-signed root"
+    return None
+
+
+@_fails_undecodable("chain-trust", FailureCode.UNTRUSTED_CHAIN)
 def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]) -> CheckResult:
     name = "chain-trust"
-    anchor_ders = {anchor.to_der() for anchor in anchors}
-    if not anchor_ders:
+    anchors = tuple(anchors)
+    if not anchors:
         return CheckResult(name, False, "no trust anchors supplied", FailureCode.UNTRUSTED_CHAIN)
-    for child, parent in zip(chain.certificates, chain.certificates[1:]):
-        if not parent.is_ca:
-            return CheckResult(
-                name, False, f"{parent.subject} is not a CA certificate",
-                FailureCode.UNTRUSTED_CHAIN,
-            )
-        if not child.verify_signed_by(parent):
-            return CheckResult(
-                name, False,
-                f"{child.subject} is not signed by {parent.subject}",
-                FailureCode.UNTRUSTED_CHAIN,
-            )
-    if not chain.root.is_self_signed:
-        return CheckResult(name, False, "chain does not end in a self-signed root",
+    leaf, path = chain.leaf, chain.certificates[1:]
+    if leaf.is_ca:
+        return CheckResult(name, False, f"leaf {leaf.subject} is a CA certificate",
                            FailureCode.UNTRUSTED_CHAIN)
-    if chain.root.to_der() not in anchor_ders:
+    path_key = ("ca-path", *(cert.to_der() for cert in path))
+    if path and path_key in _passed:
+        # Every check of the path above the leaf passed before; only the
+        # leaf's own link is new.
+        failure = None
+        if not leaf.verify_signed_by(path[0]):
+            failure = f"{leaf.subject} is not signed by {path[0].subject}"
+    else:
+        failure = _path_failure(chain.certificates)
+        if failure is None and path:
+            _remember(path_key)
+    if failure is not None:
+        return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
+    root_der = chain.root.to_der()
+    if not any(anchor.to_der() == root_der for anchor in anchors):
         return CheckResult(name, False, f"root {chain.root.subject} is not a trust anchor",
                            FailureCode.UNTRUSTED_CHAIN)
     return CheckResult(name, True, f"chain of {len(chain)} anchored at {chain.root.subject}")
 
 
+@_fails_undecodable("validity-window", FailureCode.EXPIRED)
 def _check_validity_window(chain: CertificationChain, at_time: datetime) -> CheckResult:
     name = "validity-window"
     for cert in chain:
@@ -215,12 +296,10 @@ def _check_uniform_validity(chain: CertificationChain) -> CheckResult:
                        FailureCode.NON_UNIFORM_VALIDITY)
 
 
-def _check_binding_presence(leaf: Certificate) -> CheckResult:
+def _check_binding_presence(binding: Union[OtcExtension, None, Exception]) -> CheckResult:
     name = "binding-presence"
-    try:
-        binding = leaf.binding
-    except Exception as exc:
-        return CheckResult(name, False, f"unreadable binding: {exc}",
+    if isinstance(binding, Exception):
+        return CheckResult(name, False, f"unreadable binding: {binding}",
                            FailureCode.MISSING_BINDING)
     if binding is None:
         return CheckResult(name, False, "leaf carries no document binding",
@@ -228,6 +307,7 @@ def _check_binding_presence(leaf: Certificate) -> CheckResult:
     return CheckResult(name, True, "leaf carries one document binding")
 
 
+@_fails_undecodable("signature", FailureCode.BAD_SIGNATURE)
 def _check_signature(bundle: SignedDocumentBundle) -> CheckResult:
     name = "signature"
     if verify_signature(bundle.chain.leaf.public_key, bundle.document_digest,
@@ -237,6 +317,7 @@ def _check_signature(bundle: SignedDocumentBundle) -> CheckResult:
                        FailureCode.BAD_SIGNATURE)
 
 
+@_fails_undecodable("crl", FailureCode.BAD_CRL)
 def _check_crl(bundle: SignedDocumentBundle) -> CheckResult:
     name = "crl"
     crl = bundle.crl
@@ -247,9 +328,12 @@ def _check_crl(bundle: SignedDocumentBundle) -> CheckResult:
         return CheckResult(name, False,
                            f"CRL issued by {crl.issuer}, leaf issued by {issuing_ca.subject}",
                            FailureCode.BAD_CRL)
-    if not crl.is_signed_by(issuing_ca):
-        return CheckResult(name, False, "CRL signature does not verify under the issuing CA",
-                           FailureCode.BAD_CRL)
+    crl_key = ("crl", crl.to_der(), issuing_ca.to_der())
+    if crl_key not in _passed:
+        if not crl.is_signed_by(issuing_ca):
+            return CheckResult(name, False, "CRL signature does not verify under the issuing CA",
+                               FailureCode.BAD_CRL)
+        _remember(crl_key)
     if not crl.is_blank:
         return CheckResult(name, False,
                            f"CRL lists {len(crl.revoked_serials)} entries;"
@@ -285,9 +369,10 @@ def verify_bundle(
     ]
     if not legacy:
         checks.append(_check_uniform_validity(chain))
-        checks.append(_check_binding_presence(leaf))
+        binding = _read_binding(leaf)
+        checks.append(_check_binding_presence(binding))
         presented = digest_document(document, bundle.document_digest.algorithm)
-        checks.append(check_binding(leaf, presented))
+        checks.append(_match_binding(binding, presented))
     checks.append(_check_signature(bundle))
     if not legacy:
         checks.append(check_recency(leaf, policy, moment))

@@ -27,9 +27,11 @@ def forge_leaf(
     *,
     not_after: datetime = None,
     include_binding: bool = True,
+    ca: bool = False,
 ) -> Certificate:
     """Issue a leaf the way a misbehaving CA might: optionally without the
-    binding extension, optionally with its own expiry."""
+    binding extension, optionally with its own expiry, optionally marked as
+    a CA."""
     builder = (
         x509.CertificateBuilder()
         .subject_name(csr.raw.subject)
@@ -42,8 +44,45 @@ def forge_leaf(
     if include_binding:
         binding = csr.binding
         builder = builder.add_extension(binding.to_x509(), critical=binding.critical)
+    if ca:
+        builder = builder.add_extension(x509.BasicConstraints(ca=True, path_length=None),
+                                        critical=True)
     key = issuer._keypair._signing_key()
     return Certificate(builder.sign(key, issuer.suite.digest.hash_primitive()))
+
+
+def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign: bool = True
+               ) -> Certificate:
+    """``ca``'s certificate re-signed by ``parent`` with the same name, key
+    and validity but the given constraints, as a careless parent CA might
+    issue it. What ``ca`` signed still verifies under the new certificate."""
+    original = ca.certificate.raw
+    builder = (
+        x509.CertificateBuilder()
+        .subject_name(original.subject)
+        .issuer_name(parent.certificate.raw.subject)
+        .public_key(original.public_key())
+        .serial_number(random_serial())
+        .not_valid_before(original.not_valid_before_utc)
+        .not_valid_after(original.not_valid_after_utc)
+        .add_extension(x509.BasicConstraints(ca=True, path_length=path_length), critical=True)
+        .add_extension(
+            x509.KeyUsage(
+                digital_signature=True,
+                content_commitment=False,
+                key_encipherment=False,
+                data_encipherment=False,
+                key_agreement=False,
+                key_cert_sign=key_cert_sign,
+                crl_sign=True,
+                encipher_only=False,
+                decipher_only=False,
+            ),
+            critical=True,
+        )
+    )
+    key = parent._keypair._signing_key()
+    return Certificate(builder.sign(key, parent.suite.digest.hash_primitive()))
 
 
 def forge_nonblank_crl(issuer: CaIdentity, serial: int) -> RevocationList:

@@ -8,6 +8,7 @@ import select
 import socket
 import sys
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -243,6 +244,65 @@ class TestRequestFraming:
                                   b"-----BEGIN")
         assert reply == b""
         assert "Traceback" not in capfd.readouterr().err
+
+
+def closed_by_service(sock) -> bool:
+    """True once the service has closed a connection that sent no full
+    request: a FIN, or a reset if a byte was still unread."""
+    try:
+        return sock.recv(65536) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestConnectionLimits:
+    def test_trickled_request_is_cut_off(self, monkeypatch):
+        monkeypatch.setattr(service_module, "HANDLER_TIMEOUT_S", 0.5)
+        hierarchy = init_hierarchy("Trickle Root", fresh_policy())
+        service = EnrollmentService([hierarchy.first_issuer()])
+        address = urllib.parse.urlsplit(service.start())
+        header = b"X-Trickle: " + b"." * 29  # 40 bytes, 12 s at one per 0.3 s
+        sent = 0
+        try:
+            with socket.create_connection((address.hostname, address.port),
+                                          timeout=5) as sock:
+                sock.sendall(b"GET /chain HTTP/1.1\r\n")
+                for byte in header:
+                    if select.select([sock], [], [], 0.3)[0]:
+                        break
+                    sock.sendall(bytes([byte]))
+                    sent += 1
+                assert closed_by_service(sock)
+        finally:
+            service.stop()
+        # Every byte arrives within the 0.5 s timeout of the one before; only
+        # a deadline on the whole request cuts it off (expected after ~2).
+        assert sent <= len(header) // 2
+
+    def test_connection_over_the_cap_gets_503(self, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 1)
+        hierarchy = init_hierarchy("Capped Root", fresh_policy())
+        service = EnrollmentService([hierarchy.first_issuer()])
+        url = service.start()
+        address = urllib.parse.urlsplit(url)
+        try:
+            held = http.client.HTTPConnection(address.hostname, address.port, timeout=5)
+            held.request("GET", "/chain")
+            assert held.getresponse().read()  # served, and kept open
+            reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\n\r\n")
+            assert reply.startswith(b"HTTP/1.1 503 ")
+            assert b"\r\nConnection: close\r\n" in reply
+            assert reply.endswith(b"\r\n\r\nservice-busy: too many open connections")
+            held.close()
+            # The held connection's handler ends on its EOF and frees the slot.
+            for _ in range(50):
+                reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\nConnection: close\r\n\r\n")
+                if not reply.startswith(b"HTTP/1.1 503 "):
+                    break
+                time.sleep(0.1)
+            assert reply.startswith(b"HTTP/1.1 200 ")
+        finally:
+            service.stop()
 
 
 @pytest.fixture(scope="module")

@@ -4,12 +4,21 @@ behavior of the recency window, legacy mode, and soundness fuzzing."""
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from otcpki import verifier
 from otcpki.ca import init_hierarchy
-from otcpki.certmodel import CertificationChain, DistinguishedName, build_csr
+from otcpki.certmodel import (
+    Certificate,
+    CertificationChain,
+    DistinguishedName,
+    RevocationList,
+    build_csr,
+    decode,
+)
 from otcpki.crypto import EphemeralKeyPair, digest_document
+from otcpki.errors import OtcError
 from otcpki.signer import LocalEnrollmentClient, one_shot_sign
 from otcpki.verifier import (
     DEFAULT_CLOCK_SKEW,
@@ -26,6 +35,7 @@ from forge import (
     break_certificate_signature,
     forge_leaf,
     forge_nonblank_crl,
+    reissue_ca,
     swap_leaf,
     with_chain,
     with_crl,
@@ -180,6 +190,68 @@ class TestFailureCodes:
         assert report.failure_codes == (FailureCode.BAD_CRL.value,)
 
 
+def ca_leaf_bundle(shared_issuer, bundle):
+    """The bundle re-signed under a leaf that carries the binding and is
+    also marked as a CA."""
+    keypair = EphemeralKeyPair.generate()
+    csr = build_csr(keypair, DistinguishedName.from_common_name("CA Leaf"),
+                    bundle.document_digest)
+    leaf = forge_leaf(shared_issuer, csr, ca=True)
+    signature = keypair.sign_digest(bundle.document_digest)
+    keypair.destroy()
+    return with_signature(swap_leaf(bundle, leaf), signature)
+
+
+def reissued_path_bundle(shared_hierarchy, bundle, position, **constraints):
+    """The bundle with chain certificate ``position`` (1: issuing CA, 2:
+    intermediate) re-signed by its parent under other constraints."""
+    issuer = shared_hierarchy.first_issuer()
+    intermediate = shared_hierarchy.intermediates[0]
+    ca, parent = {1: (issuer, intermediate), 2: (intermediate, shared_hierarchy.root)}[position]
+    certs = list(bundle.chain.certificates)
+    certs[position] = reissue_ca(ca, parent, **constraints)
+    return with_chain(bundle, CertificationChain(certs))
+
+
+class TestPathConstraints:
+    """RFC 5280 §6.1 checks beyond the CA flag and the signatures. Each case
+    is a chain whose every signature verifies."""
+
+    def test_leaf_that_is_a_ca(self, shared_issuer, bundle, trust_anchors):
+        report = verify_bundle(ca_leaf_bundle(shared_issuer, bundle), DOC, trust_anchors,
+                               POLICY)
+        assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
+        assert report.checks[0].detail == "leaf CN=CA Leaf is a CA certificate"
+
+    def test_issuer_key_usage_without_key_cert_sign(self, shared_hierarchy, bundle,
+                                                    trust_anchors):
+        forged = reissued_path_bundle(shared_hierarchy, bundle, 1, path_length=0,
+                                      key_cert_sign=False)
+        report = verify_bundle(forged, DOC, trust_anchors, POLICY)
+        assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
+        assert report.checks[0].detail.endswith("keyUsage does not assert keyCertSign")
+
+    def test_path_length_constraint_exceeded(self, shared_hierarchy, bundle, trust_anchors):
+        # An intermediate that may have no CA below it, above the issuing CA.
+        forged = reissued_path_bundle(shared_hierarchy, bundle, 2, path_length=0)
+        report = verify_bundle(forged, DOC, trust_anchors, POLICY)
+        assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
+        assert report.checks[0].detail.endswith(
+            "pathLenConstraint 0 exceeded by 1 CA certificates below it")
+
+    def test_self_issued_ca_not_counted_against_path_length(self, shared_hierarchy, bundle,
+                                                            trust_anchors):
+        # The intermediate (pathLenConstraint 1) re-certifies its own key, as
+        # in a key rollover; with it, two CA certificates sit below the
+        # intermediate, but only the issuing CA counts (RFC 5280 §6.1.4 (l)).
+        intermediate = shared_hierarchy.intermediates[0]
+        certs = list(bundle.chain.certificates)
+        certs.insert(2, reissue_ca(intermediate, intermediate, path_length=1))
+        report = verify_bundle(with_chain(bundle, CertificationChain(certs)), DOC,
+                               trust_anchors, POLICY)
+        assert report.accepted, report.to_text()
+
+
 class TestRecencyBoundary:
     def test_age_exactly_at_limit_passes(self, bundle, trust_anchors):
         exactly = bundle.chain.leaf.not_before + HOUR + DEFAULT_CLOCK_SKEW
@@ -275,6 +347,99 @@ class TestSoundnessFuzz:
         assert not report.accepted
         # the signature itself is internally consistent; only the binding fails
         assert report.failure_codes == (FailureCode.BINDING_MISMATCH.value,)
+
+
+class TestMemo:
+    """The memo of passed CA paths and CRL signatures changes no report."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # cryptography on odd fields
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_edited_ca_or_crl_rejected_with_a_warm_memo(self, verifier_fuzz_setup, data):
+        bundle, anchors = verifier_fuzz_setup
+        at = bundle.chain.leaf.not_before
+        assert verify_bundle(bundle, DOC, anchors, POLICY, at).accepted  # warms the memo
+        parts = [*bundle.chain.certificates[1:], bundle.crl]
+        index = data.draw(st.integers(0, len(parts) - 1), label="part")
+        der = bytearray(parts[index].to_der())
+        position = data.draw(st.integers(0, len(der) - 1), label="position")
+        der[position] = data.draw(st.integers(0, 255).filter(lambda v: v != der[position]),
+                                  label="value")
+        kind = RevocationList if parts[index] is bundle.crl else Certificate
+        try:
+            edited = decode(bytes(der), kind)
+        except OtcError:
+            assume(False)
+        if kind is RevocationList:
+            mutated = with_crl(bundle, edited)
+        else:
+            certs = list(bundle.chain.certificates)
+            certs[1 + index] = edited
+            mutated = with_chain(bundle, CertificationChain(certs))
+        warm = verify_bundle(mutated, DOC, anchors, POLICY, at)
+        verifier._passed.clear()
+        cold = verify_bundle(mutated, DOC, anchors, POLICY, at)
+        assert not warm.accepted
+        assert warm.to_text() == cold.to_text()
+
+    def test_reports_match_cold_and_warm(self, shared_hierarchy, shared_issuer, bundle,
+                                         trust_anchors):
+        """Each bundle and setting this module verifies, with the memo
+        emptied, then after the honest bundle has filled it."""
+        stranger = init_hierarchy("Memo Stranger", fresh_policy()).root
+        sibling = one_shot_sign(DOC, "Sibling Issuer Leaf",
+                                LocalEnrollmentClient(shared_hierarchy.issuers[0][1]))
+        keypair = EphemeralKeyPair.generate()
+        csr = build_csr(keypair, DistinguishedName.from_common_name("Memo Bare"),
+                        bundle.document_digest)
+        bare = with_signature(swap_leaf(bundle, forge_leaf(shared_issuer, csr,
+                                                           include_binding=False)),
+                              keypair.sign_digest(bundle.document_digest))
+        keypair.destroy()
+        short = forge_leaf(shared_issuer, csr,
+                           not_after=shared_issuer.not_after - timedelta(days=1))
+        certs = list(bundle.chain.certificates)
+        certs[1] = break_certificate_signature(certs[1])
+        leaf = bundle.chain.leaf
+        now = datetime.now(timezone.utc)
+
+        def case(checked=bundle, document=DOC, anchors=trust_anchors, at=now, legacy=False):
+            return dict(bundle=checked, document=document, trust_anchors=anchors,
+                        policy=POLICY, at_time=at, legacy=legacy)
+
+        cases = {
+            "honest": case(),
+            "legacy": case(document=b"other", legacy=True),
+            "wrong-anchor": case(anchors=[stranger.certificate]),
+            "no-anchors": case(anchors=[]),
+            "broken-link": case(with_chain(bundle, CertificationChain(certs))),
+            "leaf-of-another-issuer": case(swap_leaf(bundle, sibling.chain.leaf)),
+            "expired": case(at=bundle.chain.root.not_after + timedelta(seconds=1)),
+            "not-yet-valid": case(at=leaf.not_before - timedelta(seconds=10)),
+            "non-uniform": case(swap_leaf(bundle, short)),
+            "missing-binding": case(bare),
+            "binding-mismatch": case(document=DOC + b"!"),
+            "bad-signature": case(with_signature(bundle, b"\x00" * len(bundle.signature))),
+            "stale": case(at=leaf.not_before + HOUR + DEFAULT_CLOCK_SKEW
+                          + timedelta(seconds=1)),
+            "nonblank-crl": case(with_crl(bundle, forge_nonblank_crl(shared_issuer,
+                                                                     leaf.serial))),
+            "no-crl": case(with_crl(bundle, None)),
+            "foreign-crl": case(with_crl(bundle, shared_hierarchy.root.issue_blank_crl())),
+            "ca-leaf": case(ca_leaf_bundle(shared_issuer, bundle)),
+            "no-key-cert-sign": case(reissued_path_bundle(shared_hierarchy, bundle, 1,
+                                                          path_length=0,
+                                                          key_cert_sign=False)),
+            "path-length": case(reissued_path_bundle(shared_hierarchy, bundle, 2,
+                                                     path_length=0)),
+        }
+        for name, arguments in cases.items():
+            verifier._passed.clear()
+            cold = verify_bundle(**arguments)
+            verify_bundle(bundle, DOC, trust_anchors, POLICY)
+            assert verifier._passed, "the honest bundle fills the memo"
+            warm = verify_bundle(**arguments)
+            assert warm.to_text() == cold.to_text(), name
 
 
 @pytest.fixture(scope="module")
