@@ -12,27 +12,38 @@ responses are a single ``code: message`` line with status 400 (unreadable
 request), 422 (well-formed but unissuable), or 503 (no active issuer left,
 or too many open connections).
 
-Connections are kept alive (HTTP/1.1) and closed after ``HANDLER_TIMEOUT_S``
-seconds without a byte from the client, or when a request (request line,
-headers and body) is not all in ``HANDLER_TIMEOUT_S`` seconds after its first
-byte. At most ``MAX_CONNECTIONS`` connections are served at once; one more is
-answered 503 with ``Connection: close``.
+The service speaks a fixed subset of HTTP/1.1 (RFC 9112): requests of
+HTTP/1.0 or HTTP/1.1 (any other version gets 505), a body framed only by one
+``Content-Length`` of 1*DIGIT (``Transfer-Encoding`` gets 400), and at most
+100 header fields of at most 64 KiB each, a line that is not ``name: value``
+(obs-fold included) getting 400. Methods other than GET and POST get 501.
+Every reply is one send and carries ``Content-Length``; one that ends its
+connection also carries ``Connection: close``.
+
+Connections are kept alive (HTTP/1.1, or HTTP/1.0 with ``Connection:
+keep-alive``) and closed after ``HANDLER_TIMEOUT_S`` seconds without a byte
+from the client, or when a request (request line, headers and body) is not
+all in ``HANDLER_TIMEOUT_S`` seconds after its first byte. At most
+``MAX_CONNECTIONS`` connections are served at once; one more is answered 503
+with ``Connection: close``.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+import re
 import socket
+import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 from .ca import CaIdentity, load_ca, passphrase_from_env
-from .certmodel import PEM_CONTENT_TYPE, CertificationChain, SigningRequest, decode
+from .certmodel import PEM_CONTENT_TYPE, SigningRequest, decode
 from .errors import (
     CaRetiredError,
     ConfigError,
@@ -64,14 +75,48 @@ _BUSY_REPLY = (b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\
                b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
                % (len(_BUSY_BODY), _BUSY_BODY))
 
+# The limits http.client applies: a line of at most 64 KiB, its CRLF
+# included, and at most 100 header fields.
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+# RFC 9110 §5.1: a field name is a token. A line with leading whitespace
+# (obs-fold) or none of ":" has no such name.
+_FIELD_NAME = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+# The only fields that change how a request is read or answered.
+_FRAMING_FIELDS = frozenset((b"content-length", b"transfer-encoding", b"connection",
+                             b"expect"))
+_STATUS_LINES = {status: b"HTTP/1.1 %d %s" % (status, HTTPStatus(status).phrase.encode())
+                 for status in (200, 400, 404, 422, 501, 503, 505)}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_PEM_TYPE = PEM_CONTENT_TYPE.encode()
+_DAYS = b"Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = b"Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
-class _Server(ThreadingHTTPServer):
+
+class _Server(socketserver.ThreadingTCPServer):
     # A burst of concurrent enrollments must queue, not get reset.
     request_queue_size = 128
+    allow_reuse_address = True
+    daemon_threads = True
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, address, service: "EnrollmentService"):
+        self.service = service
         self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
-        super().__init__(*args, **kwargs)
+        self._date = (0, b"")
+        super().__init__(address, _Handler)
+
+    def http_date(self) -> bytes:
+        """The current second as an IMF-fixdate (RFC 9110 §5.6.7), formatted
+        once per second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            t = time.gmtime(now)
+            text = b"%s, %02d %s %d %02d:%02d:%02d GMT" % (
+                _DAYS[t.tm_wday], t.tm_mday, _MONTHS[t.tm_mon - 1], t.tm_year,
+                t.tm_hour, t.tm_min, t.tm_sec)
+            self._date = (now, text)
+        return text
 
     def process_request(self, request, client_address):
         if not self._slots.acquire(blocking=False):
@@ -84,7 +129,7 @@ class _Server(ThreadingHTTPServer):
             return
         try:
             super().process_request(request, client_address)
-        except BaseException:  # no thread started to give the slot back
+        except RuntimeError:  # no thread started to give the slot back
             self._slots.release()
             raise
 
@@ -120,6 +165,123 @@ class _RequestReader(socket.SocketIO):
         if self._deadline is None and count:
             self._deadline = time.monotonic() + self._timeout
         return count
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection: its requests answered in order until one ends it, the
+    client closes it, or a timeout of ``_RequestReader`` passes."""
+
+    def setup(self):
+        # A reply sent while the one before is unacknowledged (after a
+        # pipelined request, or after 100 Continue) would otherwise wait
+        # for the client's delayed ACK, ~40 ms.
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        self._reader = _RequestReader(self.request, HANDLER_TIMEOUT_S)
+        self.rfile = io.BufferedReader(self._reader)
+
+    def handle(self):
+        try:
+            while self._serve_one():
+                pass
+        except OSError:  # a timeout, or the client reset the connection
+            pass
+
+    def finish(self):
+        self.rfile.close()
+
+    def _serve_one(self) -> bool:
+        """Read and answer one request; False when the connection ends."""
+        self._reader.next_request()
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:  # the client closed the connection
+            return False
+        words = line.split()
+        self._method, self._target = words[:2] if len(words) > 1 else (b"-", b"-")
+        if len(line) > _MAX_LINE or len(words) != 3:
+            return self._reply(400, b"malformed-encoding: the request line is not"
+                                    b" METHOD TARGET VERSION", close=True)
+        version = words[2]
+        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+            return self._reply(505, b"unsupported-version: only HTTP/1.0 and HTTP/1.1"
+                                    b" are served", close=True)
+        fields = self._read_fields()
+        if fields is None:
+            return self._reply(400, b"malformed-encoding: a header line that is not"
+                                    b" name: value, over 64 KiB, or past the 100th",
+                               close=True)
+        options = {option.strip() for value in fields.get(b"connection", ())
+                   for option in value.split(b",")}
+        close = b"close" in options or (version == b"HTTP/1.0"
+                                        and b"keep-alive" not in options)
+        # The declared body length (0 when none is declared), or None when
+        # the body cannot be framed: Transfer-Encoding, which this service
+        # does not decode (RFC 9112 §6.3), or anything but one Content-Length
+        # of 1*DIGIT. Past 18 digits it is over any limit, and int() refuses
+        # more than 4300.
+        declared = fields.get(b"content-length", [b"0"])
+        length = None
+        if (b"transfer-encoding" not in fields and len(declared) == 1
+                and declared[0].isdigit() and len(declared[0]) <= 18):
+            length = int(declared[0])
+
+        service = self.server.service
+        if self._method == b"POST":
+            # Any early reply leaves the body unread, so the connection
+            # cannot carry another request.
+            if self._target != b"/enroll":
+                return self._reply(404, b"not-found: unknown endpoint", close=True)
+            if length is None or not 0 < length <= _MAX_REQUEST_BYTES:
+                return self._reply(400, b"malformed-encoding: missing, invalid or oversized"
+                                        b" Content-Length", close=True)
+            if version == b"HTTP/1.1" and fields.get(b"expect") == [b"100-continue"]:
+                self.request.sendall(_CONTINUE)
+            body = self.rfile.read(length)
+            if len(body) < length:  # the client hung up mid-body
+                return False
+            return self._reply(*service.handle_enroll(body), close=close)
+        if self._method == b"GET":
+            # A GET body is never read, so it would be parsed as the next
+            # request on the connection.
+            if length != 0:
+                return self._reply(400, b"malformed-encoding: a GET request carries no body",
+                                   close=True)
+            if self._target == b"/crl":
+                return self._reply(*service.handle_crl(), close=close)
+            if self._target == b"/chain":
+                return self._reply(*service.handle_chain(), close=close)
+            return self._reply(404, b"not-found: unknown endpoint", close=close)
+        return self._reply(501, b"not-implemented: only GET and POST are served", close=True)
+
+    def _read_fields(self) -> Optional[dict]:
+        """The request's framing fields, each name mapped to its values,
+        lowercased and with surrounding whitespace removed, or None when a
+        header line is malformed or over a limit. End of input ends the
+        header."""
+        fields: dict = {}
+        for _ in range(_MAX_FIELDS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n", b""):
+                return fields
+            name, colon, value = line.partition(b":")
+            if len(line) > _MAX_LINE or not colon or not _FIELD_NAME.fullmatch(name):
+                return None
+            name = name.lower()
+            if name in _FRAMING_FIELDS:
+                fields.setdefault(name, []).append(value.strip(b" \t\r\n").lower())
+        return None
+
+    def _reply(self, status: int, body: bytes, close: bool) -> bool:
+        """Send one response in one send; False when it ends the connection."""
+        content_type = _PEM_TYPE if status == 200 else b"text/plain"
+        self.request.sendall(
+            b"%s\r\nDate: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n%s"
+            % (_STATUS_LINES[status], self.server.http_date(), content_type, len(body),
+               b"Connection: close\r\n" if close else b"", body))
+        if LOGGER.isEnabledFor(logging.DEBUG):
+            LOGGER.debug("%s %s %s %d", self.client_address[0],
+                         self._method.decode("ascii", "backslashreplace"),
+                         self._target.decode("ascii", "backslashreplace"), status)
+        return not close
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +380,7 @@ class EnrollmentService:
 
     Request handling is separated from HTTP plumbing: the ``handle_*``
     methods take and return bytes plus a status code, so they are directly
-    unit-testable and the handler class stays thin.
+    unit-testable and the connection handler only frames requests.
     """
 
     def __init__(self, issuers: Sequence[CaIdentity], *,
@@ -236,8 +398,10 @@ class EnrollmentService:
         # Stable bytes for the GET endpoints, fixed at startup: repeated
         # fetches must compare equal, and CA lifetimes outlive the process.
         self._crl_pem = b"".join(ca.issue_blank_crl().to_pem() for ca in self._issuers)
-        self._chain_pem = self._issuers[0].chain_to_root().to_pem()
-        self._server: Optional[ThreadingHTTPServer] = None
+        # Each member's chain, issuer to root, follows the leaf in /enroll.
+        self._chain_pems = {ca: ca.chain_to_root().to_pem() for ca in self._issuers}
+        self._chain_pem = self._chain_pems[self._issuers[0]]
+        self._server: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -273,8 +437,7 @@ class EnrollmentService:
             return 503, f"{exc.code}: {exc}".encode()
         except OtcError as exc:
             return 422, f"{exc.code}: {exc}".encode()
-        chain = CertificationChain((leaf, *issuer.chain_to_root()))
-        return 200, chain.to_pem()
+        return 200, leaf.to_pem() + self._chain_pems[issuer]
 
     def handle_crl(self) -> Tuple[int, bytes]:
         if not self.has_active_issuer:
@@ -285,91 +448,6 @@ class EnrollmentService:
         return 200, self._chain_pem
 
     # -- HTTP plumbing -------------------------------------------------------
-
-    def _make_server(self) -> ThreadingHTTPServer:
-        service = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # A response left in two sends stalls a keep-alive client: Nagle
-            # holds the second segment until the client's delayed ACK of the
-            # first, ~40 ms later. Buffer it whole; handle_one_request flushes
-            # once per request.
-            wbufsize = -1
-            disable_nagle_algorithm = True
-            timeout = HANDLER_TIMEOUT_S
-
-            # Answer a request line that carries no HTTP version, or cannot be
-            # parsed far enough to find one, with a status line and headers:
-            # the stdlib default, HTTP/0.9, sends a bare body with neither.
-            default_request_version = "HTTP/1.0"
-
-            def setup(self):
-                super().setup()
-                self.rfile.close()
-                self._reader = _RequestReader(self.connection, self.timeout)
-                self.rfile = io.BufferedReader(self._reader)
-
-            def handle_one_request(self):
-                self._reader.next_request()
-                super().handle_one_request()
-
-            def _reply(self, status: int, body: bytes, close: bool = False):
-                self.send_response(status)
-                content_type = PEM_CONTENT_TYPE if status == 200 else "text/plain"
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                if close:
-                    self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(body)
-
-            def _body_length(self) -> Optional[int]:
-                """The declared body length (0 when none is declared), or
-                None when the body cannot be framed: Transfer-Encoding, which
-                this service does not decode (RFC 9112 §6.3), or anything but
-                one Content-Length of 1*DIGIT."""
-                if "Transfer-Encoding" in self.headers:
-                    return None
-                declared = self.headers.get_all("Content-Length", ["0"])
-                if len(declared) != 1 or not (declared[0].isascii() and declared[0].isdigit()):
-                    return None
-                return int(declared[0])
-
-            def do_POST(self):
-                # Any early reply leaves the body unread, so the connection
-                # cannot carry another request.
-                if self.path != "/enroll":
-                    self._reply(404, b"not-found: unknown endpoint", close=True)
-                    return
-                length = self._body_length()
-                if length is None or not 0 < length <= _MAX_REQUEST_BYTES:
-                    self._reply(400, b"malformed-encoding: missing, invalid or oversized"
-                                     b" Content-Length", close=True)
-                    return
-                body = self.rfile.read(length)
-                if len(body) < length:  # the client hung up mid-body
-                    self.close_connection = True
-                    return
-                self._reply(*service.handle_enroll(body))
-
-            def do_GET(self):
-                # A GET body is never read, so it would be parsed as the next
-                # request on the connection.
-                if self._body_length() != 0:
-                    self._reply(400, b"malformed-encoding: a GET request carries no body",
-                                close=True)
-                elif self.path == "/crl":
-                    self._reply(*service.handle_crl())
-                elif self.path == "/chain":
-                    self._reply(*service.handle_chain())
-                else:
-                    self._reply(404, b"not-found: unknown endpoint")
-
-            def log_message(self, fmt, *args):
-                LOGGER.debug("%s %s", self.address_string(), fmt % args)
-
-        return _Server((self._host, self._port), Handler)
 
     @property
     def url(self) -> str:
@@ -382,7 +460,7 @@ class EnrollmentService:
         """Bind the listening socket (resolving port 0) without serving
         yet; returns the base URL."""
         if self._server is None:
-            self._server = self._make_server()
+            self._server = _Server((self._host, self._port), self)
         return self.url
 
     def start(self) -> str:

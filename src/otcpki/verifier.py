@@ -203,6 +203,12 @@ def check_recency(leaf: Certificate, policy: RecencyPolicy, at_time: datetime) -
 # Full bundle verification
 # ---------------------------------------------------------------------------
 
+def _name(certificate: Certificate) -> str:
+    """The subject as RFC 4514 text. Any name will do: a CA need not have
+    the CN that ``DistinguishedName`` requires."""
+    return certificate.raw.subject.rfc4514_string()
+
+
 def _fails_undecodable(name: str, code: FailureCode):
     """Turn an exception from a check into its failure. cryptography decodes
     names, extensions and keys when they are first read, so a certificate or
@@ -225,19 +231,19 @@ def _path_failure(certificates: tuple) -> Optional[str]:
     pathLenConstraint allows, and sign the certificate below it."""
     for depth, (child, parent) in enumerate(zip(certificates, certificates[1:])):
         if not parent.is_ca:
-            return f"{parent.subject} is not a CA certificate"
+            return f"{_name(parent)} is not a CA certificate"
         if not parent.may_sign_certificates:
-            return f"{parent.subject} keyUsage does not assert keyCertSign"
+            return f"{_name(parent)} keyUsage does not assert keyCertSign"
         # depth CA certificates sit between the leaf and parent; only those
         # that are not self-issued count against the constraint.
         limit = parent.path_length
         if limit is not None and depth > limit:
             below = sum(not cert.is_self_issued for cert in certificates[1:depth + 1])
             if below > limit:
-                return (f"{parent.subject} pathLenConstraint {limit}"
+                return (f"{_name(parent)} pathLenConstraint {limit}"
                         f" exceeded by {below} CA certificates below it")
         if not child.verify_signed_by(parent):
-            return f"{child.subject} is not signed by {parent.subject}"
+            return f"{_name(child)} is not signed by {_name(parent)}"
     if not certificates[-1].is_self_signed:
         return "chain does not end in a self-signed root"
     return None
@@ -251,7 +257,7 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
         return CheckResult(name, False, "no trust anchors supplied", FailureCode.UNTRUSTED_CHAIN)
     leaf, path = chain.leaf, chain.certificates[1:]
     if leaf.is_ca:
-        return CheckResult(name, False, f"leaf {leaf.subject} is a CA certificate",
+        return CheckResult(name, False, f"leaf {_name(leaf)} is a CA certificate",
                            FailureCode.UNTRUSTED_CHAIN)
     path_key = ("ca-path", *(cert.to_der() for cert in path))
     if path and path_key in _passed:
@@ -259,7 +265,7 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
         # leaf's own link is new.
         failure = None
         if not leaf.verify_signed_by(path[0]):
-            failure = f"{leaf.subject} is not signed by {path[0].subject}"
+            failure = f"{_name(leaf)} is not signed by {_name(path[0])}"
     else:
         failure = _path_failure(chain.certificates)
         if failure is None and path:
@@ -268,9 +274,9 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
         return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
     root_der = chain.root.to_der()
     if not any(anchor.to_der() == root_der for anchor in anchors):
-        return CheckResult(name, False, f"root {chain.root.subject} is not a trust anchor",
+        return CheckResult(name, False, f"root {_name(chain.root)} is not a trust anchor",
                            FailureCode.UNTRUSTED_CHAIN)
-    return CheckResult(name, True, f"chain of {len(chain)} anchored at {chain.root.subject}")
+    return CheckResult(name, True, f"chain of {len(chain)} anchored at {_name(chain.root)}")
 
 
 @_fails_undecodable("validity-window", FailureCode.EXPIRED)
@@ -278,10 +284,10 @@ def _check_validity_window(chain: CertificationChain, at_time: datetime) -> Chec
     name = "validity-window"
     for cert in chain:
         if at_time < cert.not_before:
-            return CheckResult(name, False, f"{cert.subject} not valid until"
+            return CheckResult(name, False, f"{_name(cert)} not valid until"
                                f" {cert.not_before.isoformat()}", FailureCode.EXPIRED)
         if at_time > cert.not_after:
-            return CheckResult(name, False, f"{cert.subject} expired"
+            return CheckResult(name, False, f"{_name(cert)} expired"
                                f" {cert.not_after.isoformat()}", FailureCode.EXPIRED)
     return CheckResult(name, True, "every certificate valid at the verification instant")
 
@@ -324,9 +330,10 @@ def _check_crl(bundle: SignedDocumentBundle) -> CheckResult:
     if crl is None:
         return CheckResult(name, False, "bundle carries no CRL", FailureCode.BAD_CRL)
     issuing_ca = bundle.chain.issuing_ca or bundle.chain.leaf
-    if crl.issuer != issuing_ca.subject:
+    if crl.raw.issuer != issuing_ca.raw.subject:
         return CheckResult(name, False,
-                           f"CRL issued by {crl.issuer}, leaf issued by {issuing_ca.subject}",
+                           f"CRL issued by {crl.raw.issuer.rfc4514_string()},"
+                           f" leaf issued by {_name(issuing_ca)}",
                            FailureCode.BAD_CRL)
     crl_key = ("crl", crl.to_der(), issuing_ca.to_der())
     if crl_key not in _passed:

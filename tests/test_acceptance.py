@@ -293,7 +293,7 @@ def test_5_uniform_validity_over_random_hierarchies():
                 ))
                 keypair.destroy()
                 chain = CertificationChain((leaf, *issuer.chain_to_root()))
-                chains_ok = chains_ok and chain.has_uniform_not_after
+                chains_ok = chains_ok and chain.has_uniform_not_after()
         expiries = {ca.not_after for ca in hierarchy.all_cas()}
         if chains_ok and len(expiries) == 1:
             uniform += 1

@@ -2,7 +2,9 @@
 keep-alive connections, pool rotation, retirement handling, and config
 parsing."""
 
+import email.utils
 import http.client
+import logging
 import re
 import select
 import socket
@@ -130,6 +132,19 @@ class TestEnrollEndpoint:
         assert chain.root == hierarchy.root.certificate
         assert chain.links_verify()
 
+    def test_response_is_leaf_then_issuer_chain_pem(self, stack):
+        """The chain after the leaf is each pool member's PEM, encoded once
+        at startup; two enrollments cover both members."""
+        _, service, _ = stack
+        for name in ("First Member", "Second Member"):
+            keypair, csr = make_csr(name)
+            status, body = service.handle_enroll(csr.to_pem())
+            keypair.destroy()
+            assert status == 200
+            leaf, issuing_ca = CertificationChain.from_pem(body)[:2]
+            issuer = next(ca for ca in service.issuers if ca.certificate == issuing_ca)
+            assert body == leaf.to_pem() + issuer.chain_to_root().to_pem()
+
     def test_garbage_is_400(self, stack):
         _, _, url = stack
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -181,8 +196,11 @@ class TestEnrollEndpoint:
 
 
 class TestRequestFraming:
-    @pytest.mark.parametrize("declared", [b"abc", b"-1", b"+12", b"1_0"])
+    @pytest.mark.parametrize("declared", [b"abc", b"-1", b"+12", b"1_0", b"9" * 5000],
+                             ids=["abc", "-1", "+12", "1_0", "5000-digits"])
     def test_invalid_content_length_is_400(self, stack, capfd, declared):
+        """5000 digits used to reach int(), which refuses more than 4300
+        with a ValueError: a traceback and no reply."""
         _, _, url = stack
         reply = raw_exchange(url, b"POST /enroll HTTP/1.1\r\nHost: x\r\n"
                                   b"Content-Length: " + declared + b"\r\n\r\n")
@@ -233,6 +251,103 @@ class TestRequestFraming:
         reply = raw_exchange(url, request_line + b"\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 ")
         assert b"\r\nContent-Length: " in reply
+
+    @pytest.mark.parametrize("fields", [
+        [b"no colon here"],
+        [b"Host: x", b" folded: continuation"],
+        [b"Host : x"],
+        [b"X-Field-%d: y" % i for i in range(101)],
+    ], ids=["no-colon", "obs-fold", "space-before-colon", "101-fields"])
+    def test_malformed_header_block_is_400(self, stack, fields):
+        """RFC 9112 §5: a header line is ``name: value``, obs-fold is refused,
+        and at most 100 fields are read. http.server served the first three
+        with 200, its email parser dropping those lines, and answered 101
+        fields 431."""
+        _, _, url = stack
+        reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\n"
+                                  + b"".join(f + b"\r\n" for f in fields) + b"\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_hundred_fields_are_served(self, stack):
+        """http.server counted the blank line that ends the header, so it
+        answered 100 fields 431."""
+        _, _, url = stack
+        fields = b"".join(b"X-Field-%d: y\r\n" % i for i in range(99))
+        reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\n" + fields
+                                  + b"Connection: close\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
+    @pytest.mark.parametrize("method", [b"HEAD", b"PUT"])
+    def test_other_methods_are_501(self, stack, method):
+        """As with http.server, which also sent 501 and closed."""
+        _, _, url = stack
+        reply = raw_exchange(url, method + b" /chain HTTP/1.1\r\n\r\n"
+                                  b"GET /chain HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 501 ")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    @pytest.mark.parametrize("connection,replies", [(b"", 1), (b"close", 1),
+                                                    (b"keep-alive", 2)])
+    def test_http_1_0_closes_unless_kept_alive(self, stack, connection, replies):
+        """As with http.server, except that the last reply now says
+        ``Connection: close``."""
+        _, _, url = stack
+        fields = b"Connection: %s\r\n" % connection if connection else b""
+        request = b"GET /chain HTTP/1.0\r\n" + fields + b"\r\n"
+        reply = raw_exchange(url, request + b"GET /chain HTTP/1.1\r\n"
+                                            b"Connection: close\r\n\r\n")
+        assert reply.count(b"HTTP/1.1 200 ") == replies
+        assert reply.count(b"\r\nConnection: close\r\n") == 1
+
+    def test_expect_continue_gets_interim_100(self, stack):
+        """As with http.server, which sent 100 Continue too, but held it in
+        its write buffer until the final reply."""
+        _, _, url = stack
+        keypair, csr = make_csr()
+        keypair.destroy()
+        body = csr.to_pem()
+        address = urllib.parse.urlsplit(url)
+        with socket.create_connection((address.hostname, address.port), timeout=5) as sock:
+            sock.sendall(b"POST /enroll HTTP/1.1\r\nExpect: 100-continue\r\n"
+                         b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body))
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        assert b"".join(chunks).startswith(b"HTTP/1.1 200 ")
+
+    def test_reply_head(self, stack):
+        """Status line, then Date as an IMF-fixdate (RFC 9110 §5.6.7),
+        Content-Type and Content-Length. http.server also sent Server."""
+        _, _, url = stack
+        reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\nConnection: close\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status, date, content_type, length, connection = head.split(b"\r\n")
+        assert status == b"HTTP/1.1 200 OK"
+        sent = email.utils.parsedate_to_datetime(date.removeprefix(b"Date: ").decode())
+        assert date == b"Date: " + email.utils.format_datetime(sent, usegmt=True).encode()
+        assert abs(time.time() - sent.timestamp()) < 5
+        assert content_type == b"Content-Type: application/x-pem-file"
+        assert length == b"Content-Length: %d" % len(body)
+        assert connection == b"Connection: close"
+
+    def test_one_debug_record_per_request(self, stack, caplog):
+        """Client address, method, target and status, formatted only when
+        DEBUG is on. http.server formatted its log line for every request."""
+        _, _, url = stack
+        requests = (b"GET /chain HTTP/1.1\r\n\r\n"
+                    b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n")
+        with caplog.at_level(logging.INFO, logger="otcpki.service"):
+            raw_exchange(url, requests)
+        assert not [r for r in caplog.records if r.name == "otcpki.service"]
+        with caplog.at_level(logging.DEBUG, logger="otcpki.service"):
+            raw_exchange(url, requests)
+        assert [r.getMessage() for r in caplog.records if r.name == "otcpki.service"] == [
+            "127.0.0.1 GET /chain 200", "127.0.0.1 GET /nope 404"]
 
     def test_idle_connection_is_closed(self, short_timeout_stack):
         _, url = short_timeout_stack
@@ -303,6 +418,34 @@ class TestConnectionLimits:
             assert reply.startswith(b"HTTP/1.1 200 ")
         finally:
             service.stop()
+
+    def test_interrupt_while_starting_a_handler_propagates(self, shared_issuer, monkeypatch):
+        """SIGTERM's KeyboardInterrupt can land in Thread.start after the
+        handler thread has served its connection and given its slot back.
+        The slot used to be released a second time there, and the
+        ValueError that raised went to handle_error with the interrupt, so
+        ``otc serve`` kept running."""
+        server = service_module._Server(("127.0.0.1", 0),
+                                        EnrollmentService([shared_issuer]))
+        try:
+            socket.create_connection(server.server_address, timeout=5).close()
+            request, address = server.socket.accept()
+            start = threading.Thread.start
+
+            def start_then_interrupt(thread):
+                start(thread)
+                thread.join()  # the handler reads EOF and frees its slot
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(threading.Thread, "start", start_then_interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                server.process_request(request, address)
+            monkeypatch.undo()
+            slots = [server._slots.acquire(blocking=False)
+                     for _ in range(service_module.MAX_CONNECTIONS + 1)]
+            assert slots.count(True) == service_module.MAX_CONNECTIONS
+        finally:
+            server.server_close()
 
 
 @pytest.fixture(scope="module")

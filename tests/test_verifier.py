@@ -4,11 +4,12 @@ behavior of the recency window, legacy mode, and soundness fuzzing."""
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from cryptography import x509
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from otcpki import verifier
-from otcpki.ca import init_hierarchy
+from otcpki import ca, verifier
+from otcpki.ca import CaIdentity, CaRole, create_subordinate, init_hierarchy
 from otcpki.certmodel import (
     Certificate,
     CertificationChain,
@@ -17,7 +18,7 @@ from otcpki.certmodel import (
     build_csr,
     decode,
 )
-from otcpki.crypto import EphemeralKeyPair, digest_document
+from otcpki.crypto import EphemeralKeyPair, digest_document, random_serial
 from otcpki.errors import OtcError
 from otcpki.signer import LocalEnrollmentClient, one_shot_sign
 from otcpki.verifier import (
@@ -440,6 +441,52 @@ class TestMemo:
             assert verifier._passed, "the honest bundle fills the memo"
             warm = verify_bundle(**arguments)
             assert warm.to_text() == cold.to_text(), name
+
+
+def ca_named(name: x509.Name, role: CaRole, policy, parent=None) -> CaIdentity:
+    """A CA whose subject is any X.509 name, even one without the CN that
+    ``DistinguishedName`` requires, built as ``ca.create_root`` and
+    ``ca.create_subordinate`` build theirs."""
+    keypair = EphemeralKeyPair.generate(policy.suite)
+    builder = ca._ca_builder(name, parent.certificate.raw.subject if parent else name,
+                             keypair.public_key, random_serial(),
+                             datetime.now(timezone.utc), policy.chain_not_after, role)
+    if parent is None:
+        certificate = Certificate(builder.sign(keypair._signing_key(),
+                                               policy.suite.digest.hash_primitive()))
+        return CaIdentity(certificate, keypair, role, policy)
+    certificate = parent._sign_child_certificate(builder)
+    return CaIdentity(certificate, keypair, role, policy,
+                      (parent.certificate, *parent.lineage))
+
+
+class TestNamesWithoutCommonName:
+    """Before chain trust and the CRL check compared and printed names as
+    X.509 names, this chain failed chain-trust and crl with "cannot decode:
+    InvalidNameError(...)": a CA needs no CN."""
+
+    @pytest.fixture(scope="class")
+    def no_cn(self):
+        policy = fresh_policy()
+        organization = x509.NameOID.ORGANIZATION_NAME
+        root = ca_named(x509.Name([x509.NameAttribute(organization, "No CN Root")]),
+                        CaRole.ROOT, policy)
+        intermediate = create_subordinate(root, "CN Intermediate", CaRole.INTERMEDIATE)
+        issuer = ca_named(x509.Name([x509.NameAttribute(organization, "No CN Issuer")]),
+                          CaRole.ISSUER, policy, intermediate)
+        return root, one_shot_sign(DOC, "No CN Leaf", LocalEnrollmentClient(issuer))
+
+    def test_chain_under_a_root_without_cn_is_accepted(self, no_cn):
+        root, bundle = no_cn
+        report = verify_bundle(bundle, DOC, [root.certificate], POLICY)
+        assert report.accepted, report.to_text()
+        assert "anchored at O=No CN Root" in report.to_text()
+
+    def test_failure_details_name_cas_without_cn(self, no_cn, trust_anchors):
+        _, bundle = no_cn
+        report = verify_bundle(bundle, DOC, trust_anchors, POLICY)
+        assert report.failure_codes == ("untrusted-chain",)
+        assert report.checks[0].detail == "root O=No CN Root is not a trust anchor"
 
 
 @pytest.fixture(scope="module")
