@@ -20,6 +20,8 @@ ignore it while aware verifiers enforce it.
 from __future__ import annotations
 
 import enum
+import re
+import threading
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional, Type, TypeVar, Union
@@ -67,6 +69,43 @@ _PAYLOAD_PREFIXES = {
 # The AlgorithmIdentifier is payload bytes 2..14 under either algorithm.
 _ALG_ID = slice(2, 15)
 _DIGEST_BY_ALG_ID = {prefix[_ALG_ID]: alg for alg, prefix in _PAYLOAD_PREFIXES.items()}
+
+# Entries in each bounded memo: the decoded CA certificates and CRLs below,
+# and the verifier's passed checks.
+MEMO_LIMIT = 1024
+
+
+class BoundedMemo:
+    """A map shared between threads that holds at most ``MEMO_LIMIT``
+    entries; adding one more drops the oldest."""
+
+    def __init__(self):
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        return self._entries.get(key)
+
+    def put(self, key, value=None) -> None:
+        with self._lock:
+            if len(self._entries) >= MEMO_LIMIT:
+                del self._entries[next(iter(self._entries))]
+            self._entries[key] = value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+# Decoded objects by exact PEM bytes: (CertificationChain, the PEM after a
+# chain's leaf block) -> its certificates, (RevocationList, PEM) -> the CRL.
+_decoded = BoundedMemo()
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +221,14 @@ class DistinguishedName:
 # ---------------------------------------------------------------------------
 # Wrappers over parsed X.509 objects
 # ---------------------------------------------------------------------------
+
+def _claims_unused_bits(der: bytes, signature: bytes) -> bool:
+    """A certificate or CRL ends with its signature BIT STRING, whose first
+    content octet counts the unused bits of the last. cryptography verifies
+    the signature bytes whatever that count says; OpenSSL refuses a
+    signature that leaves any bit unused, and so does this PKI."""
+    return der[-len(signature) - 1] != 0
+
 
 class SigningRequest:
     """A certification request binding a public key, a subject, and (for
@@ -305,6 +352,8 @@ class Certificate:
         """True when this certificate's signature verifies under the given
         issuer certificate and the names line up."""
         try:
+            if _claims_unused_bits(self.to_der(), self._raw.signature):
+                return False
             self._raw.verify_directly_issued_by(issuer._raw)
             return True
         except Exception:
@@ -334,6 +383,7 @@ class RevocationList:
 
     def __init__(self, raw: x509.CertificateRevocationList):
         self._raw = raw
+        self._der: Optional[bytes] = None
 
     @property
     def raw(self) -> x509.CertificateRevocationList:
@@ -361,12 +411,16 @@ class RevocationList:
 
     def is_signed_by(self, issuer: Certificate) -> bool:
         try:
+            if _claims_unused_bits(self.to_der(), self._raw.signature):
+                return False
             return self._raw.is_signature_valid(issuer.public_key)
         except Exception:
             return False
 
     def to_der(self) -> bytes:
-        return self._raw.public_bytes(serialization.Encoding.DER)
+        if self._der is None:
+            self._der = self._raw.public_bytes(serialization.Encoding.DER)
+        return self._der
 
     def to_pem(self) -> bytes:
         return self._raw.public_bytes(serialization.Encoding.PEM)
@@ -428,7 +482,26 @@ class CertificationChain:
 
     @classmethod
     def from_pem(cls, data: bytes) -> "CertificationChain":
-        return cls(load_certificates(data))
+        """The certificates in a PEM blob, in order of appearance. Leaves
+        are new each time while the CA certificates after them repeat, so
+        when the blob opens with a certificate block, the certificates after
+        that block come from the memo, keyed by their exact PEM bytes."""
+        leaf = _LEAF_BLOCK.match(data)
+        if leaf is None:
+            return cls(load_certificates(data))
+        key = (CertificationChain, bytes(data[leaf.end():]))
+        above = _decoded.get(key)
+        if above is None:
+            certificates = load_certificates(data)
+            _decoded.put(key, certificates[1:])
+            return cls(certificates)
+        return cls(load_certificates(leaf.group()) + above)
+
+
+# A certificate block as cryptography writes it, opening a PEM blob. A PEM
+# parser reads whatever follows such a block as it would read it alone.
+_LEAF_BLOCK = re.compile(
+    rb"-----BEGIN CERTIFICATE-----\n[A-Za-z0-9+/=\n]*-----END CERTIFICATE-----\n")
 
 
 def load_certificates(pem: bytes) -> tuple:
@@ -492,6 +565,18 @@ _LOADERS = {
     Certificate: (x509.load_der_x509_certificate, x509.load_pem_x509_certificate, "certificate"),
     RevocationList: (x509.load_der_x509_crl, x509.load_pem_x509_crl, "CRL"),
 }
+
+
+def decode_crl(data: bytes) -> RevocationList:
+    """``decode(data, RevocationList)``, from the memo when these exact bytes
+    were decoded before: an issuer's blank CRL rides in every bundle it
+    signs for."""
+    key = (RevocationList, bytes(data))
+    crl = _decoded.get(key)
+    if crl is None:
+        crl = decode(data, RevocationList)
+        _decoded.put(key, crl)
+    return crl
 
 
 def encode(obj: Union[SigningRequest, Certificate, RevocationList],

@@ -403,6 +403,7 @@ class EnrollmentService:
         self._chain_pem = self._chain_pems[self._issuers[0]]
         self._server: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
+        self._serving = False  # a serve_forever loop runs or is about to
 
     @property
     def issuers(self) -> list:
@@ -466,6 +467,7 @@ class EnrollmentService:
     def start(self) -> str:
         """Serve on a background thread; returns the base URL."""
         self.bind()
+        self._serving = True
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
         return self.url
@@ -474,10 +476,12 @@ class EnrollmentService:
         """Stop accepting connections and join the serving thread. Handler
         threads are daemons; each ends when its client closes the connection
         or it idles for ``HANDLER_TIMEOUT_S``."""
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            if self._serving:  # shutdown() waits for the loop to end
+                server.shutdown()
+                self._serving = False
+            server.server_close()
         if self._thread is not None:
             self._thread.join()
             self._thread = None
@@ -485,8 +489,11 @@ class EnrollmentService:
     def serve_forever(self):
         """Run in the calling thread until interrupted (CLI entry point)."""
         self.bind()
+        server = self._server
+        self._serving = True
         try:
-            self._server.serve_forever()
+            server.serve_forever()
         finally:
-            self._server.server_close()
+            server.server_close()
             self._server = None
+            self._serving = False

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import collections
 import http.client
-import lzma
+import io
+import re
+import struct
 import threading
 import urllib.parse
 import weakref
@@ -33,6 +35,7 @@ from .certmodel import (
     SigningRequest,
     build_csr,
     decode,
+    decode_crl,
 )
 from .crypto import (
     DEFAULT_SUITE,
@@ -65,10 +68,16 @@ _ARCHIVE_MEMBERS = ("meta.txt", "signature.bin", "chain.pem", "crl.pem")
 # Largest bundle member load() reads, in bytes; the service caps a request
 # body the same.
 _MAX_MEMBER_BYTES = 1 << 20
-# What zipfile and its decompressors raise on a corrupt or unsupported archive
-# (an out-of-range offset in the directory surfaces as an OSError from seek).
-_ZIP_READ_ERRORS = (zipfile.BadZipFile, EOFError, NotImplementedError, OSError,
-                    RuntimeError, ValueError, zlib.error, lzma.LZMAError)
+# Largest archive load() reads: the four members at the cap, and one cap more
+# for headers, other members and deflate's overhead on incompressible data.
+_MAX_ARCHIVE_BYTES = (len(_ARCHIVE_MEMBERS) + 1) * _MAX_MEMBER_BYTES
+# Member flags load() refuses: encrypted (bits 0 and 6) and patched data (bit 5).
+_REFUSED_FLAGS = 0x61
+# A local file header (PKWARE APPNOTE 4.3.7): signature, 22 bytes load() does
+# not read, then the lengths of the name and the extra field that follow it.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+# meta.txt's created-at, as _meta_text() writes it.
+_CREATED_AT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +283,7 @@ class SignedDocumentBundle:
             document_digest=meta["digest"],
             signature=members["signature.bin"],
             chain=CertificationChain.from_pem(members["chain.pem"]),
-            crl=None if crl is None else decode(crl, RevocationList),
+            crl=None if crl is None else decode_crl(crl),
             created_at=meta["created_at"],
         )
 
@@ -282,32 +291,73 @@ class SignedDocumentBundle:
 def _read_members(path: Path) -> dict:
     """The bytes of each bundle member in an archive, by name.
 
-    The archive may be hostile: duplicate member names, a member over
-    ``_MAX_MEMBER_BYTES`` and every failure of the zipfile module raise
-    :class:`MalformedEncodingError`. Each member is inflated no further than
-    one byte past the cap, whatever size its header declares.
+    The archive may be hostile. It is read into memory whole, up to
+    ``_MAX_ARCHIVE_BYTES``; zipfile parses only its central directory, and
+    each known member is read from the buffer at the offset its entry gives.
+    A member must be stored or deflated and not encrypted, its local header
+    must carry its name, and it must inflate to a complete stream of its
+    declared size and CRC-32, no further than one byte past
+    ``_MAX_MEMBER_BYTES``. An archive over its cap, a repeated member name
+    and every failed check raise :class:`MalformedEncodingError`.
     """
     with open(path, "rb") as handle:  # a missing file stays an OSError
+        data = handle.read(_MAX_ARCHIVE_BYTES + 1)
+    if len(data) > _MAX_ARCHIVE_BYTES:
+        raise MalformedEncodingError(f"bundle archive exceeds {_MAX_ARCHIVE_BYTES} bytes")
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            entries = archive.infolist()
+    except (zipfile.BadZipFile, NotImplementedError, ValueError) as exc:
+        # ValueError: a name flagged UTF-8 that does not decode
+        raise MalformedEncodingError(f"not a bundle archive: {exc}") from exc
+    counts = collections.Counter(entry.filename for entry in entries)
+    repeated = sorted(name for name, count in counts.items() if count > 1)
+    if repeated:
+        raise MalformedEncodingError(f"bundle repeats member {', '.join(repeated)}")
+    return {entry.filename: _read_member(data, entry)
+            for entry in entries if entry.filename in _ARCHIVE_MEMBERS}
+
+
+def _read_member(data: bytes, entry: zipfile.ZipInfo) -> bytes:
+    name = entry.filename
+
+    def unreadable(reason: str) -> MalformedEncodingError:
+        return MalformedEncodingError(f"not a bundle archive: member {name} {reason}")
+
+    if entry.flag_bits & _REFUSED_FLAGS or entry.compress_type not in (zipfile.ZIP_STORED,
+                                                                       zipfile.ZIP_DEFLATED):
+        raise unreadable(f"is not stored or deflated in the clear"
+                         f" (method {entry.compress_type}, flags 0x{entry.flag_bits:04x})")
+    start = entry.header_offset
+    header = data[start:start + _LOCAL_HEADER.size] if start >= 0 else b""
+    if len(header) < _LOCAL_HEADER.size or header[:4] != b"PK\x03\x04":
+        raise unreadable(f"has no local header at offset {start}")
+    _, name_length, extra_length = _LOCAL_HEADER.unpack(header)
+    start += _LOCAL_HEADER.size
+    # zipfile decodes the central name so; the encoding round-trips.
+    encoding = "utf-8" if entry.flag_bits & 0x800 else "cp437"
+    if data[start:start + name_length] != entry.orig_filename.encode(encoding):
+        raise unreadable("has a local header naming another file")
+    start += name_length + extra_length
+    stored = data[start:start + entry.compress_size]
+    if len(stored) < entry.compress_size:
+        raise unreadable("is truncated")
+    if entry.compress_type == zipfile.ZIP_STORED:
+        content, ended = stored, True
+    else:
+        inflater = zlib.decompressobj(-zlib.MAX_WBITS)
         try:
-            with zipfile.ZipFile(handle) as archive:
-                counts = collections.Counter(archive.namelist())
-                repeated = sorted(name for name, count in counts.items() if count > 1)
-                if repeated:
-                    raise MalformedEncodingError(
-                        f"bundle repeats member {', '.join(repeated)}"
-                    )
-                members = {}
-                for name in counts.keys() & _ARCHIVE_MEMBERS:
-                    with archive.open(name) as member:
-                        data = member.read(_MAX_MEMBER_BYTES + 1)
-                    if len(data) > _MAX_MEMBER_BYTES:
-                        raise MalformedEncodingError(
-                            f"bundle member {name} exceeds {_MAX_MEMBER_BYTES} bytes"
-                        )
-                    members[name] = data
-                return members
-        except _ZIP_READ_ERRORS as exc:
-            raise MalformedEncodingError(f"not a bundle archive: {exc}") from exc
+            content = inflater.decompress(stored, _MAX_MEMBER_BYTES + 1)
+        except zlib.error as exc:
+            raise unreadable(f"does not inflate: {exc}") from exc
+        ended = inflater.eof
+    if len(content) > _MAX_MEMBER_BYTES:
+        raise MalformedEncodingError(f"bundle member {name} exceeds {_MAX_MEMBER_BYTES} bytes")
+    if not ended:
+        raise unreadable("has a deflate stream that does not end")
+    if len(content) != entry.file_size or zlib.crc32(content) != entry.CRC:
+        raise unreadable("does not match its declared size and CRC-32")
+    return content
 
 
 def _parse_meta(raw: bytes) -> dict:
@@ -323,9 +373,10 @@ def _parse_meta(raw: bytes) -> dict:
     try:
         algorithm = DigestAlgorithm(pairs["digest-alg"])
         digest = DocumentDigest.from_hex(algorithm, pairs["digest-hex"])
-        created = datetime.strptime(pairs["created-at"], "%Y-%m-%dT%H:%M:%SZ").replace(
-            tzinfo=timezone.utc
-        )
+        created_at = pairs["created-at"]
+        if not _CREATED_AT.fullmatch(created_at):
+            raise ValueError(f"created-at {created_at!r} is not YYYY-MM-DDTHH:MM:SSZ")
+        created = datetime.fromisoformat(created_at[:-1]).replace(tzinfo=timezone.utc)
     except KeyError as exc:
         raise MalformedEncodingError(f"meta.txt missing {exc.args[0]}") from exc
     except (ValueError, DigestMismatchError) as exc:

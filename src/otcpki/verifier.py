@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import BinaryIO, Iterable, Optional, Tuple, Union
 
-from .certmodel import Certificate, CertificationChain, OtcExtension
+from .certmodel import BoundedMemo, Certificate, CertificationChain, OtcExtension
 from .crypto import digest_document, verify_signature
 from .signer import SignedDocumentBundle
 
@@ -44,22 +43,12 @@ __all__ = [
 
 DEFAULT_CLOCK_SKEW = timedelta(seconds=300)
 
-# Entries in the memo of passed leaf-independent checks; past it the oldest
-# entry goes. An entry holds the DER it is keyed by, under 2 KB for a
-# three-certificate ECDSA path.
-MEMO_LIMIT = 1024
-# Keys: ("ca-path", *DER of each certificate above the leaf) for a path that
-# passed _path_failure, ("crl", CRL DER, issuing CA DER) for a CRL whose
-# signature verified. Used as an insertion-ordered set.
-_passed: dict = {}
-_passed_lock = threading.Lock()
-
-
-def _remember(key: tuple) -> None:
-    with _passed_lock:
-        if len(_passed) >= MEMO_LIMIT:
-            del _passed[next(iter(_passed))]
-        _passed[key] = None
+# The memo of passed leaf-independent checks, at most certmodel.MEMO_LIMIT
+# entries. An entry holds the DER it is keyed by, under 2 KB for a
+# three-certificate ECDSA path. Keys: ("ca-path", *DER of each certificate
+# above the leaf) for a path that passed _path_failure, ("crl", CRL DER,
+# issuing CA DER) for a CRL whose signature verified.
+_passed = BoundedMemo()
 
 
 class Verdict(enum.Enum):
@@ -269,7 +258,7 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
     else:
         failure = _path_failure(chain.certificates)
         if failure is None and path:
-            _remember(path_key)
+            _passed.put(path_key)
     if failure is not None:
         return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
     root_der = chain.root.to_der()
@@ -314,10 +303,9 @@ def _check_binding_presence(binding: Union[OtcExtension, None, Exception]) -> Ch
 
 
 @_fails_undecodable("signature", FailureCode.BAD_SIGNATURE)
-def _check_signature(bundle: SignedDocumentBundle) -> CheckResult:
+def _check_signature(bundle: SignedDocumentBundle, digest) -> CheckResult:
     name = "signature"
-    if verify_signature(bundle.chain.leaf.public_key, bundle.document_digest,
-                        bundle.signature):
+    if verify_signature(bundle.chain.leaf.public_key, digest, bundle.signature):
         return CheckResult(name, True, "signature verifies under the leaf key")
     return CheckResult(name, False, "signature does not verify under the leaf key",
                        FailureCode.BAD_SIGNATURE)
@@ -340,7 +328,7 @@ def _check_crl(bundle: SignedDocumentBundle) -> CheckResult:
         if not crl.is_signed_by(issuing_ca):
             return CheckResult(name, False, "CRL signature does not verify under the issuing CA",
                                FailureCode.BAD_CRL)
-        _remember(crl_key)
+        _passed.put(crl_key)
     if not crl.is_blank:
         return CheckResult(name, False,
                            f"CRL lists {len(crl.revoked_serials)} entries;"
@@ -374,13 +362,20 @@ def verify_bundle(
         _check_chain_trust(chain, trust_anchors),
         _check_validity_window(chain, moment),
     ]
+    # The signature must cover the presented document. When that document
+    # does not match the binding, binding-match already fails, and the
+    # signature is checked over the bundle's own digest so that it reports
+    # only on itself.
+    signed = bundle.document_digest
     if not legacy:
         checks.append(_check_uniform_validity(chain))
         binding = _read_binding(leaf)
         checks.append(_check_binding_presence(binding))
         presented = digest_document(document, bundle.document_digest.algorithm)
         checks.append(_match_binding(binding, presented))
-    checks.append(_check_signature(bundle))
+        if checks[-1].passed:
+            signed = presented
+    checks.append(_check_signature(bundle, signed))
     if not legacy:
         checks.append(check_recency(leaf, policy, moment))
     checks.append(_check_crl(bundle))

@@ -8,16 +8,21 @@ written; they are frozen here as golden vectors.
 
 import shutil
 import subprocess
+import sys
+import threading
 
 import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.serialization import Encoding
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from otcpki.certmodel import (
+    MEMO_LIMIT,
     OTC_EXTENSION_OID,
+    BoundedMemo,
     Certificate,
     CertificationChain,
     DistinguishedName,
@@ -27,6 +32,7 @@ from otcpki.certmodel import (
     EncodingFormat,
     build_csr,
     decode,
+    decode_crl,
     encode,
     verify_csr_pop,
 )
@@ -43,7 +49,7 @@ from otcpki.errors import (
     MalformedEncodingError,
 )
 
-from conftest import PADDED_OID_PAYLOAD
+from conftest import PADDED_OID_PAYLOAD, overwritten
 
 # Golden vectors: header bytes for SEQUENCE { AlgorithmIdentifier, OCTET
 # STRING } with the NIST hash OIDs, followed by the raw digest.
@@ -334,6 +340,111 @@ class TestCertificateProperties:
     def test_empty_chain_rejected(self):
         with pytest.raises(MalformedEncodingError):
             CertificationChain(())
+
+
+@pytest.fixture(scope="module")
+def pem_blocks(shared_issuer, keypair_pool):
+    """PEM blocks to build chains from: three leaves under one issuer, the
+    issuer's path to the root, and the issuer's CRL."""
+    leaves = [shared_issuer.issue_otc(build_csr(keypair, DistinguishedName.from_common_name(
+        f"Chain Leaf {n}"), sha256_digest(b"%d" % n))).to_pem()
+        for n, keypair in enumerate(keypair_pool[:3])]
+    cas = [cert.to_pem() for cert in shared_issuer.chain_to_root()]
+    return leaves, cas, shared_issuer.issue_blank_crl().to_pem()
+
+
+def assert_parses_as_cryptography_does(blob: bytes):
+    """``CertificationChain.from_pem`` yields the certificates that
+    ``x509.load_pem_x509_certificates`` finds, and raises where it raises."""
+    try:
+        expected = [cert.public_bytes(Encoding.DER)
+                    for cert in x509.load_pem_x509_certificates(blob)]
+    except ValueError:
+        with pytest.raises(MalformedEncodingError):
+            CertificationChain.from_pem(blob)
+        return
+    assert [cert.to_der() for cert in CertificationChain.from_pem(blob)] == expected
+
+
+class TestChainFromPem:
+    """The CA certificates after a chain's first block come from a memo
+    keyed by their PEM bytes; for any input the chain must still be what
+    decoding the whole blob gives. Each blob is parsed twice, so the second
+    parse of a blob that opens with a certificate block is a memo hit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_certificates_as_cryptography(self, pem_blocks, data):
+        leaves, cas, crl = pem_blocks
+        separators = st.sampled_from([b"", b"\n", b"\r\n", b" ", b"junk\n", b"-----"])
+        pieces = [data.draw(st.sampled_from(leaves), label="leaf")]
+        for block in data.draw(st.lists(st.sampled_from([*cas, crl]), max_size=4),
+                               label="after the leaf"):
+            pieces += [data.draw(separators), block]
+        pieces.append(data.draw(st.binary(max_size=8), label="trailing junk"))
+        blob = data.draw(overwritten(b"".join(pieces)), label="blob")
+        for _ in range(2):
+            assert_parses_as_cryptography_does(blob)
+
+    @pytest.mark.parametrize("pieces", [
+        ["leaf", "crl"], ["leaf"], ["leaf", "crl", "ca"], ["crl", "leaf", "ca"],
+        ["leaf", "ca", "junk"], ["junk", "leaf", "ca"],
+    ])
+    def test_examples(self, pem_blocks, pieces):
+        """A leaf followed by only a CRL block is one certificate, whether or
+        not the CRL block was seen after another leaf first."""
+        leaves, cas, crl = pem_blocks
+        blocks = {"crl": crl, "ca": cas[0], "junk": b"trailing junk\n"}
+        for leaf in leaves[:2]:
+            blob = b"".join(leaf if piece == "leaf" else blocks[piece] for piece in pieces)
+            assert_parses_as_cryptography_does(blob)
+
+    def test_ca_certificates_are_reused(self, pem_blocks):
+        leaves, cas, _ = pem_blocks
+        first, second = (CertificationChain.from_pem(leaf + b"".join(cas))
+                         for leaf in leaves[:2])
+        assert first.leaf != second.leaf
+        assert all(a is b for a, b in zip(first[1:], second[1:]))
+
+
+class TestDecodedMemo:
+    def test_oldest_entry_goes_past_the_limit(self):
+        memo = BoundedMemo()
+        for key in range(MEMO_LIMIT + 1):
+            memo.put(key, str(key))
+        assert len(memo) == MEMO_LIMIT
+        assert 0 not in memo and memo.get(0) is None
+        assert memo.get(MEMO_LIMIT) == str(MEMO_LIMIT)
+
+    def test_concurrent_puts_keep_the_bound(self):
+        """Eviction is check-then-delete; without the lock, two threads can
+        drop the same oldest key (KeyError) or leave the memo short."""
+        memo, errors = BoundedMemo(), []
+
+        def fill(thread: int):
+            try:
+                for n in range(8 * MEMO_LIMIT):
+                    memo.put((thread, n))
+                    memo.get((thread, n // 2))
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(memo) == MEMO_LIMIT
+
+    def test_revocation_list_caches_its_der(self, shared_issuer):
+        crl = decode_crl(shared_issuer.issue_blank_crl().to_pem())
+        assert crl.to_der() is crl.to_der()
 
 
 @pytest.mark.skipif(OPENSSL is None, reason="openssl CLI not installed")

@@ -516,6 +516,34 @@ def check_responses(data: bytes):
         data = data[length:]
 
 
+class TestLifecycle:
+    def test_stop_after_bind_alone_returns(self, shared_issuer):
+        """socketserver's shutdown() waits for a serve_forever loop to end.
+        With none running, stop() after bind() used to wait for ever."""
+        service = EnrollmentService([shared_issuer])
+        service.bind()
+        stopper = threading.Thread(target=service.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive(), "stop() hung after bind()"
+        with pytest.raises(RuntimeError, match="not bound"):
+            service.url
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_stop_ends_a_serve_forever_loop_in_another_thread(self, shared_issuer):
+        """Both ends used to close the server they found on the service, so
+        the one that came second raised AttributeError on None."""
+        service = EnrollmentService([shared_issuer])
+        service.bind()
+        loop = threading.Thread(target=service.serve_forever, daemon=True)
+        loop.start()
+        stopper = threading.Thread(target=service.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        loop.join(timeout=5)
+        assert not stopper.is_alive() and not loop.is_alive()
+
+
 class TestHostileRequests:
     @settings(max_examples=100, deadline=None)
     @given(data=hostile_requests | st.binary(max_size=200))

@@ -2,14 +2,17 @@
 the kept-key variant, and the bundle archive format."""
 
 import io
+import struct
 import warnings
 import zipfile
+import zlib
 from datetime import timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otcpki import certmodel, signer
 from otcpki.ca import init_hierarchy
 from otcpki.certmodel import CertificationChain
 from otcpki.crypto import SUITES, digest_document, verify_signature
@@ -346,3 +349,168 @@ class TestBundleArchive:
         path = tmp_path / "loc.otcb"
         bundle.save(path)
         assert SignedDocumentBundle.load(path).document_locator is None
+
+
+def deflated(data: bytes, *, ended: bool = True) -> bytes:
+    """A raw deflate stream of ``data``; with ``ended=False`` every byte of
+    ``data`` is in it but the final block never comes."""
+    deflater = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return deflater.compress(data) + deflater.flush(zlib.Z_FINISH if ended
+                                                    else zlib.Z_SYNC_FLUSH)
+
+
+def raw_zip(members: list) -> bytes:
+    """A zip archive built field by field (PKWARE APPNOTE 4.3), so each
+    member's headers can say what its bytes do not. A member is a dict with
+    ``name`` and ``content``; ``stored`` (the bytes written, default the
+    deflated content), ``method`` (default 8, deflate), ``crc``, ``size``
+    and ``local_name`` override what would be honest."""
+    body, directory = bytearray(), bytearray()
+    for member in members:
+        name, content = member["name"], member["content"]
+        stored = member.get("stored", deflated(content))
+        fields = (member.get("method", zipfile.ZIP_DEFLATED), 0, 0x21,
+                  member.get("crc", zlib.crc32(content)), len(stored),
+                  member.get("size", len(content)))
+        local_name = member.get("local_name", name)
+        offset = len(body)
+        body += struct.pack("<4s3H2H3L2H", b"PK\x03\x04", 20, 0, *fields,
+                            len(local_name), 0) + local_name + stored
+        directory += struct.pack("<4s4H2H3L5H2L", b"PK\x01\x02", 20, 20, 0, *fields,
+                                 len(name), 0, 0, 0, 0, 0, offset) + name
+    return bytes(body + directory + struct.pack(
+        "<4s4H2LH", b"PK\x05\x06", 0, 0, len(members), len(members), len(directory),
+        len(body), 0))
+
+
+@pytest.fixture(scope="module")
+def bundle_members(shared_issuer):
+    bundle = one_shot_sign(DOC, "Hand Zipped", LocalEnrollmentClient(shared_issuer))
+    return {b"meta.txt": bundle._meta_text().encode(), b"signature.bin": bundle.signature,
+            b"chain.pem": bundle.chain.to_pem(), b"crl.pem": bundle.crl.to_pem()}
+
+
+def archive_with(bundle_members: dict, **meta_overrides) -> bytes:
+    """The bundle's members as a hand-built archive, meta.txt's entry
+    overridden as given."""
+    return raw_zip([{"name": name, "content": content,
+                     **(meta_overrides if name == b"meta.txt" else {})}
+                    for name, content in bundle_members.items()])
+
+
+class TestArchiveReader:
+    """Each case the bundle reader decides for itself, now that zipfile
+    parses only the central directory. Each docstring says what the earlier
+    zipfile-based reader did; where it loaded the archive, refusing it is a
+    tightening."""
+
+    def load_bytes(self, tmp_path, data: bytes):
+        path = tmp_path / "hand.otcb"
+        path.write_bytes(data)
+        return SignedDocumentBundle.load(path)
+
+    def test_hand_built_honest_archive_loads(self, bundle_members, tmp_path):
+        loaded = self.load_bytes(tmp_path, archive_with(bundle_members))
+        assert loaded.signature == bundle_members[b"signature.bin"]
+        stored = archive_with(bundle_members, stored=bundle_members[b"meta.txt"],
+                              method=zipfile.ZIP_STORED)
+        assert self.load_bytes(tmp_path, stored).created_at == loaded.created_at
+
+    def test_local_name_differs_from_central_entry(self, bundle_members, tmp_path):
+        """zipfile refused this too."""
+        with pytest.raises(MalformedEncodingError, match="local header naming another"):
+            self.load_bytes(tmp_path, archive_with(bundle_members, local_name=b"meta.txx"))
+
+    @pytest.mark.parametrize("override", [
+        pytest.param(lambda meta: {"crc": zlib.crc32(meta) ^ 1}, id="crc-zipfile-refused"),
+        pytest.param(lambda meta: {"size": len(meta) - 1}, id="smaller-size-zipfile-refused"),
+        pytest.param(lambda meta: {"size": len(meta) + 1}, id="larger-size-zipfile-loaded"),
+        pytest.param(lambda meta: {"size": len(meta) + 1, "stored": meta, "method": 0},
+                     id="stored-larger-size-zipfile-loaded"),
+    ])
+    def test_size_or_crc_mismatch(self, bundle_members, tmp_path, override):
+        """zipfile caught a wrong CRC-32 and any size that cut the content
+        short, but loaded a member whose declared size exceeded its content."""
+        meta = bundle_members[b"meta.txt"]
+        with pytest.raises(MalformedEncodingError, match="declared size and CRC-32"):
+            self.load_bytes(tmp_path, archive_with(bundle_members, **override(meta)))
+
+    def test_deflate_stream_without_its_final_block(self, bundle_members, tmp_path):
+        """zipfile loaded this: every byte of the content inflates and the
+        CRC-32 matches, but the stream never ends."""
+        unended = deflated(bundle_members[b"meta.txt"], ended=False)
+        with pytest.raises(MalformedEncodingError, match="does not end"):
+            self.load_bytes(tmp_path, archive_with(bundle_members, stored=unended))
+
+    def test_deflate_stream_cut_short(self, bundle_members, tmp_path):
+        """zipfile refused this on its CRC-32."""
+        cut = deflated(bundle_members[b"meta.txt"])[:-4]
+        with pytest.raises(MalformedEncodingError, match="does not end"):
+            self.load_bytes(tmp_path, archive_with(bundle_members, stored=cut))
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_archive_cap(self, bundle_members, tmp_path, over):
+        """An archive one byte over the cap is refused. zipfile loaded it:
+        the padding is a member load() never reads."""
+        members = [{"name": name, "content": content}
+                   for name, content in bundle_members.items()]
+
+        def padded(size: int) -> bytes:
+            return raw_zip(members + [{"name": b"padding.bin", "content": b"",
+                                       "method": zipfile.ZIP_STORED, "stored": bytes(size)}])
+
+        data = padded(signer._MAX_ARCHIVE_BYTES - len(padded(0)) + over)
+        assert len(data) == signer._MAX_ARCHIVE_BYTES + over
+        if over:
+            with pytest.raises(MalformedEncodingError, match="archive exceeds"):
+                self.load_bytes(tmp_path, data)
+        else:
+            assert self.load_bytes(tmp_path, data).signature == bundle_members[b"signature.bin"]
+
+    @pytest.mark.parametrize("method", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA],
+                             ids=["bzip2", "lzma"])
+    def test_members_other_than_stored_or_deflated(self, bundle_members, tmp_path, method):
+        """zipfile loaded both; save() writes neither."""
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive:
+            for name, content in bundle_members.items():
+                archive.writestr(name.decode(), content, compress_type=method)
+        with pytest.raises(MalformedEncodingError, match="not stored or deflated"):
+            self.load_bytes(tmp_path, buffer.getvalue())
+
+    def test_created_at_without_padding(self, bundle_members, tmp_path):
+        """zipfile's reader went on to strptime, which read this as
+        2026-01-05T08:00:00Z; only the YYYY-MM-DDTHH:MM:SSZ form save()
+        writes is read now."""
+        meta = bundle_members[b"meta.txt"].decode()
+        written = meta.split("created-at = ")[1].split("\n")[0]
+        short = meta.replace(written, "2026-1-5T8:0:0Z").encode()
+        with pytest.raises(MalformedEncodingError, match="created-at"):
+            self.load_bytes(tmp_path, archive_with(bundle_members, content=short))
+
+    def test_second_bundle_under_a_seen_chain_decodes_only_its_leaf(
+            self, client, tmp_path, monkeypatch):
+        paths = []
+        for n in range(2):
+            paths.append(tmp_path / f"seen-{n}.otcb")
+            one_shot_sign(DOC, f"Seen Chain {n}", client).save(paths[-1])
+        first = SignedDocumentBundle.load(paths[0])
+        decoded = []
+        load_certificates, decode = certmodel.load_certificates, certmodel.decode
+
+        def counted_certificates(pem):
+            certificates = load_certificates(pem)
+            decoded.extend(certificates)
+            return certificates
+
+        def counted_decode(data, kind):
+            decoded.append(kind)
+            return decode(data, kind)
+
+        monkeypatch.setattr(certmodel, "load_certificates", counted_certificates)
+        monkeypatch.setattr(certmodel, "decode", counted_decode)
+        second = SignedDocumentBundle.load(paths[1])
+        assert decoded == [second.chain.leaf]
+        assert second.chain.leaf != first.chain.leaf
+        assert second.chain[1:] == first.chain[1:]
+        assert second.crl is first.crl

@@ -1,6 +1,7 @@
 """Verifier: the full check battery, one test per failure code, boundary
 behavior of the recency window, legacy mode, and soundness fuzzing."""
 
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -253,6 +254,56 @@ class TestPathConstraints:
         assert report.accepted, report.to_text()
 
 
+def unused_bit_variant(make, kind):
+    """Call ``make()`` for (bundle, certificate or CRL) pairs until the
+    signature's last bit is zero. Return that bundle and the object with its
+    signature BIT STRING re-encoded to claim that bit unused: the same
+    signature bytes under an unused-bits count of 1 instead of 0."""
+    for _ in range(64):
+        bundle, honest = make()
+        signature = honest.raw.signature
+        if signature[-1] & 1 == 0:  # a claimed unused bit must be zero to parse
+            der = bytearray(honest.to_der())
+            der[-len(signature) - 1] = 1
+            return bundle, decode(bytes(der), kind)
+    raise AssertionError("64 signatures in a row ended in a one bit")
+
+
+class TestSignatureBitString:
+    """cryptography verifies a signature's bytes whatever the unused-bits
+    count of its BIT STRING says, so each of these passed chain-trust or
+    the CRL check; OpenSSL refuses them. TestMemo's byte-edit fuzz found
+    the CA and CRL cases."""
+
+    def test_leaf(self, client, trust_anchors):
+        def make():
+            signed = one_shot_sign(DOC, "Unused Bit Leaf", client)
+            return signed, signed.chain.leaf
+
+        signed, leaf = unused_bit_variant(make, Certificate)
+        report = verify_bundle(swap_leaf(signed, leaf), DOC, trust_anchors, POLICY)
+        assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
+
+    def test_issuing_ca(self, shared_hierarchy, bundle, trust_anchors):
+        def make():
+            reissued = reissued_path_bundle(shared_hierarchy, bundle, 1, path_length=None)
+            return reissued, reissued.chain[1]
+
+        reissued, issuing_ca = unused_bit_variant(make, Certificate)
+        assert verify_bundle(reissued, DOC, trust_anchors, POLICY).accepted
+        certs = list(reissued.chain.certificates)
+        certs[1] = issuing_ca
+        report = verify_bundle(with_chain(reissued, CertificationChain(certs)), DOC,
+                               trust_anchors, POLICY)
+        assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
+
+    def test_crl(self, shared_issuer, bundle, trust_anchors):
+        _, crl = unused_bit_variant(lambda: (bundle, shared_issuer.issue_blank_crl()),
+                                    RevocationList)
+        report = verify_bundle(with_crl(bundle, crl), DOC, trust_anchors, POLICY)
+        assert report.failure_codes == (FailureCode.BAD_CRL.value,)
+
+
 class TestRecencyBoundary:
     def test_age_exactly_at_limit_passes(self, bundle, trust_anchors):
         exactly = bundle.chain.leaf.not_before + HOUR + DEFAULT_CLOCK_SKEW
@@ -348,6 +399,48 @@ class TestSoundnessFuzz:
         assert not report.accepted
         # the signature itself is internally consistent; only the binding fails
         assert report.failure_codes == (FailureCode.BINDING_MISMATCH.value,)
+
+
+@pytest.fixture(scope="module")
+def kept_key_bundle(shared_issuer):
+    """An honest bundle over ``contract v2`` and the key that signed it, kept
+    alive to sign other digests."""
+    bundle, keypair = one_shot_sign(b"contract v2", "Kept Key Author",
+                                    LocalEnrollmentClient(shared_issuer), keep_key=True)
+    yield bundle, keypair
+    keypair.destroy()
+
+
+def signed_over(bundle, keypair, document: bytes):
+    """``bundle`` with its digest and signature replaced by ones over
+    ``document``, made with the leaf's own key."""
+    digest = digest_document(document)
+    return dataclasses.replace(bundle, document_digest=digest,
+                               signature=keypair.sign_digest(digest))
+
+
+class TestSignatureCoversPresentedDocument:
+    def test_signature_over_another_digest_is_rejected(self, kept_key_bundle,
+                                                       trust_anchors):
+        """The signature used to be checked over the digest in meta.txt,
+        which nothing compared with the document: this bundle was accepted
+        with every check passing."""
+        bundle, keypair = kept_key_bundle
+        forged = signed_over(bundle, keypair, b"contract v3")
+        report = verify_bundle(forged, b"contract v2", trust_anchors, POLICY)
+        assert not report.accepted
+        assert report.failure_codes == (FailureCode.BAD_SIGNATURE.value,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(documents=st.lists(st.one_of(st.just(b"contract v2"), st.binary(max_size=64)),
+                              min_size=2, max_size=2, unique=True))
+    def test_signature_over_one_document_never_covers_another(self, kept_key_bundle,
+                                                              trust_anchors, documents):
+        covered, presented = documents
+        bundle, keypair = kept_key_bundle
+        report = verify_bundle(signed_over(bundle, keypair, covered), presented,
+                               trust_anchors, POLICY)
+        assert not report.accepted
 
 
 class TestMemo:
