@@ -206,29 +206,33 @@ class CaIdentity:
             raise RoleViolationError(
                 f"{self.role.value} CA cannot issue end-entity certificates"
             )
+        # Checked first as well, so that a retired CA answers issuer-retired
+        # whatever the request; the check that counts is under the lock.
+        self._require_active("issuer-retired")
+        if not verify_csr_pop(csr):
+            raise PopFailureError("request signature does not prove key possession")
+        try:
+            binding = csr.binding
+        except x509.DuplicateExtension as exc:
+            raise DuplicateBindingError(str(exc)) from exc
+        except ValueError as exc:  # cryptography parses extensions lazily
+            raise MalformedEncodingError(f"request extensions: {exc}") from exc
+        if binding is None:
+            raise MissingBindingError("request carries no document binding")
+        builder = (
+            x509.CertificateBuilder()
+            .subject_name(csr.raw.subject)
+            .issuer_name(self.certificate.raw.subject)
+            .public_key(csr.public_key)
+            .serial_number(random_serial())
+            .not_valid_before(max(_now(), self.certificate.not_before))
+            .not_valid_after(self.certificate.not_after)
+            .add_extension(binding.to_x509(), critical=binding.critical)
+        )
+        # retire() takes the lock to destroy the key, so once it returns no
+        # signature is in progress and none can start.
         with self._lock:
             self._require_active("issuer-retired")
-            if not verify_csr_pop(csr):
-                raise PopFailureError("request signature does not prove key possession")
-            try:
-                binding = csr.binding
-            except x509.DuplicateExtension as exc:
-                raise DuplicateBindingError(str(exc)) from exc
-            except ValueError as exc:  # cryptography parses extensions lazily
-                raise MalformedEncodingError(f"request extensions: {exc}") from exc
-            if binding is None:
-                raise MissingBindingError("request carries no document binding")
-            not_before = max(_now(), self.certificate.not_before)
-            builder = (
-                x509.CertificateBuilder()
-                .subject_name(csr.raw.subject)
-                .issuer_name(self.certificate.raw.subject)
-                .public_key(csr.public_key)
-                .serial_number(random_serial())
-                .not_valid_before(not_before)
-                .not_valid_after(self.certificate.not_after)
-                .add_extension(binding.to_x509(), critical=binding.critical)
-            )
             return self._sign_child_certificate(builder)
 
     def issue_blank_crl(self) -> RevocationList:

@@ -12,7 +12,8 @@ responses are a single ``code: message`` line with status 400 (unreadable
 request), 422 (well-formed but unissuable), or 503 (no active issuer left,
 or too many open connections).
 
-The service speaks a fixed subset of HTTP/1.1 (RFC 9112): requests of
+The service speaks the fixed subset of HTTP/1.1 (RFC 9112) that
+:mod:`otcpki.framing` reads, as its client does: requests of
 HTTP/1.0 or HTTP/1.1 (any other version gets 505), a body framed only by one
 ``Content-Length`` of 1*DIGIT (``Transfer-Encoding`` gets 400), and at most
 100 header fields of at most 64 KiB each, a line that is not ``name: value``
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import io
 import logging
-import re
 import socket
 import socketserver
 import threading
@@ -50,6 +50,14 @@ from .errors import (
     MalformedEncodingError,
     KindMismatchError,
     OtcError,
+)
+from .framing import (
+    MAX_LINE,
+    VERSIONS,
+    MessageReader,
+    body_length,
+    keeps_alive,
+    read_fields,
 )
 
 __all__ = [
@@ -75,16 +83,6 @@ _BUSY_REPLY = (b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\
                b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
                % (len(_BUSY_BODY), _BUSY_BODY))
 
-# The limits http.client applies: a line of at most 64 KiB, its CRLF
-# included, and at most 100 header fields.
-_MAX_LINE = 65536
-_MAX_FIELDS = 100
-# RFC 9110 §5.1: a field name is a token. A line with leading whitespace
-# (obs-fold) or none of ":" has no such name.
-_FIELD_NAME = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
-# The only fields that change how a request is read or answered.
-_FRAMING_FIELDS = frozenset((b"content-length", b"transfer-encoding", b"connection",
-                             b"expect"))
 _STATUS_LINES = {status: b"HTTP/1.1 %d %s" % (status, HTTPStatus(status).phrase.encode())
                  for status in (200, 400, 404, 422, 501, 503, 505)}
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
@@ -140,43 +138,16 @@ class _Server(socketserver.ThreadingTCPServer):
             self._slots.release()
 
 
-class _RequestReader(socket.SocketIO):
-    """A connection's incoming bytes, under two timeouts: ``timeout`` while
-    waiting for a request's first byte, and from that byte on a deadline
-    ``timeout`` later by which the whole request must have arrived."""
-
-    def __init__(self, sock: socket.socket, timeout: float):
-        super().__init__(sock, "rb")
-        self._timeout = timeout
-        self._deadline: Optional[float] = None
-
-    def next_request(self):
-        self._deadline = None
-        if self._sock.gettimeout() != self._timeout:  # a request read took more than one recv
-            self._sock.settimeout(self._timeout)
-
-    def readinto(self, buffer) -> Optional[int]:
-        if self._deadline is not None:
-            remaining = self._deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("request not read within its deadline")
-            self._sock.settimeout(remaining)
-        count = super().readinto(buffer)
-        if self._deadline is None and count:
-            self._deadline = time.monotonic() + self._timeout
-        return count
-
-
 class _Handler(socketserver.BaseRequestHandler):
     """One connection: its requests answered in order until one ends it, the
-    client closes it, or a timeout of ``_RequestReader`` passes."""
+    client closes it, or a timeout of its ``MessageReader`` passes."""
 
     def setup(self):
         # A reply sent while the one before is unacknowledged (after a
         # pipelined request, or after 100 Continue) would otherwise wait
         # for the client's delayed ACK, ~40 ms.
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
-        self._reader = _RequestReader(self.request, HANDLER_TIMEOUT_S)
+        self._reader = MessageReader(self.request, HANDLER_TIMEOUT_S)
         self.rfile = io.BufferedReader(self._reader)
 
     def handle(self):
@@ -191,38 +162,26 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _serve_one(self) -> bool:
         """Read and answer one request; False when the connection ends."""
-        self._reader.next_request()
-        line = self.rfile.readline(_MAX_LINE + 1)
+        self._reader.next_message()
+        line = self.rfile.readline(MAX_LINE + 1)
         if not line:  # the client closed the connection
             return False
         words = line.split()
         self._method, self._target = words[:2] if len(words) > 1 else (b"-", b"-")
-        if len(line) > _MAX_LINE or len(words) != 3:
+        if len(line) > MAX_LINE or len(words) != 3:
             return self._reply(400, b"malformed-encoding: the request line is not"
                                     b" METHOD TARGET VERSION", close=True)
         version = words[2]
-        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+        if version not in VERSIONS:
             return self._reply(505, b"unsupported-version: only HTTP/1.0 and HTTP/1.1"
                                     b" are served", close=True)
-        fields = self._read_fields()
+        fields = read_fields(self.rfile)
         if fields is None:
             return self._reply(400, b"malformed-encoding: a header line that is not"
                                     b" name: value, over 64 KiB, or past the 100th",
                                close=True)
-        options = {option.strip() for value in fields.get(b"connection", ())
-                   for option in value.split(b",")}
-        close = b"close" in options or (version == b"HTTP/1.0"
-                                        and b"keep-alive" not in options)
-        # The declared body length (0 when none is declared), or None when
-        # the body cannot be framed: Transfer-Encoding, which this service
-        # does not decode (RFC 9112 §6.3), or anything but one Content-Length
-        # of 1*DIGIT. Past 18 digits it is over any limit, and int() refuses
-        # more than 4300.
-        declared = fields.get(b"content-length", [b"0"])
-        length = None
-        if (b"transfer-encoding" not in fields and len(declared) == 1
-                and declared[0].isdigit() and len(declared[0]) <= 18):
-            length = int(declared[0])
+        close = not keeps_alive(version, fields)
+        length = body_length(fields)
 
         service = self.server.service
         if self._method == b"POST":
@@ -251,24 +210,6 @@ class _Handler(socketserver.BaseRequestHandler):
                 return self._reply(*service.handle_chain(), close=close)
             return self._reply(404, b"not-found: unknown endpoint", close=close)
         return self._reply(501, b"not-implemented: only GET and POST are served", close=True)
-
-    def _read_fields(self) -> Optional[dict]:
-        """The request's framing fields, each name mapped to its values,
-        lowercased and with surrounding whitespace removed, or None when a
-        header line is malformed or over a limit. End of input ends the
-        header."""
-        fields: dict = {}
-        for _ in range(_MAX_FIELDS + 1):
-            line = self.rfile.readline(_MAX_LINE + 1)
-            if line in (b"\r\n", b"\n", b""):
-                return fields
-            name, colon, value = line.partition(b":")
-            if len(line) > _MAX_LINE or not colon or not _FIELD_NAME.fullmatch(name):
-                return None
-            name = name.lower()
-            if name in _FRAMING_FIELDS:
-                fields.setdefault(name, []).append(value.strip(b" \t\r\n").lower())
-        return None
 
     def _reply(self, status: int, body: bytes, close: bool) -> bool:
         """Send one response in one send; False when it ends the connection."""

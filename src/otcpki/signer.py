@@ -10,9 +10,10 @@ nothing left to revoke.
 from __future__ import annotations
 
 import collections
-import http.client
 import io
 import re
+import socket
+import ssl
 import struct
 import threading
 import urllib.parse
@@ -54,6 +55,7 @@ from .errors import (
     MalformedEncodingError,
     OtcError,
 )
+from .framing import FramingError, MessageReader, read_reply
 
 __all__ = [
     "SignedDocumentBundle",
@@ -78,6 +80,7 @@ _REFUSED_FLAGS = 0x61
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
 # meta.txt's created-at, as _meta_text() writes it.
 _CREATED_AT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+_PEM_TYPE = PEM_CONTENT_TYPE.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -114,37 +117,63 @@ def _pick_crl(pem: bytes, chain: CertificationChain) -> RevocationList:
     )
 
 
-# A kept-alive connection the service has since closed fails this way before
-# any byte of the response arrives; the request is then sent again once.
-_STALE_CONNECTION_ERRORS = (
-    http.client.RemoteDisconnected,
-    ConnectionResetError,
-    BrokenPipeError,
-)
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+# Bytes that may not appear in a request target (http.client refuses the same).
+_TARGET_REFUSED = re.compile(rb"[\x00-\x20\x7f]")
+
+
+class _Connection:
+    """One thread's kept-alive connection: its socket and the buffered
+    reader that gives each reply its deadline."""
+
+    def __init__(self, sock: socket.socket, timeout: float):
+        self.sock = sock
+        self.reader = MessageReader(sock, timeout)
+        self.rfile = io.BufferedReader(self.reader)
+
+    @property
+    def closed(self) -> bool:
+        return self.rfile.closed
+
+    def close(self):
+        self.rfile.close()
+        self.sock.close()
 
 
 class HttpEnrollmentClient:
     """Talks to the enrollment service over HTTP/1.1 with PEM bodies.
 
     Each calling thread keeps one persistent connection, so a client shared
-    by threads still sends their requests in parallel. Each issuing CA's
-    blank CRL is fetched once and cached: it stays the same until the chain
-    expires. The client connects directly; proxy variables are not read.
+    by threads still sends their requests in parallel. A request goes out in
+    one send with Nagle off. Its reply is read under the limits of
+    :mod:`otcpki.framing`, with a body of at most 1 MiB, within ``timeout``
+    seconds of waiting for its first byte and ``timeout`` more for the rest.
+    Each issuing CA's blank CRL is fetched once and cached: it stays the
+    same until the chain expires. The client connects directly; proxy
+    variables are not read. An ``https://`` service must present a
+    certificate for the URL's host that the default trust store
+    (``ssl.create_default_context()``) accepts.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self._base = base_url.rstrip("/")
         url = urllib.parse.urlsplit(self._base)
-        connection_classes = {"http": http.client.HTTPConnection,
-                              "https": http.client.HTTPSConnection}
         try:
-            self._connection_class = connection_classes[url.scheme]
-            self._address = (url.hostname, url.port)
-        except (KeyError, ValueError):
+            default_port = _DEFAULT_PORTS[url.scheme]
+            port = url.port
+            host = url.hostname.encode("idna") if url.hostname else b""
+            self._target = url.path.encode("ascii")
+        except (KeyError, ValueError):  # UnicodeError is a ValueError
             raise ConfigError(f"not an http:// or https:// URL: {base_url!r}") from None
-        if not url.hostname:
+        if not host:
             raise ConfigError(f"no host in enrollment URL {base_url!r}")
-        self._path = url.path
+        if _TARGET_REFUSED.search(self._target):
+            raise ConfigError(f"control character or space in enrollment URL {base_url!r}")
+        self._address = (url.hostname, default_port if port is None else port)
+        if b":" in host:
+            host = b"[%s]" % host
+        self._host = host if port is None else b"%s:%d" % (host, port)
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
         self._timeout = timeout
         self._local = threading.local()
         # A connection is dropped with its thread or with the client;
@@ -152,53 +181,81 @@ class HttpEnrollmentClient:
         self._connections = weakref.WeakSet()
         self._crls: dict = {}  # issuing CA certificate DER -> RevocationList
 
-    def _connection(self) -> http.client.HTTPConnection:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._connection_class(*self._address, timeout=self._timeout)
-            self._local.connection = connection
-            self._connections.add(connection)
+    def _connect(self) -> socket.socket:
+        sock = socket.create_connection(self._address, self._timeout)
+        try:
+            # A request is one send. With Nagle on, one over a segment would
+            # have its short last segment held until the service ACKs the
+            # others, which it may delay by ~40 ms.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    def _open(self) -> _Connection:
+        connection = self._local.connection = _Connection(self._connect(), self._timeout)
+        self._connections.add(connection)
         return connection
 
-    def _request(self, path: str, body: Optional[bytes] = None) -> bytes:
-        connection = self._connection()
-        method, target = ("GET" if body is None else "POST"), self._path + path
-        headers = {} if body is None else {"Content-Type": PEM_CONTENT_TYPE}
-        reused = connection.sock is not None
+    def _exchange(self, connection: _Connection, request: bytes):
+        """Send one request and read its final reply (see ``read_reply``)."""
+        connection.reader.next_message()
+        connection.sock.sendall(request)
+        return read_reply(connection.rfile, _MAX_MEMBER_BYTES)
+
+    def _request(self, path: bytes, body: Optional[bytes] = None) -> bytes:
+        if body is None:
+            request = b"GET %s%s HTTP/1.1\r\nHost: %s\r\n\r\n" % (self._target, path,
+                                                                     self._host)
+        else:
+            request = (b"POST %s%s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\n"
+                       b"Content-Length: %d\r\n\r\n%s"
+                       % (self._target, path, self._host, _PEM_TYPE, len(body), body))
+        connection = getattr(self._local, "connection", None)
+        reused = connection is not None and not connection.closed
         try:
+            if not reused:
+                connection = self._open()
             try:
-                connection.request(method, target, body, headers)
-                response = connection.getresponse()
-            except _STALE_CONNECTION_ERRORS:
-                if not reused:
+                status, reason, payload, keep_alive = self._exchange(connection, request)
+            except ConnectionError:
+                # A kept-alive connection the service has since closed fails
+                # so before any byte of the reply; the request is then sent
+                # again once, on a new connection.
+                if not reused or connection.reader.started:
                     raise
                 connection.close()
-                connection.request(method, target, body, headers)
-                response = connection.getresponse()
-            payload = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            connection.close()
+                connection = self._open()
+                status, reason, payload, keep_alive = self._exchange(connection, request)
+        except (OSError, FramingError) as exc:
+            if connection is not None:
+                connection.close()
             raise EnrollmentUnreachableError(f"{self._base}: {exc}") from exc
-        if response.status != 200:
+        if not keep_alive:
+            connection.close()
+        if status != 200:
             detail = payload.decode("utf-8", "replace").strip()
             code, _, message = detail.partition(":")
             raise EnrollmentRejectedError(
-                message.strip() or detail or response.reason, ca_code=code.strip()
+                message.strip() or detail or reason.decode("latin-1"), ca_code=code.strip()
             )
         return payload
 
     def enroll(self, csr: SigningRequest) -> CertificationChain:
-        return CertificationChain.from_pem(self._request("/enroll", csr.to_pem()))
+        return CertificationChain.from_pem(self._request(b"/enroll", csr.to_pem()))
 
     def fetch_crl(self, chain: CertificationChain) -> RevocationList:
         issuer_der = (chain.issuing_ca or chain.leaf).to_der()
         crl = self._crls.get(issuer_der)
         if crl is None:
-            crl = self._crls[issuer_der] = _pick_crl(self._request("/crl"), chain)
+            crl = self._crls[issuer_der] = _pick_crl(self._request(b"/crl"), chain)
         return crl
 
     def fetch_chain(self) -> CertificationChain:
-        return CertificationChain.from_pem(self._request("/chain"))
+        return CertificationChain.from_pem(self._request(b"/chain"))
 
     def close(self):
         """Close every thread's connection; a later request reconnects."""

@@ -1,10 +1,12 @@
 """CA engine: hierarchy rules, uniform expiry, one-time issuance, blank
 CRLs, retirement-by-key-destruction, pools, and disk persistence."""
 
+import itertools
 import os
 import subprocess
 import sys
 import threading
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import otcpki
 from otcpki.ca import (
+    CaIdentity,
     CaPolicy,
     CaRole,
     CaState,
@@ -259,6 +262,54 @@ class TestRetirement:
         # everything signed before retirement still verifies
         assert leaf.verify_signed_by(issuer.certificate)
         assert crl.is_signed_by(issuer.certificate)
+
+    def test_no_certificate_is_signed_after_retire_returns(self, keypair_pool, monkeypatch):
+        """Issuers racing retire() either get a certificate signed before
+        retire() returned or CaRetiredError; nothing is signed afterwards and
+        nothing else is raised. Only the signature is under the CA's lock."""
+        hierarchy = init_hierarchy("Racing Retire Root", fresh_policy())
+        issuer = hierarchy.first_issuer()
+        csrs = [make_csr(keypair_pool[i % len(keypair_pool)], payload=b"%d" % i)
+                for i in range(64)]
+        ticks = itertools.count()
+        signed_at = []
+        sign = CaIdentity._sign_child_certificate
+
+        def stamped_sign(ca, builder):
+            certificate = sign(ca, builder)
+            signed_at.append(next(ticks))
+            return certificate
+
+        monkeypatch.setattr(CaIdentity, "_sign_child_certificate", stamped_sign)
+        unexpected = []
+
+        def issue_until_retired():
+            try:
+                while True:
+                    issuer.issue_otc(csrs[len(signed_at) % len(csrs)])
+            except CaRetiredError:
+                pass
+            except Exception as exc:
+                unexpected.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=issue_until_retired, daemon=True)
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            while len(signed_at) < 20:
+                time.sleep(0.001)
+            issuer.retire()
+            retired_at = next(ticks)
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert unexpected == []
+        assert signed_at and max(signed_at) < retired_at
 
     def test_idempotent(self):
         root = create_root("Twice Retired", fresh_policy())

@@ -2,23 +2,29 @@
 keep-alive connections, pool rotation, retirement handling, and config
 parsing."""
 
+import contextlib
 import email.utils
 import http.client
+import ipaddress
 import logging
 import re
 import select
 import socket
+import ssl
 import sys
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from cryptography import x509
-from hypothesis import given, settings
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
+from cryptography.x509.oid import ExtendedKeyUsageOID, ExtensionOID, NameOID
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from otcpki.ca import init_hierarchy
@@ -26,10 +32,17 @@ from otcpki.certmodel import (
     OTC_EXTENSION_OID,
     CertificationChain,
     DistinguishedName,
+    OtcExtension,
     build_csr,
 )
 from otcpki.crypto import EphemeralKeyPair, digest_document
-from otcpki.errors import ConfigError, EnrollmentRejectedError, EnrollmentUnreachableError
+from otcpki.errors import (
+    ConfigError,
+    EnrollmentRejectedError,
+    EnrollmentUnreachableError,
+    OtcError,
+)
+from otcpki import framing
 from otcpki import service as service_module
 from otcpki.service import EnrollmentService, ServiceConfig
 from otcpki.signer import HttpEnrollmentClient, one_shot_sign
@@ -73,23 +86,25 @@ def short_timeout_stack(monkeypatch):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count HTTPConnection connects and requests; keep each connected socket."""
+    """Count HttpEnrollmentClient connects and requests sent; keep each
+    connected socket."""
     counts = {"connect": 0, "request": 0}
     sockets = []
-    connect = http.client.HTTPConnection.connect
-    request = http.client.HTTPConnection.request
+    connect = HttpEnrollmentClient._connect
+    exchange = HttpEnrollmentClient._exchange
 
     def counting_connect(self):
         counts["connect"] += 1
-        connect(self)
-        sockets.append(self.sock)
+        sock = connect(self)
+        sockets.append(sock)
+        return sock
 
-    def counting_request(self, *args, **kwargs):
+    def counting_exchange(self, *args, **kwargs):
         counts["request"] += 1
-        return request(self, *args, **kwargs)
+        return exchange(self, *args, **kwargs)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
-    monkeypatch.setattr(http.client.HTTPConnection, "request", counting_request)
+    monkeypatch.setattr(HttpEnrollmentClient, "_connect", counting_connect)
+    monkeypatch.setattr(HttpEnrollmentClient, "_exchange", counting_exchange)
     return counts, sockets
 
 
@@ -714,6 +729,377 @@ class TestHttpClientErrors:
         keypair.destroy()
         with pytest.raises(EnrollmentUnreachableError):
             client.enroll(csr)
+
+
+def bounded(call, timeout=10):
+    """``call()``'s result or the exception it raised, run on a thread that
+    fails the test if it has not finished within ``timeout`` seconds."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    return outcome[0]
+
+
+def fetch_chain_once(url, timeout):
+    """``fetch_chain`` on a new client, bounded as by :func:`bounded`; the
+    client is closed in the thread that used it, which holds its connection."""
+    client = HttpEnrollmentClient(url, timeout=timeout)
+
+    def fetch():
+        try:
+            return client.fetch_chain()
+        finally:
+            client.close()
+
+    return bounded(fetch)
+
+
+@contextlib.contextmanager
+def scripted_service(answer, wrap=None):
+    """A listener that takes one connection, reads the request, and calls
+    ``answer(connection, request)``; yields its URL. ``wrap`` turns the
+    accepted socket into a TLS one. The thread must end within 10 s."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+
+        def serve():
+            try:
+                connection, _ = listener.accept()
+                if wrap is not None:
+                    connection = wrap(connection)
+                with connection:
+                    answer(connection, connection.recv(65536))
+            except OSError:  # the client gave up, or refused the handshake
+                pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        scheme = "http" if wrap is None else "https"
+        yield f"{scheme}://127.0.0.1:{listener.getsockname()[1]}"
+        thread.join(10)
+        assert not thread.is_alive()
+
+
+def sends(data):
+    return lambda connection, request: connection.sendall(data)
+
+
+def reply_with(body, head=b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"):
+    """A reply: ``head`` (formatted with the body's length when it asks for
+    it), the blank line, then the body."""
+    if b"%d" in head:
+        head = head % len(body)
+    return head + b"\r\n" + body
+
+
+class TestHostileReplies:
+    """The client reads replies under the service's own limits, each within
+    its deadline; anything else is EnrollmentUnreachableError."""
+
+    @pytest.fixture(scope="class")
+    def chain_pem(self, shared_issuer):
+        return shared_issuer.chain_to_root().to_pem()
+
+    def test_trickled_reply_is_cut_off(self, chain_pem):
+        """http.client waited up to ``timeout`` for each byte, so a trickle
+        never ended; 65 bytes took 19.3 s."""
+        reply = reply_with(chain_pem)
+
+        def trickle(connection, request):
+            for byte in reply:
+                connection.sendall(bytes([byte]))
+                time.sleep(0.3)
+
+        with scripted_service(trickle) as url:
+            started = time.monotonic()
+            outcome = fetch_chain_once(url, timeout=1)
+            elapsed = time.monotonic() - started
+        assert isinstance(outcome, EnrollmentUnreachableError), outcome
+        assert elapsed < 2.5
+
+    @pytest.mark.parametrize("head", [b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n",
+                                      b"HTTP/1.1 200 OK\r\n"],
+                             ids=["content-length", "to-close"])
+    def test_body_over_one_mebibyte_is_refused(self, chain_pem, head):
+        """A valid chain padded to over 1 MiB; http.client read 3 MiB."""
+        with scripted_service(sends(reply_with(chain_pem + b"\n" * (2 << 20), head))) as url:
+            outcome = fetch_chain_once(url, timeout=5)
+        assert isinstance(outcome, EnrollmentUnreachableError), outcome
+
+    @pytest.mark.parametrize("make_reply", [
+        lambda pem: reply_with(b"%x\r\n%s\r\n0\r\n\r\n" % (len(pem), pem),
+                               b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"),
+        lambda pem: reply_with(pem, b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                               + b"".join(b"X-Field-%d: y\r\n" % i for i in range(100))),
+        lambda pem: reply_with(pem, b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                               + b"X-Long: " + b"a" * (framing.MAX_LINE - 9) + b"\r\n"),
+        lambda pem: reply_with(pem, b"HTTP/1.1 200 OK\r\nContent-Length: 1%da\r\n"),
+        lambda pem: reply_with(pem, b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                               b"Content-Length: %d\r\n" % (len(pem), len(pem))),
+        lambda pem: reply_with(pem[:-10], b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                               % len(pem)),
+        lambda pem: b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n" % len(pem),
+        lambda pem: reply_with(pem, b"ICY 200 OK\r\nContent-Length: %d\r\n"),
+        lambda pem: reply_with(pem, b"HTTP/1.1 2000 OK\r\nContent-Length: %d\r\n"),
+        lambda pem: b"",
+    ], ids=["chunked", "101-fields", "line-over-64KiB", "non-digit-length",
+            "repeated-length", "cut-body", "cut-head", "not-http", "four-digit-status",
+            "no-reply"])
+    def test_reply_outside_the_subset_is_unreachable(self, chain_pem, make_reply):
+        with scripted_service(sends(make_reply(chain_pem))) as url:
+            outcome = fetch_chain_once(url, timeout=5)
+        assert isinstance(outcome, EnrollmentUnreachableError), outcome
+
+    @pytest.mark.parametrize("make_reply", [
+        lambda pem: (b"HTTP/1.1 100 Continue\r\n\r\n"
+                     + reply_with(pem, b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n")),
+        lambda pem: reply_with(pem, b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                               + b"".join(b"X-Field-%d: y\r\n" % i for i in range(99))),
+        lambda pem: reply_with(pem, b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                               + b"X-Long: " + b"a" * (framing.MAX_LINE - 10) + b"\r\n"),
+        lambda pem: reply_with(pem, b"HTTP/1.0 200 OK\r\n"),
+    ], ids=["100-continue-first", "100-fields", "line-of-64KiB", "http-1.0-to-close"])
+    def test_reply_inside_the_subset_is_read(self, chain_pem, make_reply):
+        with scripted_service(sends(make_reply(chain_pem))) as url:
+            outcome = fetch_chain_once(url, timeout=5)
+        assert outcome == CertificationChain.from_pem(chain_pem)
+
+    def test_rejection_carries_the_service_code(self):
+        reply = reply_with(b"issuer-retired: no active issuer in the pool",
+                           b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: %d\r\n")
+        with scripted_service(sends(reply)) as url:
+            outcome = fetch_chain_once(url, timeout=5)
+        assert isinstance(outcome, EnrollmentRejectedError)
+        assert outcome.ca_code == "issuer-retired"
+        assert str(outcome) == "no active issuer in the pool"
+
+    def test_request_bytes(self):
+        """Line, Host, Content-Type, Content-Length and body, as one message."""
+        received = []
+
+        def record(connection, request):
+            received.append(request)
+            connection.sendall(reply_with(b"bad-request: no", b"HTTP/1.1 400 Bad Request\r\n"
+                                                              b"Content-Length: %d\r\n"))
+
+        def enroll(url):
+            client = HttpEnrollmentClient(url + "/ca", timeout=5)
+            try:
+                return client.enroll(csr)
+            finally:
+                client.close()
+
+        keypair, csr = make_csr()
+        keypair.destroy()
+        with scripted_service(record) as url:
+            outcome = bounded(lambda: enroll(url))
+        assert isinstance(outcome, EnrollmentRejectedError)
+        body = csr.to_pem()
+        assert received == [b"POST /ca/enroll HTTP/1.1\r\nHost: %s\r\n"
+                            b"Content-Type: application/x-pem-file\r\n"
+                            b"Content-Length: %d\r\n\r\n%s"
+                            % (urllib.parse.urlsplit(url).netloc.encode(), len(body), body)]
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1/", "http://", "http://h:99999",
+                                     "http://h/a b", "http://h/é"])
+    def test_unusable_url_is_config_error(self, url):
+        with pytest.raises(ConfigError):
+            HttpEnrollmentClient(url)
+
+
+def _build_reply(status_line, headers, body):
+    return status_line + b"\r\n" + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body
+
+
+http_replies = st.builds(
+    _build_reply,
+    st.sampled_from([b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 100 Continue",
+                     b"HTTP/1.1 422 Unprocessable", b"HTTP/1.1 200", b"HTTP/2 200 OK",
+                     b"HTTP/1.1 2x0 OK", b""]),
+    st.lists(st.sampled_from([
+        b"Content-Length: 0", b"Content-Length: 7", b"Content-Length: 99999999",
+        b"Content-Length: abc", b"Content-Length:", b"Transfer-Encoding: chunked",
+        b"Connection: close", b"Connection: keep-alive", b"no colon here",
+        b" folded: line",
+    ]), max_size=4),
+    st.sampled_from([b"", b"-----BEGIN CERTIFICATE-----\n", b"0\r\n\r\n"])
+    | st.binary(max_size=64),
+)
+
+
+class TestHostileReplyBytes:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.lists(http_replies, min_size=1, max_size=3).map(b"".join).flatmap(overwritten)
+           | st.binary(max_size=200))
+    def test_any_reply_returns_or_raises_otc_error(self, data):
+        with scripted_service(sends(data)) as url:
+            outcome = fetch_chain_once(url, timeout=2)
+        assert isinstance(outcome, (CertificationChain, OtcError)), repr(outcome)
+
+
+def _tls_certificate(subject, issuer_key, issuer_name, key, *, ca, host=None):
+    now = datetime.now(timezone.utc)
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, subject)])
+    builder = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(issuer_name or name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - timedelta(minutes=5))
+        .not_valid_after(now + timedelta(days=1))
+        .add_extension(x509.BasicConstraints(ca=ca, path_length=None), critical=True)
+        .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()),
+                       critical=False)
+        .add_extension(x509.AuthorityKeyIdentifier.from_issuer_public_key(
+            issuer_key.public_key()), critical=False)
+    )
+    if ca:
+        builder = builder.add_extension(x509.KeyUsage(
+            digital_signature=False, content_commitment=False, key_encipherment=False,
+            data_encipherment=False, key_agreement=False, key_cert_sign=True,
+            crl_sign=True, encipher_only=False, decipher_only=False), critical=True)
+    else:
+        builder = (builder
+                   .add_extension(x509.SubjectAlternativeName([host]), critical=False)
+                   .add_extension(x509.ExtendedKeyUsage([ExtendedKeyUsageOID.SERVER_AUTH]),
+                                  critical=False))
+    return builder.sign(issuer_key, hashes.SHA256())
+
+
+@pytest.fixture(scope="module")
+def tls_material(tmp_path_factory):
+    """Two TLS CAs, each a PEM file, and server certificate files signed by
+    the first: one for 127.0.0.1 and one for another host."""
+    directory = tmp_path_factory.mktemp("tls")
+    files = {}
+    ca_keys = {}
+    for label in ("trusted-ca", "other-ca"):
+        key = ec.generate_private_key(ec.SECP256R1())
+        certificate = _tls_certificate(f"Test TLS {label}", key, None, key, ca=True)
+        ca_keys[label] = (key, certificate)
+        files[label] = directory / f"{label}.pem"
+        files[label].write_bytes(certificate.public_bytes(serialization.Encoding.PEM))
+    ca_key, ca_certificate = ca_keys["trusted-ca"]
+    for label, host in (("right-host", x509.IPAddress(ipaddress.ip_address("127.0.0.1"))),
+                        ("wrong-host", x509.DNSName("otc.invalid"))):
+        key = ec.generate_private_key(ec.SECP256R1())
+        certificate = _tls_certificate("Test TLS server", ca_key, ca_certificate.subject, key,
+                                       ca=False, host=host)
+        files[label] = directory / f"{label}.pem"
+        files[label].write_bytes(
+            certificate.public_bytes(serialization.Encoding.PEM)
+            + key.private_bytes(serialization.Encoding.PEM,
+                                serialization.PrivateFormat.PKCS8,
+                                serialization.NoEncryption()))
+    return files
+
+
+class TestHttps:
+    """An https:// URL gets a TLS connection that checks the service's
+    certificate against the default trust store and the URL's host."""
+
+    @staticmethod
+    def _tls_wrap(certificate_file):
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(certificate_file)
+
+        def wrap(connection):
+            connection.settimeout(10)
+            return context.wrap_socket(connection, server_side=True)
+
+        return wrap
+
+    @pytest.mark.parametrize("trust,certificate,accepted", [
+        ("trusted-ca", "right-host", True),
+        ("other-ca", "right-host", False),
+        ("trusted-ca", "wrong-host", False),
+    ], ids=["trusted", "untrusted", "wrong-host"])
+    def test_certificate_is_verified(self, tls_material, shared_issuer, monkeypatch,
+                                     trust, certificate, accepted):
+        monkeypatch.setenv("SSL_CERT_FILE", str(tls_material[trust]))
+        chain = shared_issuer.chain_to_root()
+        reply = reply_with(chain.to_pem())
+        with scripted_service(sends(reply), self._tls_wrap(tls_material[certificate])) as url:
+            outcome = fetch_chain_once(url, timeout=5)
+        if accepted:
+            assert outcome == chain
+        else:
+            assert isinstance(outcome, EnrollmentUnreachableError), outcome
+
+
+@pytest.fixture(scope="module")
+def csr_keys(keypair_pool):
+    """Private keys of several types, for requests the CA has not seen."""
+    return [keypair_pool[0]._signing_key(), ec.generate_private_key(ec.SECP384R1()),
+            ec.generate_private_key(ec.SECP256K1()), ed25519.Ed25519PrivateKey.generate(),
+            rsa.generate_private_key(public_exponent=65537, key_size=1024)]
+
+
+# Attributes whose values are UTF8String, and those encoded as
+# PrintableString or IA5String, which take a narrower alphabet.
+_attributes = st.one_of(
+    st.builds(x509.NameAttribute,
+              st.sampled_from([NameOID.COMMON_NAME, NameOID.ORGANIZATION_NAME,
+                               x509.ObjectIdentifier("1.2.3.4.5")]),
+              st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)),
+    st.builds(x509.NameAttribute,
+              st.sampled_from([NameOID.SERIAL_NUMBER, NameOID.EMAIL_ADDRESS,
+                               NameOID.DOMAIN_COMPONENT]),
+              st.text("AZaz09 -.:", min_size=1, max_size=12)),
+)
+_names = st.lists(
+    st.lists(_attributes, min_size=1, max_size=2,
+             unique_by=lambda attribute: (attribute.oid, attribute.value))
+    .map(x509.RelativeDistinguishedName),
+    max_size=3).map(x509.Name)
+_VALID_BINDING = OtcExtension(digest_document(b"binding")).payload()
+_extension_values = st.one_of(
+    st.just(_VALID_BINDING).flatmap(overwritten).map(
+        lambda payload: x509.UnrecognizedExtension(OTC_EXTENSION_OID, payload)),
+    st.builds(x509.UnrecognizedExtension,
+              st.sampled_from([OTC_EXTENSION_OID, ExtensionOID.BASIC_CONSTRAINTS,
+                               ExtensionOID.KEY_USAGE, ExtensionOID.SUBJECT_ALTERNATIVE_NAME,
+                               ExtensionOID.EXTENDED_KEY_USAGE, ExtensionOID.NAME_CONSTRAINTS,
+                               x509.ObjectIdentifier("1.2.3.4.6")]),
+              st.binary(max_size=40)),
+    st.sampled_from([x509.BasicConstraints(ca=True, path_length=0),
+                     x509.SubjectAlternativeName([x509.DNSName("otc.invalid")]),
+                     x509.ExtendedKeyUsage([ExtendedKeyUsageOID.CODE_SIGNING])]),
+)
+
+
+class TestHostileCsrs:
+    @settings(max_examples=60, deadline=None)
+    @given(key_index=st.integers(0, 4), name=_names,
+           extensions=st.lists(st.tuples(_extension_values, st.booleans()), max_size=3,
+                               unique_by=lambda pair: pair[0].oid))
+    def test_pop_valid_request_gets_an_answer(self, stack, csr_keys, key_index, name,
+                                              extensions):
+        """Correctly self-signed requests with any names, extensions and key
+        types get 200, 400 or 422 and never an exception."""
+        _, service, _ = stack
+        key = csr_keys[key_index]
+        builder = x509.CertificateSigningRequestBuilder().subject_name(name)
+        for value, critical in extensions:
+            builder = builder.add_extension(value, critical=critical)
+        algorithm = None if isinstance(key, ed25519.Ed25519PrivateKey) else hashes.SHA256()
+        request = builder.sign(key, algorithm)
+        status, body = service.handle_enroll(request.public_bytes(serialization.Encoding.PEM))
+        assert status in (200, 400, 422), body
+        if status == 200:
+            leaf = CertificationChain.from_pem(body).leaf
+            assert leaf.raw.public_key() == request.public_key()
 
 
 class TestServiceConfig:
