@@ -219,9 +219,13 @@ class CaIdentity:
             raise MalformedEncodingError(f"request extensions: {exc}") from exc
         if binding is None:
             raise MissingBindingError("request carries no document binding")
+        try:
+            subject = csr.raw.subject
+        except ValueError as exc:  # an empty RDN, say, is refused only when read
+            raise MalformedEncodingError(f"request subject: {exc}") from exc
         builder = (
             x509.CertificateBuilder()
-            .subject_name(csr.raw.subject)
+            .subject_name(subject)
             .issuer_name(self.certificate.raw.subject)
             .public_key(csr.public_key)
             .serial_number(random_serial())

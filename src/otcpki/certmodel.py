@@ -146,10 +146,11 @@ class OtcExtension:
             raise MalformedEncodingError(
                 f"binding payload at offset {min(len(data), size)}: {algorithm.value} takes a"
                 f" {algorithm.digest_length}-byte digest, {size} bytes in all; got {len(data)}")
-        for offset, (found, wanted) in enumerate(zip(data, prefix)):
-            if found != wanted:
-                raise MalformedEncodingError(f"binding payload at offset {offset}:"
-                                             f" expected 0x{wanted:02x}, found 0x{found:02x}")
+        if not data.startswith(prefix):  # the scan only names the offset at fault
+            for offset, (found, wanted) in enumerate(zip(data, prefix)):
+                if found != wanted:
+                    raise MalformedEncodingError(f"binding payload at offset {offset}:"
+                                                 f" expected 0x{wanted:02x}, found 0x{found:02x}")
         return cls(DocumentDigest(algorithm, data[len(prefix):]), critical=critical)
 
     def to_x509(self) -> x509.UnrecognizedExtension:

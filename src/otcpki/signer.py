@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import io
+import os
 import re
 import socket
 import ssl
@@ -198,6 +199,9 @@ class HttpEnrollmentClient:
     def _open(self) -> _Connection:
         connection = self._local.connection = _Connection(self._connect(), self._timeout)
         self._connections.add(connection)
+        # The thread-local holds the only strong reference; when it drops
+        # the connection, its socket is closed then, not by the collector.
+        weakref.finalize(connection, connection.sock.close)
         return connection
 
     def _exchange(self, connection: _Connection, request: bytes):
@@ -321,7 +325,9 @@ class SignedDocumentBundle:
 
     def save(self, path: Union[str, Path]):
         path = Path(path)
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        # Stored, not deflated: a bundle is ~1 KB larger and loads without
+        # inflating anything.
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
             archive.writestr("meta.txt", self._meta_text())
             archive.writestr("signature.bin", self.signature)
             archive.writestr("chain.pem", self.chain.to_pem())
@@ -349,16 +355,18 @@ def _read_members(path: Path) -> dict:
     """The bytes of each bundle member in an archive, by name.
 
     The archive may be hostile. It is read into memory whole, up to
-    ``_MAX_ARCHIVE_BYTES``; zipfile parses only its central directory, and
-    each known member is read from the buffer at the offset its entry gives.
-    A member must be stored or deflated and not encrypted, its local header
-    must carry its name, and it must inflate to a complete stream of its
-    declared size and CRC-32, no further than one byte past
-    ``_MAX_MEMBER_BYTES``. An archive over its cap, a repeated member name
-    and every failed check raise :class:`MalformedEncodingError`.
+    ``_MAX_ARCHIVE_BYTES``, in one read sized by the file; zipfile parses
+    only its central directory, and each known member is read from the
+    buffer at the offset its entry gives. A member must be stored or
+    deflated and not encrypted, its local header must carry its name, and it
+    must inflate to a complete stream of its declared size and CRC-32, no
+    further than one byte past ``_MAX_MEMBER_BYTES``. An archive over its
+    cap, a repeated member name and every failed check raise
+    :class:`MalformedEncodingError`.
     """
     with open(path, "rb") as handle:  # a missing file stays an OSError
-        data = handle.read(_MAX_ARCHIVE_BYTES + 1)
+        # Sized by the file; the byte past the cap shows an archive over it.
+        data = handle.read(min(os.fstat(handle.fileno()).st_size, _MAX_ARCHIVE_BYTES) + 1)
     if len(data) > _MAX_ARCHIVE_BYTES:
         raise MalformedEncodingError(f"bundle archive exceeds {_MAX_ARCHIVE_BYTES} bytes")
     try:

@@ -46,8 +46,9 @@ DEFAULT_CLOCK_SKEW = timedelta(seconds=300)
 # The memo of passed leaf-independent checks, at most certmodel.MEMO_LIMIT
 # entries. An entry holds the DER it is keyed by, under 2 KB for a
 # three-certificate ECDSA path. Keys: ("ca-path", *DER of each certificate
-# above the leaf) for a path that passed _path_failure, ("crl", CRL DER,
-# issuing CA DER) for a CRL whose signature verified.
+# above the leaf) for a path that passed _path_failure, holding the root's
+# RFC 4514 name; ("crl", CRL DER, issuing CA DER) for a CRL whose issuer name
+# and signature matched that CA.
 _passed = BoundedMemo()
 
 
@@ -249,23 +250,24 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
         return CheckResult(name, False, f"leaf {_name(leaf)} is a CA certificate",
                            FailureCode.UNTRUSTED_CHAIN)
     path_key = ("ca-path", *(cert.to_der() for cert in path))
-    if path and path_key in _passed:
+    root_name = _passed.get(path_key) if path else None
+    if root_name is None:
+        failure = _path_failure(chain.certificates)
+        if failure is not None:
+            return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
+        root_name = _name(chain.root)
+        if path:
+            _passed.put(path_key, root_name)
+    elif not leaf.verify_signed_by(path[0]):
         # Every check of the path above the leaf passed before; only the
         # leaf's own link is new.
-        failure = None
-        if not leaf.verify_signed_by(path[0]):
-            failure = f"{_name(leaf)} is not signed by {_name(path[0])}"
-    else:
-        failure = _path_failure(chain.certificates)
-        if failure is None and path:
-            _passed.put(path_key)
-    if failure is not None:
-        return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
+        return CheckResult(name, False, f"{_name(leaf)} is not signed by {_name(path[0])}",
+                           FailureCode.UNTRUSTED_CHAIN)
     root_der = chain.root.to_der()
     if not any(anchor.to_der() == root_der for anchor in anchors):
-        return CheckResult(name, False, f"root {_name(chain.root)} is not a trust anchor",
+        return CheckResult(name, False, f"root {root_name} is not a trust anchor",
                            FailureCode.UNTRUSTED_CHAIN)
-    return CheckResult(name, True, f"chain of {len(chain)} anchored at {_name(chain.root)}")
+    return CheckResult(name, True, f"chain of {len(chain)} anchored at {root_name}")
 
 
 @_fails_undecodable("validity-window", FailureCode.EXPIRED)
@@ -318,13 +320,14 @@ def _check_crl(bundle: SignedDocumentBundle) -> CheckResult:
     if crl is None:
         return CheckResult(name, False, "bundle carries no CRL", FailureCode.BAD_CRL)
     issuing_ca = bundle.chain.issuing_ca or bundle.chain.leaf
-    if crl.raw.issuer != issuing_ca.raw.subject:
-        return CheckResult(name, False,
-                           f"CRL issued by {crl.raw.issuer.rfc4514_string()},"
-                           f" leaf issued by {_name(issuing_ca)}",
-                           FailureCode.BAD_CRL)
     crl_key = ("crl", crl.to_der(), issuing_ca.to_der())
+    # Only pairs whose names match are stored, so a hit compares none.
     if crl_key not in _passed:
+        if crl.raw.issuer != issuing_ca.raw.subject:
+            return CheckResult(name, False,
+                               f"CRL issued by {crl.raw.issuer.rfc4514_string()},"
+                               f" leaf issued by {_name(issuing_ca)}",
+                               FailureCode.BAD_CRL)
         if not crl.is_signed_by(issuing_ca):
             return CheckResult(name, False, "CRL signature does not verify under the issuing CA",
                                FailureCode.BAD_CRL)
@@ -352,7 +355,8 @@ def verify_bundle(
     semantics would conclude: the binding, uniform-expiry, and recency
     checks are skipped (the binding extension is non-critical precisely so
     such validators accept these certificates), leaving chain trust, the
-    validity window, the signature, and the blank CRL.
+    validity window, the blank CRL, and the signature, which a detached-
+    signature validator checks over the presented document.
     """
     moment = _utc(at_time if at_time is not None else datetime.now(timezone.utc))
     chain = bundle.chain
@@ -366,15 +370,14 @@ def verify_bundle(
     # does not match the binding, binding-match already fails, and the
     # signature is checked over the bundle's own digest so that it reports
     # only on itself.
-    signed = bundle.document_digest
+    signed = digest_document(document, bundle.document_digest.algorithm)
     if not legacy:
         checks.append(_check_uniform_validity(chain))
         binding = _read_binding(leaf)
         checks.append(_check_binding_presence(binding))
-        presented = digest_document(document, bundle.document_digest.algorithm)
-        checks.append(_match_binding(binding, presented))
-        if checks[-1].passed:
-            signed = presented
+        checks.append(_match_binding(binding, signed))
+        if not checks[-1].passed:
+            signed = bundle.document_digest
     checks.append(_check_signature(bundle, signed))
     if not legacy:
         checks.append(check_recency(leaf, policy, moment))

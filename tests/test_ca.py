@@ -299,14 +299,16 @@ class TestRetirement:
                        for _ in range(4)]
             for thread in threads:
                 thread.start()
-            while len(signed_at) < 20:
+            deadline = time.monotonic() + 10
+            while len(signed_at) < 20 and time.monotonic() < deadline:
                 time.sleep(0.001)
-            issuer.retire()
+            issuer.retire()  # also stops the threads when the deadline passed
             retired_at = next(ticks)
             for thread in threads:
                 thread.join(10)
         finally:
             sys.setswitchinterval(interval)
+        assert len(signed_at) >= 20, f"{len(signed_at)} of 20 signatures seen within 10 s"
         assert not any(thread.is_alive() for thread in threads)
         assert unexpected == []
         assert signed_at and max(signed_at) < retired_at

@@ -247,7 +247,7 @@ class TestSignAndVerify:
         assert rc == 1
         assert "stale" in out
 
-    def test_legacy_mode_accepts_tampering(self, cli_stack, capsys):
+    def test_legacy_mode_rejects_tampering(self, cli_stack, capsys):
         edited = cli_stack.base / "edited2.txt"
         edited.write_bytes(cli_stack.doc.read_bytes() + b"??")
         rc = main([
@@ -255,8 +255,10 @@ class TestSignAndVerify:
             "--bundle", str(cli_stack.bundle),
             "--trust", str(cli_stack.trust), "--max-age", "24h", "--legacy",
         ])
-        assert rc == 0
-        assert capsys.readouterr().out.startswith("verdict: accepted")
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.startswith("verdict: rejected")
+        assert "signature: FAIL [bad-signature]" in out
 
     def test_bad_duration_is_usage_error(self, cli_stack, capsys):
         rc = main([

@@ -4,6 +4,7 @@ parsing."""
 
 import contextlib
 import email.utils
+import gc
 import http.client
 import ipaddress
 import logging
@@ -17,6 +18,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -33,7 +35,9 @@ from otcpki.certmodel import (
     CertificationChain,
     DistinguishedName,
     OtcExtension,
+    SigningRequest,
     build_csr,
+    decode,
 )
 from otcpki.crypto import EphemeralKeyPair, digest_document
 from otcpki.errors import (
@@ -49,6 +53,7 @@ from otcpki.signer import HttpEnrollmentClient, one_shot_sign
 from otcpki.verifier import RecencyPolicy, verify_bundle
 
 from conftest import PADDED_OID_PAYLOAD, csr_with_extension, fresh_policy, overwritten
+from dersurgery import parse_tree, serialize_tree
 
 POLICY = RecencyPolicy(max_age=timedelta(minutes=10))
 
@@ -624,6 +629,24 @@ class TestKeepAlive:
         assert not server.is_alive()
         assert counts == {"connect": 2, "request": 3}
 
+    def test_connection_closed_when_its_thread_ends(self, single_issuer_url, monkeypatch):
+        """Each thread's connection is closed as the thread ends. The
+        collector used to close them, warning once for each socket."""
+        client = HttpEnrollmentClient(single_issuer_url)
+        chains, unraisable = [], []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            threads = [threading.Thread(target=lambda: chains.append(client.fetch_chain()))
+                       for _ in range(32)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            gc.collect()
+        assert len(chains) == 32
+        assert [hook.exc_value for hook in unraisable] == []
+
 
 class TestReadEndpoints:
     def test_crl_blank_and_byte_stable(self, stack):
@@ -1100,6 +1123,32 @@ class TestHostileCsrs:
         if status == 200:
             leaf = CertificationChain.from_pem(body).leaf
             assert leaf.raw.public_key() == request.public_key()
+
+
+    def test_empty_rdn_in_subject_is_malformed(self, stack):
+        """cryptography's Name refuses an empty RDN, so the strategies above
+        cannot draw one; it is spliced into a valid request, which is then
+        signed again. issue_otc used to raise a bare ValueError reading the
+        subject, and the service closed the connection with no reply."""
+        hierarchy, service, url = stack
+        keypair = EphemeralKeyPair.generate()
+        csr = build_csr(keypair, DistinguishedName.from_common_name("Empty RDN"),
+                        digest_document(b"empty rdn"))
+        (_, (info, algorithm, _)), _ = parse_tree(csr.to_der())
+        _, subject_rdns = info[1][1]
+        subject_rdns.append((0x31, []))
+        body = serialize_tree(info)
+        signature = keypair._signing_key().sign(body, ec.ECDSA(hashes.SHA256()))
+        keypair.destroy()
+        forged = decode(serialize_tree((0x30, [info, algorithm, (0x03, b"\x00" + signature)])),
+                        SigningRequest)
+        status, reply = service.handle_enroll(forged.to_pem())
+        assert (status, reply.split(b":")[0]) == (422, b"malformed-encoding"), reply
+        client = HttpEnrollmentClient(url)
+        with pytest.raises(EnrollmentRejectedError) as excinfo:
+            client.enroll(forged)
+        client.close()
+        assert excinfo.value.ca_code == "malformed-encoding"
 
 
 class TestServiceConfig:

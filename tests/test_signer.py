@@ -208,6 +208,15 @@ class TestKeepKey:
         keypair.destroy()
 
 
+def save_deflated(bundle: SignedDocumentBundle, path):
+    """Write the bundle as save() wrote it before members were stored."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("meta.txt", bundle._meta_text())
+        archive.writestr("signature.bin", bundle.signature)
+        archive.writestr("chain.pem", bundle.chain.to_pem())
+        archive.writestr("crl.pem", bundle.crl.to_pem())
+
+
 def zip_members(members: dict) -> bytes:
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
@@ -228,8 +237,10 @@ def archive_variants(shared_issuer, tmp_path_factory):
         parts = {name: archive.read(name) for name in archive.namelist()}
     stored = st.fixed_dictionaries(
         {}, optional={name: overwritten(data) for name, data in parts.items()})
+    save_deflated(bundle, path)
     return st.one_of(
-        overwritten(saved),  # the deflated archive as saved
+        overwritten(saved),  # the stored archive as saved
+        overwritten(path.read_bytes()),  # the same bundle deflated, as written before
         st.integers(0, len(saved)).map(lambda size: saved[:size]),
         stored.map(zip_members),  # stored members, some missing or edited
         st.binary(max_size=300),
@@ -342,6 +353,51 @@ class TestBundleArchive:
             assert isinstance(SignedDocumentBundle.load(path), SignedDocumentBundle)
         except MalformedEncodingError:
             pass
+
+    def test_members_are_stored(self, client, tmp_path):
+        path = tmp_path / "stored.otcb"
+        one_shot_sign(DOC, "Stored", client).save(path)
+        with zipfile.ZipFile(path) as archive:
+            assert {entry.compress_type for entry in archive.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_deflated_archive_still_loads(self, client, trust_anchors, tmp_path):
+        bundle = one_shot_sign(DOC, "Deflated", client)
+        stored, deflated = tmp_path / "stored.otcb", tmp_path / "deflated.otcb"
+        bundle.save(stored)
+        save_deflated(bundle, deflated)
+        assert deflated.stat().st_size < stored.stat().st_size
+        loaded = SignedDocumentBundle.load(deflated)
+        assert loaded == SignedDocumentBundle.load(stored)
+        at = bundle.chain.leaf.not_before
+        assert (verify_bundle(loaded, DOC, trust_anchors, POLICY, at).to_text()
+                == verify_bundle(bundle, DOC, trust_anchors, POLICY, at).to_text())
+
+    def test_load_reads_at_most_the_file_size_and_one_byte(self, client, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "sized.otcb"
+        one_shot_sign(DOC, "Sized", client).save(path)
+        asked = []
+
+        class SpiedHandle(io.FileIO):
+            def read(self, size=-1):
+                asked.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(signer, "open", SpiedHandle, raising=False)
+        SignedDocumentBundle.load(path)
+        assert asked and all(0 <= size <= path.stat().st_size + 1 for size in asked)
+
+    def test_file_over_the_cap(self, tmp_path):
+        path = tmp_path / "huge.otcb"
+        with open(path, "wb") as handle:
+            handle.truncate(signer._MAX_ARCHIVE_BYTES + 4096)  # sparse: nothing written
+        with pytest.raises(MalformedEncodingError, match="archive exceeds"):
+            SignedDocumentBundle.load(path)
+
+    def test_endless_file(self):
+        """/dev/zero has size 0 and never ends: one byte of it is read."""
+        with pytest.raises(MalformedEncodingError, match="not a bundle archive"):
+            SignedDocumentBundle.load("/dev/zero")
 
     def test_locator_is_not_persisted(self, client, tmp_path):
         bundle = one_shot_sign(DOC, "Located", client, document_locator="s3://x/y")

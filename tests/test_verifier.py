@@ -363,14 +363,15 @@ class TestLegacyMode:
         names = {check.name for check in report.checks}
         assert names == {"chain-trust", "validity-window", "signature", "crl"}
 
-    def test_legacy_is_blind_to_tampering(self, bundle, trust_anchors):
-        """The compatibility trade-off: a validator that ignores the
-        binding accepts a replayed bundle over a different document."""
+    def test_legacy_rejects_tampering(self, bundle, trust_anchors):
+        """A validator that ignores the binding still checks the detached
+        signature over the document it is given, as CMS validators do, so
+        a replayed bundle over a different document fails its signature."""
         full = verify_bundle(bundle, b"other document", trust_anchors, POLICY)
         legacy = verify_bundle(bundle, b"other document", trust_anchors, POLICY,
                                legacy=True)
         assert not full.accepted
-        assert legacy.accepted
+        assert legacy.failure_codes == (FailureCode.BAD_SIGNATURE.value,)
 
     def test_legacy_still_enforces_trust(self, bundle):
         stranger = init_hierarchy("Legacy Stranger", fresh_policy()).root
@@ -475,6 +476,22 @@ class TestMemo:
         cold = verify_bundle(mutated, DOC, anchors, POLICY, at)
         assert not warm.accepted
         assert warm.to_text() == cold.to_text()
+
+    def test_foreign_crl_after_the_honest_pair_is_remembered(self, shared_hierarchy,
+                                                               shared_issuer, bundle,
+                                                               trust_anchors):
+        """A remembered CRL skips the issuer-name comparison, which only a
+        pair with matching names could have passed."""
+        verifier._passed.clear()
+        assert verify_bundle(bundle, DOC, trust_anchors, POLICY).accepted
+        assert ("crl", bundle.crl.to_der(), shared_issuer.certificate.to_der()) in verifier._passed
+        root = shared_hierarchy.root
+        report = verify_bundle(with_crl(bundle, root.issue_blank_crl()), DOC, trust_anchors,
+                               POLICY)
+        assert report.failure_codes == (FailureCode.BAD_CRL.value,)
+        assert report.checks[-1].detail == (
+            f"CRL issued by {root.certificate.raw.subject.rfc4514_string()},"
+            f" leaf issued by {shared_issuer.certificate.raw.subject.rfc4514_string()}")
 
     def test_reports_match_cold_and_warm(self, shared_hierarchy, shared_issuer, bundle,
                                          trust_anchors):
