@@ -97,20 +97,8 @@ _REFERENCE_ECDSA = (
 
 
 def _reference_rows(family: str, rows) -> list:
-    records = []
-    for bits, keygen, sign in rows:
-        kg = Decimal(keygen)
-        sg = Decimal(sign)
-        records.append(
-            BenchRecord(
-                label=f"{family}-{bits}",
-                keygen_seconds=float(kg),
-                sign_seconds=float(sg),
-                total_seconds=float(kg + sg),
-                overhead_pct=overhead_percent(float(kg), float(sg)),
-            )
-        )
-    return records
+    return [BenchRecord.from_times(f"{family}-{bits}", float(keygen), float(sign))
+            for bits, keygen, sign in rows]
 
 
 def reference_timings() -> "tuple[list, list]":

@@ -93,12 +93,17 @@ class CaState(enum.Enum):
     RETIRED = "retired"
 
 
+def _utc(moment: datetime) -> datetime:
+    """Normalize to tz-aware UTC; a naive moment is taken to be UTC."""
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    return moment.astimezone(timezone.utc)
+
+
 def _utc_second(moment: datetime) -> datetime:
     """Normalize to tz-aware UTC at whole-second precision, which is all
     that certificate validity fields can carry anyway."""
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return moment.astimezone(timezone.utc).replace(microsecond=0)
+    return _utc(moment).replace(microsecond=0)
 
 
 def _now() -> datetime:
@@ -115,15 +120,14 @@ class CaPolicy:
 
     chain_not_after: datetime
     suite: AlgorithmSuite = DEFAULT_SUITE
-    require_binding: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "chain_not_after", _utc_second(self.chain_not_after))
         if self.suite.label not in SUITES:
             raise UnsupportedSuiteError(f"unsupported suite: {self.suite!r}")
 
-    def check_usable(self, at: Optional[datetime] = None):
-        if self.chain_not_after <= (at or _now()):
+    def check_usable(self):
+        if self.chain_not_after <= _now():
             raise InvalidPolicyError(
                 f"chain expiry {self.chain_not_after.isoformat()} is not in the future"
             )
@@ -189,8 +193,7 @@ class CaIdentity:
             raise CaRetiredError(f"{self.name} is retired", code=code)
 
     def _sign_child_certificate(self, builder: x509.CertificateBuilder) -> Certificate:
-        key = self._keypair._signing_key()
-        return Certificate(builder.sign(key, self.suite.digest.hash_primitive()))
+        return Certificate(self._keypair.sign_builder(builder))
 
     # -- operations ---------------------------------------------------------
 
@@ -253,8 +256,7 @@ class CaIdentity:
                 .last_update(max(_now(), self.certificate.not_before))
                 .next_update(self.certificate.not_after)
             )
-            key = self._keypair._signing_key()
-            return RevocationList(builder.sign(key, self.suite.digest.hash_primitive()))
+            return RevocationList(self._keypair.sign_builder(builder))
 
     def retire(self) -> str:
         """Destroy the private key. Idempotent. Previously issued
@@ -322,10 +324,7 @@ def create_root(name: Union[str, DistinguishedName], policy: CaPolicy) -> CaIden
         policy.chain_not_after,
         CaRole.ROOT,
     )
-    certificate = Certificate(
-        builder.sign(keypair._signing_key(), policy.suite.digest.hash_primitive())
-    )
-    return CaIdentity(certificate, keypair, CaRole.ROOT, policy)
+    return CaIdentity(Certificate(keypair.sign_builder(builder)), keypair, CaRole.ROOT, policy)
 
 
 def create_subordinate(
@@ -444,12 +443,7 @@ def save_ca(ca: CaIdentity, directory: Union[str, Path], passphrase: bytes):
     directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    key = ca._keypair._signing_key()
-    key_pem = key.private_bytes(
-        serialization.Encoding.PEM,
-        serialization.PrivateFormat.PKCS8,
-        serialization.BestAvailableEncryption(passphrase),
-    )
+    key_pem = ca._keypair.export_private_pem(passphrase)
     (directory / "cert.pem").write_bytes(ca.certificate.to_pem())
     key_path = directory / "key.pem"
     key_path.write_bytes(key_pem)
@@ -490,7 +484,8 @@ def _role_of(certificate: Certificate) -> CaRole:
 
 def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
     """Load a CA saved by :func:`save_ca`; role and suite are recovered
-    from the certificate itself."""
+    from the certificate itself. A key that is not the certificate's raises
+    :class:`InvalidPolicyError`."""
     directory = Path(directory)
     certificate = decode((directory / "cert.pem").read_bytes(), Certificate)
     try:
@@ -501,9 +496,12 @@ def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
         raise InvalidPolicyError(f"cannot unlock CA key: {exc}") from exc
     suite = _suite_of(certificate)
     role = _role_of(certificate)
+    keypair = EphemeralKeyPair(suite, key)
+    if keypair.public_der() != certificate.public_der():
+        raise InvalidPolicyError(f"{directory / 'key.pem'} is not the key of"
+                                 f" {directory / 'cert.pem'}")
     chain = CertificationChain.from_pem((directory / "chain.pem").read_bytes())
     if chain.leaf != certificate:
         raise RoleViolationError("chain.pem does not start with this CA's certificate")
     policy = CaPolicy(chain_not_after=certificate.not_after, suite=suite)
-    return CaIdentity(certificate, EphemeralKeyPair(suite, key), role, policy,
-                      lineage=chain.certificates[1:])
+    return CaIdentity(certificate, keypair, role, policy, lineage=chain.certificates[1:])

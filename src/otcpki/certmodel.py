@@ -231,17 +231,36 @@ def _claims_unused_bits(der: bytes, signature: bytes) -> bool:
     return der[-len(signature) - 1] != 0
 
 
-class SigningRequest:
-    """A certification request binding a public key, a subject, and (for
-    the one-time flow) a document digest, self-signed as proof of
-    possession."""
+class _Wrapper:
+    """A parsed X.509 object. Two wrappers of one kind are equal when their
+    DER is."""
 
-    def __init__(self, raw: x509.CertificateSigningRequest):
+    def __init__(self, raw):
         self._raw = raw
+        self._der: Optional[bytes] = None
 
     @property
-    def raw(self) -> x509.CertificateSigningRequest:
+    def raw(self):
         return self._raw
+
+    def to_der(self) -> bytes:
+        if self._der is None:
+            self._der = self._raw.public_bytes(serialization.Encoding.DER)
+        return self._der
+
+    def to_pem(self) -> bytes:
+        return self._raw.public_bytes(serialization.Encoding.PEM)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.to_der() == other.to_der()
+
+    def __hash__(self) -> int:
+        return hash(self.to_der())
+
+
+class _Subject(_Wrapper):
+    """A CSR or a certificate: a subject, its public key, and the document
+    binding if there is one."""
 
     @property
     def subject(self) -> DistinguishedName:
@@ -251,9 +270,20 @@ class SigningRequest:
     def public_key(self) -> PublicKey:
         return self._raw.public_key()
 
+    def public_der(self) -> bytes:
+        """The public key as DER SubjectPublicKeyInfo."""
+        return self.public_key.public_bytes(serialization.Encoding.DER,
+                                            serialization.PublicFormat.SubjectPublicKeyInfo)
+
     @property
     def binding(self) -> Optional[OtcExtension]:
         return _extract_binding(self._raw.extensions)
+
+
+class SigningRequest(_Subject):
+    """A certification request binding a public key, a subject, and (for
+    the one-time flow) a document digest, self-signed as proof of
+    possession."""
 
     @property
     def is_signature_valid(self) -> bool:
@@ -262,37 +292,17 @@ class SigningRequest:
         except Exception:
             return False
 
-    def to_der(self) -> bytes:
-        return self._raw.public_bytes(serialization.Encoding.DER)
 
-    def to_pem(self) -> bytes:
-        return self._raw.public_bytes(serialization.Encoding.PEM)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SigningRequest) and self._raw == other._raw
-
-    def __hash__(self) -> int:
-        return hash(self.to_der())
+# What a certificate without a BasicConstraints extension asserts.
+_NOT_A_CA = x509.BasicConstraints(ca=False, path_length=None)
 
 
-class Certificate:
+class Certificate(_Subject):
     """A parsed certificate with the fields this PKI cares about."""
-
-    def __init__(self, raw: x509.Certificate):
-        self._raw = raw
-        self._der: Optional[bytes] = None
-
-    @property
-    def raw(self) -> x509.Certificate:
-        return self._raw
 
     @property
     def serial(self) -> int:
         return self._raw.serial_number
-
-    @property
-    def subject(self) -> DistinguishedName:
-        return DistinguishedName.from_x509(self._raw.subject)
 
     @property
     def issuer(self) -> DistinguishedName:
@@ -307,28 +317,19 @@ class Certificate:
         return self._raw.not_valid_after_utc
 
     @property
-    def public_key(self) -> PublicKey:
-        return self._raw.public_key()
-
-    @property
-    def binding(self) -> Optional[OtcExtension]:
-        return _extract_binding(self._raw.extensions)
+    def _basic_constraints(self) -> x509.BasicConstraints:
+        try:
+            return self._raw.extensions.get_extension_for_class(x509.BasicConstraints).value
+        except x509.ExtensionNotFound:
+            return _NOT_A_CA
 
     @property
     def is_ca(self) -> bool:
-        try:
-            bc = self._raw.extensions.get_extension_for_class(x509.BasicConstraints)
-        except x509.ExtensionNotFound:
-            return False
-        return bc.value.ca
+        return self._basic_constraints.ca
 
     @property
     def path_length(self) -> Optional[int]:
-        try:
-            bc = self._raw.extensions.get_extension_for_class(x509.BasicConstraints)
-        except x509.ExtensionNotFound:
-            return None
-        return bc.value.path_length
+        return self._basic_constraints.path_length
 
     @property
     def may_sign_certificates(self) -> bool:
@@ -360,43 +361,17 @@ class Certificate:
         except Exception:
             return False
 
-    def to_der(self) -> bytes:
-        if self._der is None:
-            self._der = self._raw.public_bytes(serialization.Encoding.DER)
-        return self._der
-
-    def to_pem(self) -> bytes:
-        return self._raw.public_bytes(serialization.Encoding.PEM)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Certificate) and self._raw == other._raw
-
-    def __hash__(self) -> int:
-        return hash(self.to_der())
-
     def __repr__(self) -> str:
         return f"<Certificate {self.subject} serial={self.serial:x}>"
 
 
-class RevocationList:
+class RevocationList(_Wrapper):
     """A parsed CRL. This PKI only ever publishes blank ones; non-blank
     input still parses so a verifier can inspect and reject it."""
-
-    def __init__(self, raw: x509.CertificateRevocationList):
-        self._raw = raw
-        self._der: Optional[bytes] = None
-
-    @property
-    def raw(self) -> x509.CertificateRevocationList:
-        return self._raw
 
     @property
     def issuer(self) -> DistinguishedName:
         return DistinguishedName.from_x509(self._raw.issuer)
-
-    @property
-    def this_update(self) -> datetime:
-        return self._raw.last_update_utc
 
     @property
     def next_update(self) -> Optional[datetime]:
@@ -417,20 +392,6 @@ class RevocationList:
             return self._raw.is_signature_valid(issuer.public_key)
         except Exception:
             return False
-
-    def to_der(self) -> bytes:
-        if self._der is None:
-            self._der = self._raw.public_bytes(serialization.Encoding.DER)
-        return self._der
-
-    def to_pem(self) -> bytes:
-        return self._raw.public_bytes(serialization.Encoding.PEM)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RevocationList) and self.to_der() == other.to_der()
-
-    def __hash__(self) -> int:
-        return hash(self.to_der())
 
 
 @dataclass(frozen=True)
@@ -522,22 +483,20 @@ def build_csr(
     keypair: EphemeralKeyPair,
     subject: DistinguishedName,
     digest: DocumentDigest,
-    *,
-    critical: bool = False,
 ) -> SigningRequest:
-    """Build a self-signed request carrying the document binding.
+    """Build a self-signed request carrying the document binding as a
+    non-critical extension.
 
     The self-signature is the proof of possession: it can only exist if the
-    requester holds the private key at request time.
+    requester holds the private key at request time. A destroyed key raises
+    :class:`KeyDestroyedError`.
     """
-    binding = OtcExtension(digest, critical=critical)
     builder = (
         x509.CertificateSigningRequestBuilder()
         .subject_name(subject.to_x509())
-        .add_extension(binding.to_x509(), critical=critical)
+        .add_extension(OtcExtension(digest).to_x509(), critical=False)
     )
-    key = keypair._signing_key()  # raises KeyDestroyedError when destroyed
-    return SigningRequest(builder.sign(key, keypair.suite.digest.hash_primitive()))
+    return SigningRequest(keypair.sign_builder(builder))
 
 
 def verify_csr_pop(csr: SigningRequest) -> bool:

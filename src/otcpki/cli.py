@@ -41,14 +41,13 @@ def parse_timestamp(text: str) -> datetime:
     cleaned = text.strip()
     if cleaned.endswith("Z"):
         cleaned = cleaned[:-1] + "+00:00"
+    from .ca import _utc
+
     try:
-        moment = datetime.fromisoformat(cleaned)
+        return _utc(datetime.fromisoformat(cleaned))
     except ValueError:
         raise ValueError(f"bad timestamp {text!r} (use ISO-8601, e.g."
                          " 2030-01-01T00:00:00Z)") from None
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return moment.astimezone(timezone.utc)
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -73,16 +72,13 @@ def cmd_pki_init(args: argparse.Namespace) -> int:
             not_after = datetime.now(timezone.utc) + parse_duration(args.lifetime)
         passphrase = passphrase_from_env()
         policy = CaPolicy(chain_not_after=not_after, suite=suite)
-        policy.check_usable()
-        if args.intermediates < 1 or args.issuers_per_intermediate < 1:
-            raise ValueError("need at least one intermediate and one issuer")
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         hierarchy = init_hierarchy(
             args.root_name, policy,
             intermediates=args.intermediates,
             issuers_per_intermediate=args.issuers_per_intermediate,
         )
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         rows = [(hierarchy.root, out / "root")]
         for i, intermediate in enumerate(hierarchy.intermediates, 1):
             int_dir = out / f"int-{i:02d}"
@@ -124,7 +120,6 @@ def cmd_sign(args: argparse.Namespace) -> int:
                 result = one_shot_sign(
                     document, args.subject, client,
                     suite=suite, keep_key=args.keep_key,
-                    document_locator=str(doc_path),
                 )
         finally:
             client.close()
@@ -132,20 +127,22 @@ def cmd_sign(args: argparse.Namespace) -> int:
         return _fail(f"enrollment failed: {exc}", code=1)
     except (OtcError, ValueError, OSError) as exc:
         return _fail(str(exc))
-    if args.keep_key:
-        bundle, keypair = result
-        key_path = Path(str(args.out) + ".key.pem")
-        key_path.write_bytes(keypair.export_private_pem(passphrase))
-        key_path.chmod(0o600)
+    bundle, keypair = result if args.keep_key else (result, None)
+    key_path = Path(str(args.out) + ".key.pem")
+    try:
+        bundle.save(args.out)  # first, so that no key is kept without its bundle
+        if keypair is not None:
+            key_path.write_bytes(keypair.export_private_pem(passphrase))
+            key_path.chmod(0o600)
+    except OSError as exc:
+        return _fail(str(exc))
+    if keypair is not None:
         print(
             f"warning: private key kept at {key_path}; every extra signature it"
             " makes needs a fresh certificate, and the key should be destroyed"
             " as soon as you no longer need it",
             file=sys.stderr,
         )
-    else:
-        bundle = result
-    bundle.save(args.out)
     print(f"signed {doc_path} as {bundle.subject}: bundle written to {args.out}")
     return 0
 

@@ -176,7 +176,6 @@ class EphemeralKeyPair:
         self._suite = suite
         self._private_key: PrivateKey | None = private_key
         self._public_key: PublicKey = private_key.public_key()
-        self._state = KeyState.LIVE
 
     @classmethod
     def generate(cls, suite: AlgorithmSuite = DEFAULT_SUITE) -> "EphemeralKeyPair":
@@ -199,11 +198,11 @@ class EphemeralKeyPair:
 
     @property
     def state(self) -> KeyState:
-        return self._state
+        return KeyState.LIVE if self.is_live else KeyState.DESTROYED
 
     @property
     def is_live(self) -> bool:
-        return self._state is KeyState.LIVE
+        return self._private_key is not None
 
     @property
     def public_key(self) -> PublicKey:
@@ -231,14 +230,16 @@ class EphemeralKeyPair:
                 f" got a {digest.algorithm.value} digest"
             )
         key = self._signing_key()
-        prehashed = utils.Prehashed(digest.algorithm.hash_primitive())
-        if self._suite.signature.is_rsa:
-            return key.sign(digest.value, padding.PKCS1v15(), prehashed)
-        return key.sign(digest.value, ec.ECDSA(prehashed))
+        return key.sign(digest.value, *_scheme(key, digest.algorithm))
+
+    def sign_builder(self, builder):
+        """Sign an X.509 certificate, CSR or CRL builder with the suite's
+        hash. Raises :class:`KeyDestroyedError` if the key is destroyed."""
+        return builder.sign(self._signing_key(), self._suite.digest.hash_primitive())
 
     def export_private_pem(self, passphrase: bytes) -> bytes:
-        """Serialize the private key, encrypted. Only meaningful for the
-        keep-key workflow; the one-shot path never calls this."""
+        """Serialize the private key, encrypted, for a kept key or a CA's
+        key on disk; the one-shot path never calls this."""
         if not passphrase:
             raise ValueError("a non-empty passphrase is required")
         return self._signing_key().private_bytes(
@@ -249,20 +250,20 @@ class EphemeralKeyPair:
 
     def destroy(self) -> str:
         """Destroy the private key. Idempotent; reports which case ran."""
-        if self._state is KeyState.DESTROYED:
+        if self._private_key is None:
             return "already-destroyed"
         self._private_key = None
-        self._state = KeyState.DESTROYED
         return "destroyed"
 
 
-def _as_public_key(public_key: Union[PublicKey, bytes]) -> PublicKey:
-    if isinstance(public_key, (bytes, bytearray)):
-        loaded = serialization.load_der_public_key(bytes(public_key))
-        if not isinstance(loaded, (rsa.RSAPublicKey, ec.EllipticCurvePublicKey)):
-            raise UnsupportedSuiteError(f"unsupported key type: {type(loaded).__name__}")
-        return loaded
-    return public_key
+def _scheme(key: Union[PrivateKey, PublicKey], algorithm: DigestAlgorithm) -> tuple:
+    """The arguments after the data that ``sign`` and ``verify`` take to
+    sign or check a digest of ``algorithm`` under ``key``, in prehashed
+    mode."""
+    prehashed = utils.Prehashed(algorithm.hash_primitive())
+    if isinstance(key, (rsa.RSAPrivateKey, rsa.RSAPublicKey)):
+        return padding.PKCS1v15(), prehashed
+    return (ec.ECDSA(prehashed),)
 
 
 def verify_signature(
@@ -273,15 +274,13 @@ def verify_signature(
     """Check a signature over a digest. Returns False for every failure
     cause; diagnostic detail goes to debug logging only."""
     try:
-        key = _as_public_key(public_key)
-        prehashed = utils.Prehashed(digest.algorithm.hash_primitive())
-        if isinstance(key, rsa.RSAPublicKey):
-            key.verify(signature, digest.value, padding.PKCS1v15(), prehashed)
-        elif isinstance(key, ec.EllipticCurvePublicKey):
-            key.verify(signature, digest.value, ec.ECDSA(prehashed))
-        else:
+        key = public_key
+        if isinstance(key, (bytes, bytearray)):
+            key = serialization.load_der_public_key(bytes(key))
+        if not isinstance(key, (rsa.RSAPublicKey, ec.EllipticCurvePublicKey)):
             LOGGER.debug("verify: unsupported key type %s", type(key).__name__)
             return False
+        key.verify(signature, digest.value, *_scheme(key, digest.algorithm))
     except InvalidSignature:
         LOGGER.debug("verify: signature mismatch")
         return False

@@ -4,8 +4,9 @@ client speak, read under the same limits at both ends.
 A start line and each header line are at most ``MAX_LINE`` bytes, CRLF
 included, and a header holds at most ``MAX_FIELDS`` fields, each a ``name:
 value`` line (obs-fold is refused). A body is framed by one
-``Content-Length`` of 1*DIGIT; ``Transfer-Encoding`` is never decoded. Bytes
-come through a :class:`MessageReader`, which gives each message a deadline.
+``Content-Length`` of 1*DIGIT and is at most ``MAX_BODY`` bytes;
+``Transfer-Encoding`` is never decoded. Bytes come through a
+:class:`MessageReader`, which gives each message a deadline.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Tuple
 __all__ = [
     "MAX_LINE",
     "MAX_FIELDS",
+    "MAX_BODY",
     "VERSIONS",
     "FramingError",
     "MessageReader",
@@ -31,6 +33,8 @@ __all__ = [
 # included, and at most 100 header fields.
 MAX_LINE = 65536
 MAX_FIELDS = 100
+# The largest body either end reads: a CSR in, a chain or the pool's CRLs out.
+MAX_BODY = 1 << 20
 # RFC 9110 §5.1: a field name is a token. A line with leading whitespace
 # (obs-fold) or none of ":" has no such name.
 _FIELD_NAME = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
@@ -117,12 +121,12 @@ def keeps_alive(version: bytes, fields: dict) -> bool:
     return b"close" not in options and (version == b"HTTP/1.1" or b"keep-alive" in options)
 
 
-def read_reply(rfile, max_body: int) -> Tuple[int, bytes, bytes, bool]:
+def read_reply(rfile) -> Tuple[int, bytes, bytes, bool]:
     """Read one final reply: its status, reason phrase, body, and whether
     the connection carries another request. Interim 1xx replies are
     skipped. A body without ``Content-Length`` runs to the end of the
     connection. A reply outside the subset, or with a body over
-    ``max_body`` bytes, raises :class:`FramingError`; a connection closed
+    ``MAX_BODY`` bytes, raises :class:`FramingError`; a connection closed
     before the first byte raises :class:`ConnectionResetError`."""
     while True:
         line = rfile.readline(MAX_LINE + 1)
@@ -145,14 +149,14 @@ def read_reply(rfile, max_body: int) -> Tuple[int, bytes, bytes, bool]:
         if length is None:
             raise FramingError("a body framed by Transfer-Encoding or an invalid"
                                " Content-Length")
-        if length > max_body:
-            raise FramingError(f"a body of {length} bytes, over {max_body}")
+        if length > MAX_BODY:
+            raise FramingError(f"a body of {length} bytes, over {MAX_BODY}")
         body = rfile.read(length)
         if len(body) < length:
             raise FramingError(f"a body cut at {len(body)} of {length} bytes")
     else:
-        body = rfile.read(max_body + 1)
-        if len(body) > max_body:
-            raise FramingError(f"a body over {max_body} bytes")
+        body = rfile.read(MAX_BODY + 1)
+        if len(body) > MAX_BODY:
+            raise FramingError(f"a body over {MAX_BODY} bytes")
         keep_alive = False
     return int(code), reason, body, keep_alive

@@ -52,6 +52,7 @@ from .errors import (
     OtcError,
 )
 from .framing import (
+    MAX_BODY,
     MAX_LINE,
     VERSIONS,
     MessageReader,
@@ -68,7 +69,6 @@ __all__ = [
 
 LOGGER = logging.getLogger(__name__)
 
-_MAX_REQUEST_BYTES = 1 << 20
 # An idle keep-alive connection frees its handler thread after this long
 # without a byte, and a request must be read whole this long after its first
 # byte, however slowly it trickles in. Handler threads are daemons that
@@ -189,7 +189,7 @@ class _Handler(socketserver.BaseRequestHandler):
             # cannot carry another request.
             if self._target != b"/enroll":
                 return self._reply(404, b"not-found: unknown endpoint", close=True)
-            if length is None or not 0 < length <= _MAX_REQUEST_BYTES:
+            if length is None or not 0 < length <= MAX_BODY:
                 return self._reply(400, b"malformed-encoding: missing, invalid or oversized"
                                         b" Content-Length", close=True)
             if version == b"HTTP/1.1" and fields.get(b"expect") == [b"100-continue"]:

@@ -26,11 +26,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import BinaryIO, Optional, Protocol, Tuple, Union
 
-from cryptography.hazmat.primitives import serialization
-
 from .ca import CaIdentity, _utc_second
 from .certmodel import (
     PEM_CONTENT_TYPE,
+    BoundedMemo,
     CertificationChain,
     DistinguishedName,
     RevocationList,
@@ -68,8 +67,7 @@ __all__ = [
 ]
 
 _ARCHIVE_MEMBERS = ("meta.txt", "signature.bin", "chain.pem", "crl.pem")
-# Largest bundle member load() reads, in bytes; the service caps a request
-# body the same.
+# Largest bundle member load() reads, in bytes.
 _MAX_MEMBER_BYTES = 1 << 20
 # Largest archive load() reads: the four members at the cap, and one cap more
 # for headers, other members and deflate's overhead on incompressible data.
@@ -149,11 +147,11 @@ class HttpEnrollmentClient:
     one send with Nagle off. Its reply is read under the limits of
     :mod:`otcpki.framing`, with a body of at most 1 MiB, within ``timeout``
     seconds of waiting for its first byte and ``timeout`` more for the rest.
-    Each issuing CA's blank CRL is fetched once and cached: it stays the
-    same until the chain expires. The client connects directly; proxy
-    variables are not read. An ``https://`` service must present a
-    certificate for the URL's host that the default trust store
-    (``ssl.create_default_context()``) accepts.
+    Each issuing CA's blank CRL is fetched once and cached, for at most
+    ``certmodel.MEMO_LIMIT`` CAs: it stays the same until the chain expires.
+    The client connects directly; proxy variables are not read. An
+    ``https://`` service must present a certificate for the URL's host that
+    the default trust store (``ssl.create_default_context()``) accepts.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
@@ -180,7 +178,7 @@ class HttpEnrollmentClient:
         # A connection is dropped with its thread or with the client;
         # close() closes those still open.
         self._connections = weakref.WeakSet()
-        self._crls: dict = {}  # issuing CA certificate DER -> RevocationList
+        self._crls = BoundedMemo()  # issuing CA certificate DER -> RevocationList
 
     def _connect(self) -> socket.socket:
         sock = socket.create_connection(self._address, self._timeout)
@@ -208,7 +206,7 @@ class HttpEnrollmentClient:
         """Send one request and read its final reply (see ``read_reply``)."""
         connection.reader.next_message()
         connection.sock.sendall(request)
-        return read_reply(connection.rfile, _MAX_MEMBER_BYTES)
+        return read_reply(connection.rfile)
 
     def _request(self, path: bytes, body: Optional[bytes] = None) -> bytes:
         if body is None:
@@ -255,7 +253,8 @@ class HttpEnrollmentClient:
         issuer_der = (chain.issuing_ca or chain.leaf).to_der()
         crl = self._crls.get(issuer_der)
         if crl is None:
-            crl = self._crls[issuer_der] = _pick_crl(self._request(b"/crl"), chain)
+            crl = _pick_crl(self._request(b"/crl"), chain)
+            self._crls.put(issuer_der, crl)
         return crl
 
     def fetch_chain(self) -> CertificationChain:
@@ -306,7 +305,6 @@ class SignedDocumentBundle:
     chain: CertificationChain
     crl: Optional[RevocationList]
     created_at: datetime
-    document_locator: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "created_at", _utc_second(self.created_at))
@@ -468,15 +466,11 @@ def _enroll_and_sign(
     digest: DocumentDigest,
     subject: DistinguishedName,
     enrollment: EnrollmentClient,
-    document_locator: Optional[str],
 ) -> SignedDocumentBundle:
     csr = build_csr(keypair, subject, digest)
     chain = enrollment.enroll(csr)
     leaf = chain.leaf
-    leaf_spki = leaf.public_key.public_bytes(
-        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
-    )
-    if leaf_spki != keypair.public_der():
+    if leaf.public_der() != keypair.public_der():
         raise EnrollmentRejectedError(
             "issued certificate names a different key", ca_code="leaf-mismatch"
         )
@@ -494,7 +488,6 @@ def _enroll_and_sign(
         chain=chain,
         crl=crl,
         created_at=datetime.now(timezone.utc),
-        document_locator=document_locator,
     )
 
 
@@ -505,7 +498,6 @@ def one_shot_sign(
     *,
     suite: AlgorithmSuite = DEFAULT_SUITE,
     keep_key: bool = False,
-    document_locator: Optional[str] = None,
 ) -> Union[SignedDocumentBundle, Tuple[SignedDocumentBundle, EphemeralKeyPair]]:
     """Sign one document under a certificate that exists only for it.
 
@@ -522,7 +514,7 @@ def one_shot_sign(
     digest = digest_document(document, suite.digest)
     keypair = EphemeralKeyPair.generate(suite)
     try:
-        bundle = _enroll_and_sign(keypair, digest, subject, enrollment, document_locator)
+        bundle = _enroll_and_sign(keypair, digest, subject, enrollment)
     except BaseException:
         keypair.destroy()
         raise
@@ -537,8 +529,6 @@ def resign_with_existing_key(
     document: Union[bytes, BinaryIO],
     subject: Union[str, DistinguishedName],
     enrollment: EnrollmentClient,
-    *,
-    document_locator: Optional[str] = None,
 ) -> SignedDocumentBundle:
     """Enroll a kept key for another document, yielding a fresh certificate
     bound to the new digest.
@@ -550,4 +540,4 @@ def resign_with_existing_key(
         raise KeyDestroyedError("cannot re-enroll a destroyed key")
     subject = _as_subject(subject)
     digest = digest_document(document, keypair.suite.digest)
-    return _enroll_and_sign(keypair, digest, subject, enrollment, document_locator)
+    return _enroll_and_sign(keypair, digest, subject, enrollment)

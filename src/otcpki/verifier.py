@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import BinaryIO, Iterable, Optional, Tuple, Union
 
+from .ca import _utc
 from .certmodel import BoundedMemo, Certificate, CertificationChain, OtcExtension
 from .crypto import digest_document, verify_signature
 from .signer import SignedDocumentBundle
@@ -125,12 +126,6 @@ class VerificationReport:
             suffix = f" ({check.detail})" if check.detail else ""
             lines.append(f"  {check.name}: {status}{suffix}")
         return "\n".join(lines)
-
-
-def _utc(moment: datetime) -> datetime:
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return moment.astimezone(timezone.utc)
 
 
 # ---------------------------------------------------------------------------

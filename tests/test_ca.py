@@ -373,6 +373,16 @@ class TestPersistence:
         with pytest.raises(InvalidPolicyError):
             load_ca(tmp_path, b"wrong")
 
+    def test_key_of_another_ca_refused(self, tmp_path, passphrase):
+        """A CA loaded with another CA's key would sign what no chain
+        through its own certificate verifies."""
+        for name in ("Our Root", "Their Root"):
+            save_ca(create_root(name, fresh_policy()), tmp_path / name, passphrase)
+        (tmp_path / "Our Root" / "key.pem").write_bytes(
+            (tmp_path / "Their Root" / "key.pem").read_bytes())
+        with pytest.raises(InvalidPolicyError, match="is not the key of"):
+            load_ca(tmp_path / "Our Root", passphrase)
+
     def test_key_file_is_encrypted_and_private(self, tmp_path, passphrase):
         root = create_root("Enc Root", fresh_policy())
         save_ca(root, tmp_path, passphrase)

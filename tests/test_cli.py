@@ -279,6 +279,27 @@ class TestSignAndVerify:
         assert rc == 2
         assert KEY_PASSPHRASE_ENV in capsys.readouterr().err
 
+    def test_sign_to_unwritable_out_is_usage_error(self, cli_stack, capsys):
+        rc = main([
+            "sign", "--doc", str(cli_stack.doc), "--subject", "X",
+            "--enroll", cli_stack.url,
+            "--out", str(cli_stack.base / "no-such-dir" / "x.otcb"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_kept_key_not_written_without_its_bundle(self, cli_stack, monkeypatch, capsys):
+        monkeypatch.setenv(KEY_PASSPHRASE_ENV, "kept-key-pass")
+        out = cli_stack.base / "a-directory.otcb"
+        out.mkdir()
+        rc = main([
+            "sign", "--doc", str(cli_stack.doc), "--subject", "Keeper",
+            "--enroll", cli_stack.url, "--keep-key", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (cli_stack.base / "a-directory.otcb.key.pem").exists()
+
     def test_keep_key_writes_encrypted_key(self, cli_stack, monkeypatch, capsys):
         monkeypatch.setenv(KEY_PASSPHRASE_ENV, "kept-key-pass")
         out = cli_stack.base / "kept.otcb"

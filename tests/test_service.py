@@ -6,6 +6,7 @@ import contextlib
 import email.utils
 import gc
 import http.client
+import io
 import ipaddress
 import logging
 import re
@@ -46,7 +47,7 @@ from otcpki.errors import (
     EnrollmentUnreachableError,
     OtcError,
 )
-from otcpki import framing
+from otcpki import certmodel, framing
 from otcpki import service as service_module
 from otcpki.service import EnrollmentService, ServiceConfig
 from otcpki.signer import HttpEnrollmentClient, one_shot_sign
@@ -126,10 +127,18 @@ def raw_exchange(url, data):
 
 
 def fetch(url, path, body=None):
+    """The status and body of a 2xx reply. Any other reply raises
+    ``HTTPError`` holding its body, with the reply's connection closed."""
     request = urllib.request.Request(url + path, data=body,
                                      method="POST" if body else "GET")
-    with urllib.request.urlopen(request, timeout=5) as response:
-        return response.status, response.read()
+    try:
+        with urllib.request.urlopen(request, timeout=5) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            body = exc.read()
+        raise urllib.error.HTTPError(exc.url, exc.code, exc.msg, exc.headers,
+                                     io.BytesIO(body)) from None
 
 
 def make_csr(name="Web Client", payload=b"remote doc"):
@@ -628,6 +637,28 @@ class TestKeepAlive:
             server.join(5)
         assert not server.is_alive()
         assert counts == {"connect": 2, "request": 3}
+
+    def test_crl_cache_holds_at_most_memo_limit_issuers(self, monkeypatch, counted):
+        """A service that names one issuing CA more than the cache holds
+        drops the oldest CRL; the client fetches it again when asked."""
+        counts, _ = counted
+        monkeypatch.setattr(certmodel, "MEMO_LIMIT", 2)
+        hierarchy = init_hierarchy("CRL Cache Root", fresh_policy(),
+                                   issuers_per_intermediate=3)
+        service = EnrollmentService(hierarchy.issuers[0])
+        client = HttpEnrollmentClient(service.start())
+        try:
+            chains = [client.enroll(make_csr(f"Cached {i}")[1]) for i in range(3)]
+            assert len({chain.issuing_ca for chain in chains}) == 3
+            for chain in chains:
+                client.fetch_crl(chain)
+            assert len(client._crls) == 2
+            assert client.fetch_crl(chains[2]).issuer == chains[2].issuing_ca.subject
+            assert client.fetch_crl(chains[0]).issuer == chains[0].issuing_ca.subject
+        finally:
+            client.close()
+            service.stop()
+        assert counts["request"] == 3 + 3 + 1  # /enroll x3, /crl x3, chains[0]'s again
 
     def test_connection_closed_when_its_thread_ends(self, single_issuer_url, monkeypatch):
         """Each thread's connection is closed as the thread ends. The

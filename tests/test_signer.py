@@ -399,13 +399,6 @@ class TestBundleArchive:
         with pytest.raises(MalformedEncodingError, match="not a bundle archive"):
             SignedDocumentBundle.load("/dev/zero")
 
-    def test_locator_is_not_persisted(self, client, tmp_path):
-        bundle = one_shot_sign(DOC, "Located", client, document_locator="s3://x/y")
-        assert bundle.document_locator == "s3://x/y"
-        path = tmp_path / "loc.otcb"
-        bundle.save(path)
-        assert SignedDocumentBundle.load(path).document_locator is None
-
 
 def deflated(data: bytes, *, ended: bool = True) -> bytes:
     """A raw deflate stream of ``data``; with ``ended=False`` every byte of

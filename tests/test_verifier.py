@@ -2,6 +2,8 @@
 behavior of the recency window, legacy mode, and soundness fuzzing."""
 
 import dataclasses
+import shutil
+import subprocess
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -302,6 +304,61 @@ class TestSignatureBitString:
                                     RevocationList)
         report = verify_bundle(with_crl(bundle, crl), DOC, trust_anchors, POLICY)
         assert report.failure_codes == (FailureCode.BAD_CRL.value,)
+
+
+OPENSSL = shutil.which("openssl")
+
+
+def unused_bit_leaf_bundle(client):
+    """A bundle whose leaf's signature BIT STRING claims an unused bit."""
+    def make():
+        signed = one_shot_sign(DOC, "Unused Bit Leaf", client)
+        return signed, signed.chain.leaf
+
+    signed, leaf = unused_bit_variant(make, Certificate)
+    return swap_leaf(signed, leaf)
+
+
+@pytest.mark.skipif(OPENSSL is None, reason="openssl CLI not installed")
+class TestAgainstOpensslVerify:
+    """Differential check of chain-trust against ``openssl verify -CAfile
+    root -untrusted CAs leaf``: wherever OpenSSL rejects a chain,
+    chain-trust rejects it too. ``-x509_strict`` cannot be the reference,
+    since it rejects every chain this PKI issues for lacking Authority and
+    Subject Key Identifiers. OpenSSL accepts a leaf that is a CA;
+    chain-trust does not."""
+
+    CASES = {
+        "honest": lambda h, client, bundle: bundle,
+        "leaf-is-a-ca": lambda h, client, bundle: ca_leaf_bundle(h.first_issuer(), bundle),
+        "issuer-without-keycertsign": lambda h, client, bundle: reissued_path_bundle(
+            h, bundle, 1, path_length=0, key_cert_sign=False),
+        "intermediate-pathlen-0": lambda h, client, bundle: reissued_path_bundle(
+            h, bundle, 2, path_length=0),
+        "broken-leaf-signature": lambda h, client, bundle: swap_leaf(
+            bundle, break_certificate_signature(bundle.chain.leaf)),
+        "signature-claims-unused-bits": lambda h, client, bundle: unused_bit_leaf_bundle(client),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_chain_trust_rejects_what_openssl_rejects(self, case, shared_hierarchy, client,
+                                                      bundle, trust_anchors, tmp_path):
+        chain = self.CASES[case](shared_hierarchy, client, bundle).chain
+        files = {"root": chain.certificates[-1:], "untrusted": chain.certificates[1:-1],
+                 "leaf": chain.certificates[:1]}
+        for name, certificates in files.items():
+            (tmp_path / name).write_bytes(b"".join(cert.to_pem() for cert in certificates))
+        openssl = subprocess.run(
+            [OPENSSL, "verify", "-CAfile", str(tmp_path / "root"),
+             "-untrusted", str(tmp_path / "untrusted"), str(tmp_path / "leaf")],
+            capture_output=True, text=True, timeout=30)
+        openssl_accepts = openssl.returncode == 0
+        chain_trust = verify_bundle(with_chain(bundle, chain), DOC, trust_anchors,
+                                    POLICY).checks[0]
+        assert chain_trust.name == "chain-trust"
+        if case == "honest":
+            assert openssl_accepts and chain_trust.passed, openssl.stdout + openssl.stderr
+        assert openssl_accepts or not chain_trust.passed, openssl.stdout + openssl.stderr
 
 
 class TestRecencyBoundary:
