@@ -31,7 +31,6 @@ _EXPORTS = {
     "SigningRequest": "certmodel",
     "build_csr": "certmodel",
     "decode": "certmodel",
-    "encode": "certmodel",
     # ca
     "CaIdentity": "ca",
     "CaPolicy": "ca",

@@ -35,8 +35,6 @@ __all__ = [
     "to_csv",
 ]
 
-_TOLERANCE = 1e-9
-
 
 def overhead_percent(keygen_seconds: float, sign_seconds: float) -> int:
     """Key-generation time as a whole percentage of signing time, rounded
@@ -56,26 +54,14 @@ class BenchRecord:
     label: str
     keygen_seconds: float
     sign_seconds: float
-    total_seconds: float
-    overhead_pct: int
 
-    def __post_init__(self):
-        if abs(self.total_seconds - (self.keygen_seconds + self.sign_seconds)) > _TOLERANCE:
-            raise ValueError(
-                f"{self.label}: total {self.total_seconds} is not keygen + sign"
-            )
-        if self.overhead_pct != overhead_percent(self.keygen_seconds, self.sign_seconds):
-            raise ValueError(f"{self.label}: overhead percentage is inconsistent")
+    @property
+    def total_seconds(self) -> float:
+        return self.keygen_seconds + self.sign_seconds
 
-    @classmethod
-    def from_times(cls, label: str, keygen_seconds: float, sign_seconds: float) -> "BenchRecord":
-        return cls(
-            label=label,
-            keygen_seconds=keygen_seconds,
-            sign_seconds=sign_seconds,
-            total_seconds=keygen_seconds + sign_seconds,
-            overhead_pct=overhead_percent(keygen_seconds, sign_seconds),
-        )
+    @property
+    def overhead_pct(self) -> int:
+        return overhead_percent(self.keygen_seconds, self.sign_seconds)
 
 
 # Published keygen/sign timings (seconds) by key size; totals and overhead
@@ -97,7 +83,7 @@ _REFERENCE_ECDSA = (
 
 
 def _reference_rows(family: str, rows) -> list:
-    return [BenchRecord.from_times(f"{family}-{bits}", float(keygen), float(sign))
+    return [BenchRecord(f"{family}-{bits}", float(keygen), float(sign))
             for bits, keygen, sign in rows]
 
 
@@ -144,7 +130,7 @@ def run_local_bench(
             sign_times.append(time.perf_counter() - begin)
             keypair.destroy()
         records.append(
-            BenchRecord.from_times(
+            BenchRecord(
                 suite.label,
                 statistics.median(keygen_times),
                 statistics.median(sign_times),

@@ -438,6 +438,16 @@ def passphrase_from_env() -> bytes:
     return value.encode()
 
 
+def _write_key_file(path: Union[str, Path], key_pem: bytes) -> None:
+    """Write an encrypted private key to a file that only its owner can
+    read, from before its first byte. The mode ``os.open`` takes applies only
+    to a file it creates, so an existing file gets it from ``fchmod``."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "wb") as stream:
+        os.fchmod(fd, 0o600)
+        stream.write(key_pem)
+
+
 def save_ca(ca: CaIdentity, directory: Union[str, Path], passphrase: bytes):
     """Write a CA's certificate, encrypted key, chain and blank CRL to its
     directory."""
@@ -445,9 +455,7 @@ def save_ca(ca: CaIdentity, directory: Union[str, Path], passphrase: bytes):
     directory.mkdir(parents=True, exist_ok=True)
     key_pem = ca._keypair.export_private_pem(passphrase)
     (directory / "cert.pem").write_bytes(ca.certificate.to_pem())
-    key_path = directory / "key.pem"
-    key_path.write_bytes(key_pem)
-    key_path.chmod(0o600)
+    _write_key_file(directory / "key.pem", key_pem)
     (directory / "chain.pem").write_bytes(ca.chain_to_root().to_pem())
     (directory / "crl.pem").write_bytes(ca.issue_blank_crl().to_pem())
 
@@ -485,7 +493,8 @@ def _role_of(certificate: Certificate) -> CaRole:
 def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
     """Load a CA saved by :func:`save_ca`; role and suite are recovered
     from the certificate itself. A key that is not the certificate's raises
-    :class:`InvalidPolicyError`."""
+    :class:`InvalidPolicyError`, and a ``chain.pem`` whose links do not
+    verify up to a self-signed root :class:`RoleViolationError`."""
     directory = Path(directory)
     certificate = decode((directory / "cert.pem").read_bytes(), Certificate)
     try:
@@ -503,5 +512,7 @@ def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
     chain = CertificationChain.from_pem((directory / "chain.pem").read_bytes())
     if chain.leaf != certificate:
         raise RoleViolationError("chain.pem does not start with this CA's certificate")
+    if not chain.links_verify():
+        raise RoleViolationError("chain.pem does not chain to a self-signed root")
     policy = CaPolicy(chain_not_after=certificate.not_after, suite=suite)
     return CaIdentity(certificate, keypair, role, policy, lineage=chain.certificates[1:])

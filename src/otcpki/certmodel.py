@@ -19,12 +19,11 @@ ignore it while aware verifiers enforce it.
 
 from __future__ import annotations
 
-import enum
 import re
 import threading
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Optional, Type, TypeVar, Union
+from typing import Optional, Type, TypeVar
 
 from cryptography import x509
 from cryptography.hazmat.primitives import serialization
@@ -49,11 +48,9 @@ __all__ = [
     "Certificate",
     "RevocationList",
     "CertificationChain",
-    "EncodingFormat",
     "PEM_CONTENT_TYPE",
     "build_csr",
     "verify_csr_pop",
-    "encode",
     "decode",
     "load_certificates",
 ]
@@ -509,11 +506,6 @@ def verify_csr_pop(csr: SigningRequest) -> bool:
 # Codec
 # ---------------------------------------------------------------------------
 
-class EncodingFormat(enum.Enum):
-    DER = "der"
-    PEM = "pem"
-
-
 # Media type of every PEM body the enrollment service and its clients exchange.
 PEM_CONTENT_TYPE = "application/x-pem-file"
 
@@ -537,11 +529,6 @@ def decode_crl(data: bytes) -> RevocationList:
         crl = decode(data, RevocationList)
         _decoded.put(key, crl)
     return crl
-
-
-def encode(obj: Union[SigningRequest, Certificate, RevocationList],
-           fmt: EncodingFormat = EncodingFormat.PEM) -> bytes:
-    return obj.to_pem() if fmt is EncodingFormat.PEM else obj.to_der()
 
 
 def decode(data: bytes, kind: Type[_T]) -> _T:

@@ -101,6 +101,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
         EnrollmentUnreachableError,
         OtcError,
     )
+    from .ca import _write_key_file
     from .crypto import AlgorithmSuite
     from .signer import HttpEnrollmentClient, one_shot_sign
 
@@ -132,8 +133,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
     try:
         bundle.save(args.out)  # first, so that no key is kept without its bundle
         if keypair is not None:
-            key_path.write_bytes(keypair.export_private_pem(passphrase))
-            key_path.chmod(0o600)
+            _write_key_file(key_path, keypair.export_private_pem(passphrase))
     except OSError as exc:
         return _fail(str(exc))
     if keypair is not None:

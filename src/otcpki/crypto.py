@@ -73,10 +73,6 @@ class SignatureAlgorithm(enum.Enum):
     ECDSA_P256 = "ecdsa-p256"
     ECDSA_P384 = "ecdsa-p384"
 
-    @property
-    def is_rsa(self) -> bool:
-        return self in (SignatureAlgorithm.RSA_2048, SignatureAlgorithm.RSA_3072)
-
 
 @dataclass(frozen=True)
 class AlgorithmSuite:
@@ -266,21 +262,14 @@ def _scheme(key: Union[PrivateKey, PublicKey], algorithm: DigestAlgorithm) -> tu
     return (ec.ECDSA(prehashed),)
 
 
-def verify_signature(
-    public_key: Union[PublicKey, bytes],
-    digest: DocumentDigest,
-    signature: bytes,
-) -> bool:
+def verify_signature(public_key: PublicKey, digest: DocumentDigest, signature: bytes) -> bool:
     """Check a signature over a digest. Returns False for every failure
     cause; diagnostic detail goes to debug logging only."""
+    if not isinstance(public_key, (rsa.RSAPublicKey, ec.EllipticCurvePublicKey)):
+        LOGGER.debug("verify: unsupported key type %s", type(public_key).__name__)
+        return False
     try:
-        key = public_key
-        if isinstance(key, (bytes, bytearray)):
-            key = serialization.load_der_public_key(bytes(key))
-        if not isinstance(key, (rsa.RSAPublicKey, ec.EllipticCurvePublicKey)):
-            LOGGER.debug("verify: unsupported key type %s", type(key).__name__)
-            return False
-        key.verify(signature, digest.value, *_scheme(key, digest.algorithm))
+        public_key.verify(signature, digest.value, *_scheme(public_key, digest.algorithm))
     except InvalidSignature:
         LOGGER.debug("verify: signature mismatch")
         return False

@@ -341,7 +341,6 @@ class EnrollmentService:
         self._crl_pem = b"".join(ca.issue_blank_crl().to_pem() for ca in self._issuers)
         # Each member's chain, issuer to root, follows the leaf in /enroll.
         self._chain_pems = {ca: ca.chain_to_root().to_pem() for ca in self._issuers}
-        self._chain_pem = self._chain_pems[self._issuers[0]]
         self._server: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
         self._serving = False  # a serve_forever loop runs or is about to
@@ -387,7 +386,7 @@ class EnrollmentService:
         return 200, self._crl_pem
 
     def handle_chain(self) -> Tuple[int, bytes]:
-        return 200, self._chain_pem
+        return 200, self._chain_pems[self._issuers[0]]
 
     # -- HTTP plumbing -------------------------------------------------------
 

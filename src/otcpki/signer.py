@@ -35,7 +35,6 @@ from .certmodel import (
     RevocationList,
     SigningRequest,
     build_csr,
-    decode,
     decode_crl,
 )
 from .crypto import (
@@ -94,22 +93,20 @@ class EnrollmentClient(Protocol):
     def fetch_crl(self, chain: CertificationChain) -> RevocationList: ...
 
 
+# A CRL block as RevocationList.to_pem() writes it.
+_CRL_BLOCK = re.compile(rb"-----BEGIN X509 CRL-----\n[A-Za-z0-9+/=\n]*-----END X509 CRL-----\n")
+
+
 def _pick_crl(pem: bytes, chain: CertificationChain) -> RevocationList:
     """From one or more PEM CRL blocks, pick the one published by the CA
     that issued the chain's leaf."""
-    blocks = []
-    current: list = []
-    for line in pem.splitlines(keepends=True):
-        current.append(line)
-        if line.strip() == b"-----END X509 CRL-----":
-            blocks.append(b"".join(current))
-            current = []
+    blocks = _CRL_BLOCK.findall(pem)
     if not blocks:
         raise MalformedEncodingError("no CRL blocks in response")
     issuing_ca = chain.issuing_ca or chain.leaf
     for block in blocks:
-        crl = decode(block, RevocationList)
-        if crl.issuer == issuing_ca.subject:
+        crl = decode_crl(block)
+        if crl.raw.issuer == issuing_ca.raw.subject:
             return crl
     raise EnrollmentRejectedError(
         f"no CRL published for issuer {issuing_ca.subject}", ca_code="no-matching-crl"

@@ -26,8 +26,16 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import BinaryIO, Iterable, Optional, Tuple, Union
 
+from cryptography.x509.oid import ExtensionOID
+
 from .ca import _utc
-from .certmodel import BoundedMemo, Certificate, CertificationChain, OtcExtension
+from .certmodel import (
+    OTC_EXTENSION_OID,
+    BoundedMemo,
+    Certificate,
+    CertificationChain,
+    OtcExtension,
+)
 from .crypto import digest_document, verify_signature
 from .signer import SignedDocumentBundle
 
@@ -103,9 +111,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    verdict: Verdict
     checks: Tuple[CheckResult, ...]
     at_time: datetime
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.ACCEPTED if all(check.passed for check in self.checks) else Verdict.REJECTED
 
     @property
     def accepted(self) -> bool:
@@ -209,14 +220,38 @@ def _fails_undecodable(name: str, code: FailureCode):
     return decorate
 
 
+# The extensions chain-trust processes. A certificate with any other critical
+# extension must be refused (RFC 5280 §6.1.4 (o) and §6.1.5 (f)).
+_PROCESSED_EXTENSIONS = frozenset(
+    (ExtensionOID.BASIC_CONSTRAINTS, ExtensionOID.KEY_USAGE, OTC_EXTENSION_OID))
+
+
+def _extension_failure(certificate: Certificate) -> Optional[str]:
+    """Why chain-trust refuses the certificate's extensions, or None: a
+    critical extension it does not process, or name constraints on a CA
+    (RFC 5280 §4.2.1.10), critical or not. This PKI never issues name
+    constraints, so it refuses them rather than process them."""
+    for extension in certificate.raw.extensions:
+        if extension.oid == ExtensionOID.NAME_CONSTRAINTS and certificate.is_ca:
+            return f"{_name(certificate)} carries nameConstraints"
+        if extension.critical and extension.oid not in _PROCESSED_EXTENSIONS:
+            return (f"{_name(certificate)} carries the critical extension"
+                    f" {extension.oid.dotted_string}, which is not processed")
+    return None
+
+
 def _path_failure(certificates: tuple) -> Optional[str]:
     """Why the links from the leaf up to a self-signed root fail RFC 5280
-    §6.1, or None. Each issuer must be a CA, assert keyCertSign if it has a
-    keyUsage extension, have no more CA certificates below it than its
-    pathLenConstraint allows, and sign the certificate below it."""
+    §6.1, or None. Each issuer must be a CA, pass ``_extension_failure``,
+    assert keyCertSign if it has a keyUsage extension, have no more CA
+    certificates below it than its pathLenConstraint allows, and sign the
+    certificate below it."""
     for depth, (child, parent) in enumerate(zip(certificates, certificates[1:])):
         if not parent.is_ca:
             return f"{_name(parent)} is not a CA certificate"
+        failure = _extension_failure(parent)
+        if failure is not None:
+            return failure
         if not parent.may_sign_certificates:
             return f"{_name(parent)} keyUsage does not assert keyCertSign"
         # depth CA certificates sit between the leaf and parent; only those
@@ -244,6 +279,9 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
     if leaf.is_ca:
         return CheckResult(name, False, f"leaf {_name(leaf)} is a CA certificate",
                            FailureCode.UNTRUSTED_CHAIN)
+    failure = _extension_failure(leaf)
+    if failure is not None:
+        return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
     path_key = ("ca-path", *(cert.to_der() for cert in path))
     root_name = _passed.get(path_key) if path else None
     if root_name is None:
@@ -377,6 +415,4 @@ def verify_bundle(
     if not legacy:
         checks.append(check_recency(leaf, policy, moment))
     checks.append(_check_crl(bundle))
-
-    verdict = Verdict.ACCEPTED if all(c.passed for c in checks) else Verdict.REJECTED
-    return VerificationReport(verdict=verdict, checks=tuple(checks), at_time=moment)
+    return VerificationReport(checks=tuple(checks), at_time=moment)

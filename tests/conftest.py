@@ -5,6 +5,10 @@ is shared by everything that only reads from it; tests that retire CAs or
 otherwise mutate state build their own.
 """
 
+import contextlib
+import os
+import stat
+import sys
 import threading
 from datetime import datetime, timedelta, timezone
 
@@ -41,6 +45,32 @@ def csr_with_extension(keypair, extension) -> SigningRequest:
         .sign(keypair._signing_key(), hashes.SHA256())
     )
     return SigningRequest(raw)
+
+
+@contextlib.contextmanager
+def modes_at_write(path, umask=0o022):
+    """Under ``umask``, record the mode of the file at ``path`` each time
+    this thread starts a write to it through a file object."""
+    modes = []
+
+    def profile(frame, event, arg):
+        stream = getattr(arg, "__self__", None)
+        if event != "c_call" or getattr(arg, "__name__", "") != "write" or stream is None:
+            return
+        try:
+            written = os.fstat(stream.fileno())
+            if os.path.samestat(written, os.stat(path)):
+                modes.append(stat.S_IMODE(written.st_mode))
+        except (AttributeError, OSError, ValueError):
+            pass  # not a file, or not the file at path
+
+    previous_umask, previous_profile = os.umask(umask), sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield modes
+    finally:
+        sys.setprofile(previous_profile)
+        os.umask(previous_umask)
 
 
 @st.composite

@@ -7,7 +7,7 @@ so proof of possession still holds.
 """
 
 from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import ec, padding
+from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
 
 from otcpki.certmodel import SigningRequest, decode
 
@@ -79,7 +79,7 @@ def forge_duplicate_binding_csr(csr: SigningRequest, keypair) -> SigningRequest:
     assert _duplicate_binding_node(info), "binding extension not found"
     new_info = serialize_tree(info)
     key = keypair._signing_key()
-    if keypair.suite.signature.is_rsa:
+    if isinstance(key, rsa.RSAPrivateKey):
         signature = key.sign(new_info, padding.PKCS1v15(), hashes.SHA256())
     else:
         signature = key.sign(new_info, ec.ECDSA(hashes.SHA256()))

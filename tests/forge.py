@@ -85,6 +85,28 @@ def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign
     return Certificate(builder.sign(key, parent.suite.digest.hash_primitive()))
 
 
+def with_extension(certificate: Certificate, signer: CaIdentity, extension, *, critical: bool
+                   ) -> Certificate:
+    """``certificate`` with one more extension, re-signed by ``signer``, its
+    issuer. Name and key are unchanged, so what it signed still verifies
+    under the new certificate."""
+    original = certificate.raw
+    builder = (
+        x509.CertificateBuilder()
+        .subject_name(original.subject)
+        .issuer_name(original.issuer)
+        .public_key(original.public_key())
+        .serial_number(random_serial())
+        .not_valid_before(original.not_valid_before_utc)
+        .not_valid_after(original.not_valid_after_utc)
+    )
+    for present in original.extensions:
+        builder = builder.add_extension(present.value, critical=present.critical)
+    builder = builder.add_extension(extension, critical=critical)
+    key = signer._keypair._signing_key()
+    return Certificate(builder.sign(key, signer.suite.digest.hash_primitive()))
+
+
 def forge_nonblank_crl(issuer: CaIdentity, serial: int) -> RevocationList:
     """A CRL with one revoked entry, properly signed by the issuer."""
     revoked = (

@@ -45,7 +45,13 @@ from otcpki.errors import (
     RoleViolationError,
 )
 
-from conftest import PADDED_OID_PAYLOAD, csr_with_extension, fresh_policy, utcnow
+from conftest import (
+    PADDED_OID_PAYLOAD,
+    csr_with_extension,
+    fresh_policy,
+    modes_at_write,
+    utcnow,
+)
 from dersurgery import forge_duplicate_binding_csr
 
 
@@ -389,6 +395,26 @@ class TestPersistence:
         key_pem = (tmp_path / "key.pem").read_bytes()
         assert b"ENCRYPTED PRIVATE KEY" in key_pem
         assert (tmp_path / "key.pem").stat().st_mode & 0o077 == 0
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
+    def test_key_file_is_private_when_written(self, tmp_path, passphrase, existing):
+        root = create_root("Umask Root", fresh_policy())
+        key_path = tmp_path / "key.pem"
+        if existing:
+            key_path.write_bytes(b"an earlier save")
+            key_path.chmod(0o644)
+        with modes_at_write(key_path) as modes:
+            save_ca(root, tmp_path, passphrase)
+        assert modes and set(modes) == {0o600}
+
+    def test_chain_from_another_hierarchy_refused(self, tmp_path, passphrase):
+        ours, theirs = (init_hierarchy(name, fresh_policy()) for name in ("A Root", "B Root"))
+        save_ca(ours.first_issuer(), tmp_path, passphrase)
+        foreign_tail = theirs.first_issuer().chain_to_root().certificates[1:]
+        (tmp_path / "chain.pem").write_bytes(
+            CertificationChain((ours.first_issuer().certificate, *foreign_tail)).to_pem())
+        with pytest.raises(RoleViolationError, match="does not chain to a self-signed root"):
+            load_ca(tmp_path, passphrase)
 
     def test_serials_distinct_across_save_and_reload(self, tmp_path, passphrase,
                                                      keypair_pool):

@@ -29,11 +29,9 @@ from otcpki.certmodel import (
     OtcExtension,
     RevocationList,
     SigningRequest,
-    EncodingFormat,
     build_csr,
     decode,
     decode_crl,
-    encode,
     verify_csr_pop,
 )
 from otcpki.crypto import (
@@ -267,7 +265,7 @@ class TestCodec:
             decode(der[: len(der) // 2], Certificate)
 
     def test_pem_labels(self, shared_issuer):
-        cert_pem = encode(shared_issuer.certificate, EncodingFormat.PEM)
+        cert_pem = shared_issuer.certificate.to_pem()
         assert cert_pem.startswith(b"-----BEGIN CERTIFICATE-----")
         crl_pem = shared_issuer.issue_blank_crl().to_pem()
         assert crl_pem.startswith(b"-----BEGIN X509 CRL-----")
@@ -293,7 +291,7 @@ class TestRoundtripProperty:
         data=st.data(),
         name=_subject_names(),
         payload=st.binary(min_size=0, max_size=64),
-        fmt=st.sampled_from([EncodingFormat.DER, EncodingFormat.PEM]),
+        fmt=st.sampled_from(["to_der", "to_pem"]),
         kind=st.sampled_from(["csr", "certificate", "crl"]),
     )
     def test_encode_decode_identity(self, data, name, payload, fmt, kind,
@@ -307,7 +305,7 @@ class TestRoundtripProperty:
             obj, cls = shared_issuer.issue_otc(csr), Certificate
         else:
             obj, cls = shared_issuer.issue_blank_crl(), RevocationList
-        again = decode(encode(obj, fmt), cls)
+        again = decode(getattr(obj, fmt)(), cls)
         assert again == obj
         if kind == "certificate":
             assert again.binding == OtcExtension(digest)

@@ -22,7 +22,7 @@ from otcpki.ca import PASSPHRASE_ENV
 from otcpki.cli import KEY_PASSPHRASE_ENV, main, parse_duration, parse_timestamp
 from otcpki.service import EnrollmentService, load_pool
 
-from conftest import patch_central_entry
+from conftest import modes_at_write, patch_central_entry
 
 EXPIRES_RE = re.compile(r"expires (\S+)")
 
@@ -314,6 +314,17 @@ class TestSignAndVerify:
         assert stat.S_IMODE(key_path.stat().st_mode) == 0o600
         assert b"ENCRYPTED PRIVATE KEY" in key_path.read_bytes()
         assert "warning: private key kept" in captured.err
+
+    def test_kept_key_is_private_when_written(self, cli_stack, monkeypatch):
+        monkeypatch.setenv(KEY_PASSPHRASE_ENV, "kept-key-pass")
+        out = cli_stack.base / "private.otcb"
+        with modes_at_write(cli_stack.base / "private.otcb.key.pem") as modes:
+            rc = main([
+                "sign", "--doc", str(cli_stack.doc), "--subject", "Keeper",
+                "--enroll", cli_stack.url, "--keep-key", "--out", str(out),
+            ])
+        assert rc == 0
+        assert modes and set(modes) == {0o600}
 
 
 class TestServe:

@@ -17,7 +17,9 @@ from otcpki.certmodel import (
     Certificate,
     CertificationChain,
     DistinguishedName,
+    OtcExtension,
     RevocationList,
+    SigningRequest,
     build_csr,
     decode,
 )
@@ -43,6 +45,7 @@ from forge import (
     swap_leaf,
     with_chain,
     with_crl,
+    with_extension,
     with_signature,
 )
 
@@ -217,6 +220,41 @@ def reissued_path_bundle(shared_hierarchy, bundle, position, **constraints):
     return with_chain(bundle, CertificationChain(certs))
 
 
+# An extension that no validator processes: the arc above the binding's OID.
+UNKNOWN_EXTENSION = x509.UnrecognizedExtension(x509.ObjectIdentifier("1.3.6.1.4.1.55555.1"),
+                                               b"\x05\x00")
+# Name constraints that no certificate under the fixture root satisfies.
+SOMEONE_ELSE_ONLY = x509.NameConstraints(
+    permitted_subtrees=[x509.DirectoryName(x509.Name(
+        [x509.NameAttribute(x509.NameOID.COMMON_NAME, "Someone Else")]))],
+    excluded_subtrees=None)
+
+
+def extended_bundle(shared_hierarchy, bundle, position, extension, critical=True):
+    """The bundle with chain certificate ``position`` (0: leaf, 1: issuing
+    CA) re-signed by its issuer with one more extension."""
+    signer = (shared_hierarchy.first_issuer(), shared_hierarchy.intermediates[0])[position]
+    certs = list(bundle.chain.certificates)
+    certs[position] = with_extension(certs[position], signer, extension, critical=critical)
+    return with_chain(bundle, CertificationChain(certs))
+
+
+def critical_binding_bundle(shared_issuer, bundle):
+    """The bundle re-signed under a leaf issued for a CSR whose binding is
+    critical; ``issue_otc`` copies the binding's criticality."""
+    keypair = EphemeralKeyPair.generate()
+    builder = (
+        x509.CertificateSigningRequestBuilder()
+        .subject_name(DistinguishedName.from_common_name("Critical Binding").to_x509())
+        .add_extension(OtcExtension(bundle.document_digest).to_x509(), critical=True)
+    )
+    leaf = shared_issuer.issue_otc(SigningRequest(keypair.sign_builder(builder)))
+    signature = keypair.sign_digest(bundle.document_digest)
+    keypair.destroy()
+    assert leaf.binding.critical
+    return with_signature(swap_leaf(bundle, leaf), signature)
+
+
 class TestPathConstraints:
     """RFC 5280 §6.1 checks beyond the CA flag and the signatures. Each case
     is a chain whose every signature verifies."""
@@ -242,6 +280,32 @@ class TestPathConstraints:
         assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
         assert report.checks[0].detail.endswith(
             "pathLenConstraint 0 exceeded by 1 CA certificates below it")
+
+    @pytest.mark.parametrize("position, extension, critical, detail", [
+        (0, UNKNOWN_EXTENSION, True,
+         "CN=Verified Author carries the critical extension 1.3.6.1.4.1.55555.1,"
+         " which is not processed"),
+        (1, UNKNOWN_EXTENSION, True,
+         " carries the critical extension 1.3.6.1.4.1.55555.1, which is not processed"),
+        (1, SOMEONE_ELSE_ONLY, True, " carries nameConstraints"),
+        (1, SOMEONE_ELSE_ONLY, False, " carries nameConstraints"),
+    ], ids=["leaf-unknown-critical", "issuer-unknown-critical",
+            "issuer-name-constraints-critical", "issuer-name-constraints"])
+    def test_unprocessed_extension_refused_in_both_modes(
+            self, shared_hierarchy, bundle, trust_anchors, position, extension, critical,
+            detail):
+        forged = extended_bundle(shared_hierarchy, bundle, position, extension, critical)
+        for legacy in (False, True):
+            report = verify_bundle(forged, DOC, trust_anchors, POLICY, legacy=legacy)
+            assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
+            assert report.checks[0].detail.endswith(detail)
+
+    def test_critical_binding_passes_in_both_modes(self, shared_issuer, bundle,
+                                                   trust_anchors):
+        signed = critical_binding_bundle(shared_issuer, bundle)
+        for legacy in (False, True):
+            report = verify_bundle(signed, DOC, trust_anchors, POLICY, legacy=legacy)
+            assert report.accepted, report.to_text()
 
     def test_self_issued_ca_not_counted_against_path_length(self, shared_hierarchy, bundle,
                                                             trust_anchors):
@@ -325,8 +389,10 @@ class TestAgainstOpensslVerify:
     root -untrusted CAs leaf``: wherever OpenSSL rejects a chain,
     chain-trust rejects it too. ``-x509_strict`` cannot be the reference,
     since it rejects every chain this PKI issues for lacking Authority and
-    Subject Key Identifiers. OpenSSL accepts a leaf that is a CA;
-    chain-trust does not."""
+    Subject Key Identifiers. Two differences are tolerated, each one way:
+    OpenSSL accepts a leaf that is a CA, which chain-trust refuses; and
+    OpenSSL refuses a leaf whose binding is critical (error 34), which
+    chain-trust processes and accepts in both modes."""
 
     CASES = {
         "honest": lambda h, client, bundle: bundle,
@@ -338,20 +404,30 @@ class TestAgainstOpensslVerify:
         "broken-leaf-signature": lambda h, client, bundle: swap_leaf(
             bundle, break_certificate_signature(bundle.chain.leaf)),
         "signature-claims-unused-bits": lambda h, client, bundle: unused_bit_leaf_bundle(client),
+        "leaf-unknown-critical": lambda h, client, bundle: extended_bundle(
+            h, bundle, 0, UNKNOWN_EXTENSION),
+        "issuer-unknown-critical": lambda h, client, bundle: extended_bundle(
+            h, bundle, 1, UNKNOWN_EXTENSION),
+        "issuer-name-constraints": lambda h, client, bundle: extended_bundle(
+            h, bundle, 1, SOMEONE_ELSE_ONLY),
     }
+
+    @staticmethod
+    def openssl_verify(chain: CertificationChain, tmp_path) -> subprocess.CompletedProcess:
+        files = {"root": chain.certificates[-1:], "untrusted": chain.certificates[1:-1],
+                 "leaf": chain.certificates[:1]}
+        for name, certificates in files.items():
+            (tmp_path / name).write_bytes(b"".join(cert.to_pem() for cert in certificates))
+        return subprocess.run(
+            [OPENSSL, "verify", "-CAfile", str(tmp_path / "root"),
+             "-untrusted", str(tmp_path / "untrusted"), str(tmp_path / "leaf")],
+            capture_output=True, text=True, timeout=30)
 
     @pytest.mark.parametrize("case", CASES)
     def test_chain_trust_rejects_what_openssl_rejects(self, case, shared_hierarchy, client,
                                                       bundle, trust_anchors, tmp_path):
         chain = self.CASES[case](shared_hierarchy, client, bundle).chain
-        files = {"root": chain.certificates[-1:], "untrusted": chain.certificates[1:-1],
-                 "leaf": chain.certificates[:1]}
-        for name, certificates in files.items():
-            (tmp_path / name).write_bytes(b"".join(cert.to_pem() for cert in certificates))
-        openssl = subprocess.run(
-            [OPENSSL, "verify", "-CAfile", str(tmp_path / "root"),
-             "-untrusted", str(tmp_path / "untrusted"), str(tmp_path / "leaf")],
-            capture_output=True, text=True, timeout=30)
+        openssl = self.openssl_verify(chain, tmp_path)
         openssl_accepts = openssl.returncode == 0
         chain_trust = verify_bundle(with_chain(bundle, chain), DOC, trust_anchors,
                                     POLICY).checks[0]
@@ -359,6 +435,12 @@ class TestAgainstOpensslVerify:
         if case == "honest":
             assert openssl_accepts and chain_trust.passed, openssl.stdout + openssl.stderr
         assert openssl_accepts or not chain_trust.passed, openssl.stdout + openssl.stderr
+
+    def test_critical_binding_is_a_tolerated_difference(self, shared_issuer, bundle,
+                                                       tmp_path):
+        openssl = self.openssl_verify(critical_binding_bundle(shared_issuer, bundle).chain,
+                                      tmp_path)
+        assert "error 34 " in openssl.stdout + openssl.stderr
 
 
 class TestRecencyBoundary:
