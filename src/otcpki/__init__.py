@@ -19,7 +19,6 @@ _EXPORTS = {
     "DocumentDigest": "crypto",
     "EphemeralKeyPair": "crypto",
     "SUITES": "crypto",
-    "SignatureAlgorithm": "crypto",
     "digest_document": "crypto",
     "verify_signature": "crypto",
     # certmodel

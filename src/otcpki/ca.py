@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Union
 
 from cryptography import x509
 from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import ec, rsa
 
 from .certmodel import (
     Certificate,
@@ -40,10 +39,10 @@ from .crypto import (
     DEFAULT_SUITE,
     AlgorithmSuite,
     EphemeralKeyPair,
-    SUITES,
     random_serial,
 )
 from .errors import (
+    CaExpiredError,
     CaRetiredError,
     DuplicateBindingError,
     InvalidPolicyError,
@@ -123,8 +122,6 @@ class CaPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "chain_not_after", _utc_second(self.chain_not_after))
-        if self.suite.label not in SUITES:
-            raise UnsupportedSuiteError(f"unsupported suite: {self.suite!r}")
 
     def check_usable(self):
         if self.chain_not_after <= _now():
@@ -184,13 +181,24 @@ class CaIdentity:
         return CertificationChain((self.certificate, *self.lineage))
 
     def __repr__(self) -> str:
-        return f"<CaIdentity {self.role.value} {self.name} {self.state.value}>"
+        return f"<CaIdentity {self.role.value} {self._subject_text} {self.state.value}>"
 
     # -- internals ----------------------------------------------------------
 
-    def _require_active(self, code: str):
+    @property
+    def _subject_text(self) -> str:
+        """The subject as RFC 4514 text, which any name has; ``name`` needs
+        the CN that ``DistinguishedName`` requires."""
+        return self.certificate.raw.subject.rfc4514_string()
+
+    def _require_active(self, role: str, now: datetime):
+        """Raise unless this CA can sign at ``now``: its key is live and its
+        certificate has not expired. ``role`` starts the error code."""
         if not self._keypair.is_live:
-            raise CaRetiredError(f"{self.name} is retired", code=code)
+            raise CaRetiredError(f"{self._subject_text} is retired", code=f"{role}-retired")
+        if now > self.not_after:
+            raise CaExpiredError(f"{self._subject_text} expired at {self.not_after.isoformat()}",
+                                 code=f"{role}-expired")
 
     def _sign_child_certificate(self, builder: x509.CertificateBuilder) -> Certificate:
         return Certificate(self._keypair.sign_builder(builder))
@@ -200,8 +208,8 @@ class CaIdentity:
     def issue_otc(self, csr: SigningRequest) -> Certificate:
         """Issue a one-time certificate for a request.
 
-        The request must prove possession of its key and carry exactly one
-        document binding in its canonical encoding, the only one that
+        The request must prove possession of its key, a key of a suite on
+        the menu, and carry exactly one document binding in its canonical encoding, the only one that
         decodes, so the certificate carries the request's binding bytes
         unchanged. The certificate expires when the whole chain does.
         """
@@ -209,9 +217,10 @@ class CaIdentity:
             raise RoleViolationError(
                 f"{self.role.value} CA cannot issue end-entity certificates"
             )
-        # Checked first as well, so that a retired CA answers issuer-retired
+        # Checked first as well, so that a retired or expired CA says so
         # whatever the request; the check that counts is under the lock.
-        self._require_active("issuer-retired")
+        now = _now()
+        self._require_active("issuer", now)
         if not verify_csr_pop(csr):
             raise PopFailureError("request signature does not prove key possession")
         try:
@@ -226,20 +235,22 @@ class CaIdentity:
             subject = csr.raw.subject
         except ValueError as exc:  # an empty RDN, say, is refused only when read
             raise MalformedEncodingError(f"request subject: {exc}") from exc
+        public_key = csr.public_key
+        AlgorithmSuite.of_key(public_key)
         builder = (
             x509.CertificateBuilder()
             .subject_name(subject)
             .issuer_name(self.certificate.raw.subject)
-            .public_key(csr.public_key)
+            .public_key(public_key)
             .serial_number(random_serial())
-            .not_valid_before(max(_now(), self.certificate.not_before))
+            .not_valid_before(max(now, self.certificate.not_before))
             .not_valid_after(self.certificate.not_after)
             .add_extension(binding.to_x509(), critical=binding.critical)
         )
         # retire() takes the lock to destroy the key, so once it returns no
         # signature is in progress and none can start.
         with self._lock:
-            self._require_active("issuer-retired")
+            self._require_active("issuer", now)
             return self._sign_child_certificate(builder)
 
     def issue_blank_crl(self) -> RevocationList:
@@ -249,11 +260,12 @@ class CaIdentity:
         validators that demand a CRL get a well-formed empty one.
         """
         with self._lock:
-            self._require_active("issuer-retired")
+            now = _now()
+            self._require_active("issuer", now)
             builder = (
                 x509.CertificateRevocationListBuilder()
                 .issuer_name(self.certificate.raw.subject)
-                .last_update(max(_now(), self.certificate.not_before))
+                .last_update(max(now, self.certificate.not_before))
                 .next_update(self.certificate.not_after)
             )
             return RevocationList(self._keypair.sign_builder(builder))
@@ -340,13 +352,14 @@ def create_subordinate(
     subject = _as_name(name)
     keypair = EphemeralKeyPair.generate(parent.suite)
     with parent._lock:
-        parent._require_active("parent-retired")
+        now = _now()
+        parent._require_active("parent", now)
         builder = _ca_builder(
             subject.to_x509(),
             parent.certificate.raw.subject,
             keypair.public_key,
             random_serial(),
-            max(_now(), parent.certificate.not_before),
+            max(now, parent.certificate.not_before),
             parent.certificate.not_after,
             role,
         )
@@ -460,28 +473,6 @@ def save_ca(ca: CaIdentity, directory: Union[str, Path], passphrase: bytes):
     (directory / "crl.pem").write_bytes(ca.issue_blank_crl().to_pem())
 
 
-def _suite_of(certificate: Certificate) -> AlgorithmSuite:
-    key = certificate.public_key
-    hash_alg = certificate.raw.signature_hash_algorithm
-    hash_name = hash_alg.name if hash_alg is not None else ""
-    if isinstance(key, rsa.RSAPublicKey):
-        label = f"rsa-{key.key_size}"
-    elif isinstance(key, ec.EllipticCurvePublicKey):
-        label = {"secp256r1": "ecdsa-p256", "secp384r1": "ecdsa-p384"}.get(key.curve.name, "")
-    else:
-        label = ""
-    if label not in SUITES:
-        raise UnsupportedSuiteError(
-            f"CA certificate uses an unsupported key ({label or type(key).__name__})"
-        )
-    suite = SUITES[label]
-    if suite.digest.hash_primitive().name != hash_name:
-        raise UnsupportedSuiteError(
-            f"CA certificate hash {hash_name} does not match suite {label}"
-        )
-    return suite
-
-
 def _role_of(certificate: Certificate) -> CaRole:
     if not certificate.is_ca:
         raise RoleViolationError("certificate is not a CA certificate")
@@ -503,7 +494,13 @@ def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
         )
     except (ValueError, TypeError) as exc:
         raise InvalidPolicyError(f"cannot unlock CA key: {exc}") from exc
-    suite = _suite_of(certificate)
+    suite = AlgorithmSuite.of_key(certificate.public_key)
+    hash_alg = certificate.raw.signature_hash_algorithm
+    hash_name = hash_alg.name if hash_alg is not None else ""
+    if suite.digest.hash_primitive().name != hash_name:
+        raise UnsupportedSuiteError(
+            f"CA certificate hash {hash_name} does not match suite {suite.label}"
+        )
     role = _role_of(certificate)
     keypair = EphemeralKeyPair(suite, key)
     if keypair.public_der() != certificate.public_der():

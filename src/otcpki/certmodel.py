@@ -359,7 +359,7 @@ class Certificate(_Subject):
             return False
 
     def __repr__(self) -> str:
-        return f"<Certificate {self.subject} serial={self.serial:x}>"
+        return f"<Certificate {self._raw.subject.rfc4514_string()} serial={self.serial:x}>"
 
 
 class RevocationList(_Wrapper):

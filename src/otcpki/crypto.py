@@ -27,7 +27,6 @@ from .errors import DigestMismatchError, KeyDestroyedError, UnsupportedSuiteErro
 
 __all__ = [
     "DigestAlgorithm",
-    "SignatureAlgorithm",
     "AlgorithmSuite",
     "DEFAULT_SUITE",
     "SUITES",
@@ -65,25 +64,20 @@ class DigestAlgorithm(enum.Enum):
         return hashes.SHA384()
 
 
-class SignatureAlgorithm(enum.Enum):
-    """Key types on the supported menu."""
+class AlgorithmSuite(enum.Enum):
+    """The menu of key types, each paired with its conventional hash
+    strength. A member's key parameter is an RSA modulus size or an EC
+    curve; the menu has exactly these four members."""
 
-    RSA_2048 = "rsa-2048"
-    RSA_3072 = "rsa-3072"
-    ECDSA_P256 = "ecdsa-p256"
-    ECDSA_P384 = "ecdsa-p384"
+    RSA_2048 = ("rsa-2048", DigestAlgorithm.SHA256, 2048)
+    RSA_3072 = ("rsa-3072", DigestAlgorithm.SHA256, 3072)
+    ECDSA_P256 = ("ecdsa-p256", DigestAlgorithm.SHA256, ec.SECP256R1)
+    ECDSA_P384 = ("ecdsa-p384", DigestAlgorithm.SHA384, ec.SECP384R1)
 
-
-@dataclass(frozen=True)
-class AlgorithmSuite:
-    """A (signature algorithm, digest algorithm) pairing."""
-
-    signature: SignatureAlgorithm
-    digest: DigestAlgorithm
-
-    @property
-    def label(self) -> str:
-        return self.signature.value
+    def __init__(self, label: str, digest: DigestAlgorithm, key_parameter):
+        self.label = label
+        self.digest = digest
+        self.key_parameter = key_parameter
 
     @classmethod
     def from_label(cls, label: str) -> "AlgorithmSuite":
@@ -94,16 +88,30 @@ class AlgorithmSuite:
                 f"unknown suite {label!r}; choose from {', '.join(sorted(SUITES))}"
             ) from None
 
+    @classmethod
+    def of_key(cls, public_key: PublicKey) -> "AlgorithmSuite":
+        """The suite whose keys ``public_key`` is one of. Raises
+        :class:`UnsupportedSuiteError` for a key off the menu."""
+        if isinstance(public_key, rsa.RSAPublicKey):
+            parameter = public_key.key_size
+        elif isinstance(public_key, ec.EllipticCurvePublicKey):
+            parameter = type(public_key.curve)
+        else:
+            parameter = None
+        try:
+            return _SUITE_OF_KEY_PARAMETER[parameter]
+        except KeyError:
+            shown = f" ({getattr(parameter, 'name', parameter)})" if parameter else ""
+            raise UnsupportedSuiteError(
+                f"unsupported key {type(public_key).__name__}{shown};"
+                f" choose from {', '.join(sorted(SUITES))}"
+            ) from None
 
-# Each key type is paired with its conventional hash strength.
-SUITES = {
-    "rsa-2048": AlgorithmSuite(SignatureAlgorithm.RSA_2048, DigestAlgorithm.SHA256),
-    "rsa-3072": AlgorithmSuite(SignatureAlgorithm.RSA_3072, DigestAlgorithm.SHA256),
-    "ecdsa-p256": AlgorithmSuite(SignatureAlgorithm.ECDSA_P256, DigestAlgorithm.SHA256),
-    "ecdsa-p384": AlgorithmSuite(SignatureAlgorithm.ECDSA_P384, DigestAlgorithm.SHA384),
-}
 
-DEFAULT_SUITE = SUITES["ecdsa-p256"]
+SUITES = {suite.label: suite for suite in AlgorithmSuite}
+_SUITE_OF_KEY_PARAMETER = {suite.key_parameter: suite for suite in AlgorithmSuite}
+
+DEFAULT_SUITE = AlgorithmSuite.ECDSA_P256
 
 
 @dataclass(frozen=True)
@@ -175,18 +183,10 @@ class EphemeralKeyPair:
 
     @classmethod
     def generate(cls, suite: AlgorithmSuite = DEFAULT_SUITE) -> "EphemeralKeyPair":
-        if suite not in SUITES.values():
-            raise UnsupportedSuiteError(f"unsupported suite: {suite!r}")
-        sig = suite.signature
-        if sig is SignatureAlgorithm.RSA_2048:
-            key: PrivateKey = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        elif sig is SignatureAlgorithm.RSA_3072:
-            key = rsa.generate_private_key(public_exponent=65537, key_size=3072)
-        elif sig is SignatureAlgorithm.ECDSA_P256:
-            key = ec.generate_private_key(ec.SECP256R1())
-        else:
-            key = ec.generate_private_key(ec.SECP384R1())
-        return cls(suite, key)
+        parameter = suite.key_parameter
+        if isinstance(parameter, int):
+            return cls(suite, rsa.generate_private_key(public_exponent=65537, key_size=parameter))
+        return cls(suite, ec.generate_private_key(parameter()))
 
     @property
     def suite(self) -> AlgorithmSuite:

@@ -18,6 +18,7 @@ __all__ = [
     "InvalidPolicyError",
     "RoleViolationError",
     "CaRetiredError",
+    "CaExpiredError",
     "PopFailureError",
     "MissingBindingError",
     "DuplicateBindingError",
@@ -96,6 +97,17 @@ class CaRetiredError(OtcError):
     """
 
     code = "issuer-retired"
+
+
+class CaExpiredError(OtcError):
+    """Operation on a CA past its certificate's expiry, which is the whole
+    chain's.
+
+    The default code is ``issuer-expired``; creation of subordinates under
+    an expired parent reports ``parent-expired``.
+    """
+
+    code = "issuer-expired"
 
 
 class PopFailureError(OtcError):

@@ -10,7 +10,7 @@ Issuance rotates round-robin across the pool; every pool member hangs off
 the same root, so which member signs is invisible to verifiers. Error
 responses are a single ``code: message`` line with status 400 (unreadable
 request), 422 (well-formed but unissuable), or 503 (no active issuer left,
-or too many open connections).
+an expired chain, or too many open connections).
 
 The service speaks the fixed subset of HTTP/1.1 (RFC 9112) that
 :mod:`otcpki.framing` reads, as its client does: requests of
@@ -45,6 +45,7 @@ from typing import Optional, Sequence, Tuple, Union
 from .ca import CaIdentity, load_ca, passphrase_from_env
 from .certmodel import PEM_CONTENT_TYPE, SigningRequest, decode
 from .errors import (
+    CaExpiredError,
     CaRetiredError,
     ConfigError,
     MalformedEncodingError,
@@ -374,7 +375,7 @@ class EnrollmentService:
             return 503, b"issuer-retired: no active issuer in the pool"
         try:
             leaf = issuer.issue_otc(csr)
-        except CaRetiredError as exc:
+        except (CaRetiredError, CaExpiredError) as exc:
             return 503, f"{exc.code}: {exc}".encode()
         except OtcError as exc:
             return 422, f"{exc.code}: {exc}".encode()

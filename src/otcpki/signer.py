@@ -109,7 +109,8 @@ def _pick_crl(pem: bytes, chain: CertificationChain) -> RevocationList:
         if crl.raw.issuer == issuing_ca.raw.subject:
             return crl
     raise EnrollmentRejectedError(
-        f"no CRL published for issuer {issuing_ca.subject}", ca_code="no-matching-crl"
+        f"no CRL published for issuer {issuing_ca.raw.subject.rfc4514_string()}",
+        ca_code="no-matching-crl",
     )
 
 

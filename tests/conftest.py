@@ -15,11 +15,13 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed25519, rsa
 from hypothesis import strategies as st
 
-from otcpki.ca import CaPolicy, init_hierarchy
-from otcpki.certmodel import DistinguishedName, SigningRequest
-from otcpki.crypto import DEFAULT_SUITE, EphemeralKeyPair
+from otcpki import ca
+from otcpki.ca import CaIdentity, CaPolicy, CaRole, create_subordinate, init_hierarchy
+from otcpki.certmodel import Certificate, DistinguishedName, OtcExtension, SigningRequest
+from otcpki.crypto import DEFAULT_SUITE, DocumentDigest, EphemeralKeyPair, random_serial
 
 # A SHA-256 binding payload whose OID arc 840 is padded with a leading 0x80
 # octet, which X.690 §8.19.2 forbids even in BER: a second encoding of the
@@ -45,6 +47,63 @@ def csr_with_extension(keypair, extension) -> SigningRequest:
         .sign(keypair._signing_key(), hashes.SHA256())
     )
     return SigningRequest(raw)
+
+
+# Key types a request can carry that are not on the suite menu.
+OFF_MENU_KEYS = {
+    "rsa-1024": lambda: rsa.generate_private_key(public_exponent=65537, key_size=1024),
+    "rsa-4096": lambda: rsa.generate_private_key(public_exponent=65537, key_size=4096),
+    "dsa-2048": lambda: dsa.generate_private_key(key_size=2048),
+    "ed25519": ed25519.Ed25519PrivateKey.generate,
+    "p-521": lambda: ec.generate_private_key(ec.SECP521R1()),
+    "secp256k1": lambda: ec.generate_private_key(ec.SECP256K1()),
+}
+
+
+def bound_csr(private_key, digest: DocumentDigest, name="Off Menu") -> SigningRequest:
+    """A request for any key type, signed by ``private_key`` so POP holds,
+    carrying the binding of ``digest``."""
+    builder = (
+        x509.CertificateSigningRequestBuilder()
+        .subject_name(DistinguishedName.from_common_name(name).to_x509())
+        .add_extension(OtcExtension(digest).to_x509(), critical=False)
+    )
+    algorithm = None if isinstance(private_key, ed25519.Ed25519PrivateKey) else hashes.SHA256()
+    return SigningRequest(builder.sign(private_key, algorithm))
+
+
+def ca_named(name: x509.Name, role: CaRole, policy, parent=None) -> CaIdentity:
+    """A CA whose subject is any X.509 name, even one without the CN that
+    ``DistinguishedName`` requires, built as ``ca.create_root`` and
+    ``ca.create_subordinate`` build theirs."""
+    keypair = EphemeralKeyPair.generate(policy.suite)
+    builder = ca._ca_builder(name, parent.certificate.raw.subject if parent else name,
+                             keypair.public_key, random_serial(),
+                             datetime.now(timezone.utc), policy.chain_not_after, role)
+    if parent is None:
+        certificate = Certificate(builder.sign(keypair._signing_key(),
+                                               policy.suite.digest.hash_primitive()))
+        return CaIdentity(certificate, keypair, role, policy)
+    certificate = parent._sign_child_certificate(builder)
+    return CaIdentity(certificate, keypair, role, policy,
+                      (parent.certificate, *parent.lineage))
+
+
+def no_cn_issuer() -> CaIdentity:
+    """A fresh issuer named only ``O=No CN Issuer``, under an intermediate
+    with a CN and a root named only ``O=No CN Root``."""
+    policy = fresh_policy()
+    organization = x509.NameOID.ORGANIZATION_NAME
+    root = ca_named(x509.Name([x509.NameAttribute(organization, "No CN Root")]),
+                    CaRole.ROOT, policy)
+    intermediate = create_subordinate(root, "CN Intermediate", CaRole.INTERMEDIATE)
+    return ca_named(x509.Name([x509.NameAttribute(organization, "No CN Issuer")]),
+                    CaRole.ISSUER, policy, intermediate)
+
+
+def set_clock_past(monkeypatch, not_after: datetime):
+    """Move the clock that CAs issue by to 10 s past ``not_after``."""
+    monkeypatch.setattr(ca, "_now", lambda: not_after + timedelta(seconds=10))
 
 
 @contextlib.contextmanager
@@ -113,6 +172,12 @@ def shared_issuer(shared_hierarchy):
 @pytest.fixture(scope="session")
 def trust_anchors(shared_hierarchy):
     return [shared_hierarchy.root.certificate]
+
+
+@pytest.fixture(scope="session")
+def off_menu_keys():
+    """One private key of each type in ``OFF_MENU_KEYS``."""
+    return {kind: make() for kind, make in OFF_MENU_KEYS.items()}
 
 
 @pytest.fixture(scope="session")

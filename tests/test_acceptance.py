@@ -192,6 +192,7 @@ def test_3_cli_roundtrip_under_five_seconds(tmp_path):
         if serve is not None:
             serve.send_signal(signal.SIGTERM)
             serve.wait(timeout=10)
+            serve.stdout.close()
     accepted = (verify.returncode == 0
                 and verify.stdout.startswith("verdict: accepted"))
     ok = accepted and elapsed < 5.0

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otcpki
+from otcpki import ca as ca_module
 from otcpki.ca import (
     CaIdentity,
     CaPolicy,
@@ -30,12 +32,15 @@ from otcpki.ca import (
 )
 from otcpki.certmodel import (
     OTC_EXTENSION_OID,
+    Certificate,
     CertificationChain,
     DistinguishedName,
+    SigningRequest,
     build_csr,
 )
-from otcpki.crypto import EphemeralKeyPair, digest_document
+from otcpki.crypto import EphemeralKeyPair, digest_document, random_serial
 from otcpki.errors import (
+    CaExpiredError,
     CaRetiredError,
     DuplicateBindingError,
     InvalidPolicyError,
@@ -43,13 +48,17 @@ from otcpki.errors import (
     MissingBindingError,
     PopFailureError,
     RoleViolationError,
+    UnsupportedSuiteError,
 )
 
 from conftest import (
     PADDED_OID_PAYLOAD,
+    bound_csr,
     csr_with_extension,
     fresh_policy,
     modes_at_write,
+    no_cn_issuer,
+    set_clock_past,
     utcnow,
 )
 from dersurgery import forge_duplicate_binding_csr
@@ -122,6 +131,13 @@ class TestHierarchyRules:
         with pytest.raises(CaRetiredError) as excinfo:
             create_subordinate(root, "Orphan", CaRole.INTERMEDIATE)
         assert excinfo.value.code == "parent-retired"
+
+    def test_expired_parent_refuses(self, monkeypatch):
+        root = create_root("Expired Root", fresh_policy())
+        set_clock_past(monkeypatch, root.not_after)
+        with pytest.raises(CaExpiredError) as excinfo:
+            create_subordinate(root, "Too Late", CaRole.INTERMEDIATE)
+        assert excinfo.value.code == "parent-expired"
 
     def test_path_length_tightens_down_the_chain(self):
         hierarchy = init_hierarchy("PathLen Root", fresh_policy())
@@ -203,6 +219,26 @@ class TestIssueOtc:
         der[index] ^= 0x01
         with pytest.raises(PopFailureError):
             shared_issuer.issue_otc(decode(bytes(der), SigningRequest))
+
+    def test_key_off_the_menu_checked_after_pop_and_binding(self, shared_issuer,
+                                                            off_menu_keys):
+        key = off_menu_keys["rsa-1024"]
+        csr = bound_csr(key, digest_document(b"off the menu"))
+        with pytest.raises(UnsupportedSuiteError):
+            shared_issuer.issue_otc(csr)
+        bare = (x509.CertificateSigningRequestBuilder()
+                .subject_name(DistinguishedName.from_common_name("Bare").to_x509())
+                .sign(key, hashes.SHA256()))
+        with pytest.raises(MissingBindingError):
+            shared_issuer.issue_otc(SigningRequest(bare))
+
+    def test_expired_issuer_refuses(self, shared_issuer, keypair_pool, monkeypatch):
+        set_clock_past(monkeypatch, shared_issuer.not_after)
+        for operation in (lambda: shared_issuer.issue_otc(make_csr(keypair_pool[0])),
+                          shared_issuer.issue_blank_crl):
+            with pytest.raises(CaExpiredError) as excinfo:
+                operation()
+            assert excinfo.value.code == "issuer-expired"
 
     def test_non_issuer_roles_refuse(self, shared_hierarchy, keypair_pool):
         csr = make_csr(keypair_pool[0])
@@ -325,6 +361,20 @@ class TestRetirement:
         assert root.retire() == "already-destroyed"
 
 
+class TestNamesWithoutCommonName:
+    """A CA needs no CN, so messages print its subject as RFC 4514 text."""
+
+    def test_repr(self):
+        assert repr(no_cn_issuer()) == "<CaIdentity issuer O=No CN Issuer active>"
+
+    def test_retired_issuer_names_itself(self, keypair_pool):
+        issuer = no_cn_issuer()
+        issuer.retire()
+        with pytest.raises(CaRetiredError, match="^O=No CN Issuer is retired$") as excinfo:
+            issuer.issue_otc(make_csr(keypair_pool[0]))
+        assert excinfo.value.code == "issuer-retired"
+
+
 class TestIssuerPool:
     def test_distinct_keys_same_root_same_expiry(self, keypair_pool):
         hierarchy = init_hierarchy("Pool Root", fresh_policy())
@@ -406,6 +456,31 @@ class TestPersistence:
         with modes_at_write(key_path) as modes:
             save_ca(root, tmp_path, passphrase)
         assert modes and set(modes) == {0o600}
+
+    def _save_self_signed(self, directory, key, algorithm, passphrase):
+        """Save a root CA made from ``key``, signed with ``algorithm``, in
+        the layout ``save_ca`` writes."""
+        name = DistinguishedName.from_common_name("Hand Made Root").to_x509()
+        builder = ca_module._ca_builder(name, name, key.public_key(), random_serial(), utcnow(),
+                                 utcnow() + timedelta(days=1), CaRole.ROOT)
+        certificate = Certificate(builder.sign(key, algorithm))
+        (directory / "cert.pem").write_bytes(certificate.to_pem())
+        (directory / "chain.pem").write_bytes(certificate.to_pem())
+        (directory / "key.pem").write_bytes(key.private_bytes(
+            serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+            serialization.BestAvailableEncryption(passphrase)))
+
+    def test_key_off_the_menu_refused(self, tmp_path, passphrase, off_menu_keys):
+        self._save_self_signed(tmp_path, off_menu_keys["p-521"], hashes.SHA512(), passphrase)
+        with pytest.raises(UnsupportedSuiteError, match="unsupported key"):
+            load_ca(tmp_path, passphrase)
+
+    def test_hash_off_the_suite_refused(self, tmp_path, passphrase, keypair_pool):
+        self._save_self_signed(tmp_path, keypair_pool[0]._signing_key(), hashes.SHA384(),
+                               passphrase)
+        with pytest.raises(UnsupportedSuiteError,
+                           match="hash sha384 does not match suite ecdsa-p256"):
+            load_ca(tmp_path, passphrase)
 
     def test_chain_from_another_hierarchy_refused(self, tmp_path, passphrase):
         ours, theirs = (init_hierarchy(name, fresh_policy()) for name in ("A Root", "B Root"))

@@ -47,7 +47,7 @@ from otcpki.errors import (
     MalformedEncodingError,
 )
 
-from conftest import PADDED_OID_PAYLOAD, overwritten
+from conftest import PADDED_OID_PAYLOAD, no_cn_issuer, overwritten
 
 # Golden vectors: header bytes for SEQUENCE { AlgorithmIdentifier, OCTET
 # STRING } with the NIST hash OIDs, followed by the raw digest.
@@ -338,6 +338,10 @@ class TestCertificateProperties:
     def test_empty_chain_rejected(self):
         with pytest.raises(MalformedEncodingError):
             CertificationChain(())
+
+    def test_repr_needs_no_common_name(self):
+        certificate = no_cn_issuer().certificate
+        assert repr(certificate) == f"<Certificate O=No CN Issuer serial={certificate.serial:x}>"
 
 
 @pytest.fixture(scope="module")

@@ -18,11 +18,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from otcpki.ca import PASSPHRASE_ENV
+from otcpki.ca import PASSPHRASE_ENV, load_ca
 from otcpki.cli import KEY_PASSPHRASE_ENV, main, parse_duration, parse_timestamp
 from otcpki.service import EnrollmentService, load_pool
 
-from conftest import modes_at_write, patch_central_entry
+from conftest import modes_at_write, patch_central_entry, set_clock_past
 
 EXPIRES_RE = re.compile(r"expires (\S+)")
 
@@ -365,6 +365,15 @@ class TestServe:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    def test_expired_hierarchy_is_usage_error(self, cli_stack, tmp_path, monkeypatch, capsys):
+        """It used to exit with a traceback from cryptography's CRL builder."""
+        pki = cli_stack.base / "pki"
+        root = load_ca(pki / "root", os.environ[PASSPHRASE_ENV].encode())
+        set_clock_past(monkeypatch, root.not_after)
+        assert main(["serve", "--config", str(self._write_config(tmp_path, pki))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "expired at" in err
 
     def test_missing_config_file(self, tmp_path):
         proc = subprocess.run(

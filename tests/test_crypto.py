@@ -16,12 +16,13 @@ from otcpki.crypto import (
     DocumentDigest,
     EphemeralKeyPair,
     KeyState,
-    SignatureAlgorithm,
     digest_document,
     random_serial,
     verify_signature,
 )
 from otcpki.errors import DigestMismatchError, KeyDestroyedError, UnsupportedSuiteError
+
+from conftest import OFF_MENU_KEYS
 
 # Standard SHA test vectors (NIST FIPS 180 examples).
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -35,7 +36,7 @@ SHA384_ABC = (
 # existed; exercises the streaming path on input too big to buffer naively.
 SHA256_GIB_ZEROS = "49bc20df15e412a64472421e13fe86ff1c5165e18b2afccf160d4dc19fe68a14"
 
-ALL_SUITES = sorted(SUITES.values(), key=lambda s: s.label)
+ALL_SUITES = list(AlgorithmSuite)
 
 
 class TestDigestDocument:
@@ -108,7 +109,7 @@ class TestSuites:
         assert set(SUITES) == {"rsa-2048", "rsa-3072", "ecdsa-p256", "ecdsa-p384"}
 
     def test_default_is_p256_sha256(self):
-        assert DEFAULT_SUITE.signature is SignatureAlgorithm.ECDSA_P256
+        assert DEFAULT_SUITE is AlgorithmSuite.ECDSA_P256
         assert DEFAULT_SUITE.digest is DigestAlgorithm.SHA256
 
     def test_from_label_rejects_unknown(self):
@@ -116,10 +117,24 @@ class TestSuites:
             AlgorithmSuite.from_label("rsa-1024")
 
     def test_generate_rejects_handcrafted_suite(self):
-        bogus = AlgorithmSuite(SignatureAlgorithm.RSA_2048, DigestAlgorithm.SHA384)
-        assert bogus.label not in SUITES or SUITES[bogus.label] != bogus
+        """No fifth suite can be built, so none can reach ``generate``: a
+        pairing off the menu is no member, and the menu cannot be extended."""
+        with pytest.raises(ValueError):
+            AlgorithmSuite(("rsa-2048", DigestAlgorithm.SHA384, 2048))
+        with pytest.raises(TypeError):
+            class WiderMenu(AlgorithmSuite):
+                RSA_1024 = ("rsa-1024", DigestAlgorithm.SHA256, 1024)
+        assert len(AlgorithmSuite) == 4
+        assert list(SUITES.values()) == ALL_SUITES
+
+    @pytest.mark.parametrize("suite", ALL_SUITES, ids=lambda s: s.label)
+    def test_of_key_recognises_each_suite(self, suite):
+        assert AlgorithmSuite.of_key(EphemeralKeyPair.generate(suite).public_key) is suite
+
+    @pytest.mark.parametrize("kind", sorted(OFF_MENU_KEYS))
+    def test_of_key_refuses_keys_off_the_menu(self, off_menu_keys, kind):
         with pytest.raises(UnsupportedSuiteError):
-            EphemeralKeyPair.generate(bogus)
+            AlgorithmSuite.of_key(off_menu_keys[kind].public_key())
 
 
 @pytest.mark.parametrize("suite", ALL_SUITES, ids=lambda s: s.label)

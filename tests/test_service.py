@@ -50,10 +50,19 @@ from otcpki.errors import (
 from otcpki import certmodel, framing
 from otcpki import service as service_module
 from otcpki.service import EnrollmentService, ServiceConfig
-from otcpki.signer import HttpEnrollmentClient, one_shot_sign
+from otcpki.signer import HttpEnrollmentClient, LocalEnrollmentClient, one_shot_sign
 from otcpki.verifier import RecencyPolicy, verify_bundle
 
-from conftest import PADDED_OID_PAYLOAD, csr_with_extension, fresh_policy, overwritten
+from conftest import (
+    OFF_MENU_KEYS,
+    PADDED_OID_PAYLOAD,
+    bound_csr,
+    csr_with_extension,
+    fresh_policy,
+    no_cn_issuer,
+    overwritten,
+    set_clock_past,
+)
 from dersurgery import parse_tree, serialize_tree
 
 POLICY = RecencyPolicy(max_age=timedelta(minutes=10))
@@ -216,6 +225,18 @@ class TestEnrollEndpoint:
         status, body = service.handle_enroll(csr.to_pem())
         assert status == 422
         assert body.startswith(b"malformed-encoding:")
+
+    @pytest.mark.parametrize("kind", sorted(OFF_MENU_KEYS))
+    def test_key_off_the_menu_is_422(self, stack, off_menu_keys, kind):
+        """The CA certifies only keys of a suite on the menu. Each of these
+        requests proves possession of its key, and each used to get 200."""
+        hierarchy, service, _ = stack
+        csr = bound_csr(off_menu_keys[kind], digest_document(b"off the menu"))
+        status, body = service.handle_enroll(csr.to_pem())
+        assert status == 422 and body.startswith(b"unsupported-suite: "), body
+        with pytest.raises(EnrollmentRejectedError) as excinfo:
+            LocalEnrollmentClient(hierarchy.first_issuer()).enroll(csr)
+        assert excinfo.value.ca_code == "unsupported-suite"
 
     def test_unknown_path_is_404(self, stack):
         _, _, url = stack
@@ -774,6 +795,36 @@ class TestRetirement:
             assert crl_err.value.code == 503
         finally:
             service.stop()
+
+
+    def test_issuer_retired_after_it_was_picked_is_503(self, monkeypatch):
+        """An issuer retired between the pick and its lock answers
+        issuer-retired, even with no CN in its name to print."""
+        issuer = no_cn_issuer()
+        service = EnrollmentService([issuer])
+        issuer.retire()
+        monkeypatch.setattr(service, "_next_active_issuer", lambda: issuer)
+        _, csr = make_csr()
+        status, body = service.handle_enroll(csr.to_pem())
+        assert (status, body) == (503, b"issuer-retired: O=No CN Issuer is retired")
+
+
+class TestExpiredChain:
+    """Past the chain's expiry, cryptography's builders refuse to build, and
+    the service used to drop the connection or fail to start."""
+
+    def test_enrollment_is_503(self, shared_issuer, monkeypatch):
+        service = EnrollmentService([shared_issuer])
+        set_clock_past(monkeypatch, shared_issuer.not_after)
+        _, csr = make_csr()
+        status, body = service.handle_enroll(csr.to_pem())
+        assert status == 503 and body.startswith(b"issuer-expired: "), body
+
+    def test_startup_is_refused(self, shared_issuer, monkeypatch):
+        set_clock_past(monkeypatch, shared_issuer.not_after)
+        with pytest.raises(OtcError) as excinfo:
+            EnrollmentService([shared_issuer])
+        assert excinfo.value.code == "issuer-expired"
 
 
 class TestHttpClientErrors:

@@ -29,7 +29,13 @@ from otcpki.signer import (
 )
 from otcpki.verifier import RecencyPolicy, verify_bundle
 
-from conftest import fresh_policy, overwritten, patch_central_entry
+from conftest import (
+    fresh_policy,
+    no_cn_issuer,
+    overwritten,
+    patch_central_entry,
+    set_clock_past,
+)
 
 DOC = b"An agreement between two parties, signed exactly once."
 POLICY = RecencyPolicy(max_age=timedelta(hours=1))
@@ -98,6 +104,14 @@ class TestErrorPathHygiene:
         signing_keys = key_ledger.keypairs[baseline:]
         assert signing_keys and all(not kp.is_live for kp in signing_keys)
 
+    def test_expired_issuer_is_rejected(self, shared_issuer, key_ledger, monkeypatch):
+        """It used to raise a bare ValueError from cryptography's builder."""
+        set_clock_past(monkeypatch, shared_issuer.not_after)
+        with pytest.raises(EnrollmentRejectedError) as excinfo:
+            one_shot_sign(DOC, "Too Late", LocalEnrollmentClient(shared_issuer))
+        assert excinfo.value.ca_code == "issuer-expired"
+        assert key_ledger.keypairs and key_ledger.live() == []
+
     def test_transport_explosion_destroys_key(self, key_ledger):
         class ExplodingClient:
             def enroll(self, csr):
@@ -136,6 +150,17 @@ class TestErrorPathHygiene:
             one_shot_sign(DOC, "Victim", SwappingClient(shared_issuer))
         live = [kp for kp in key_ledger.live() if kp not in keypair_pool]
         assert not live
+
+
+class TestPickCrl:
+    def test_no_match_names_an_issuer_without_cn(self, shared_issuer, keypair_pool):
+        chain = LocalEnrollmentClient(no_cn_issuer()).enroll(certmodel.build_csr(
+            keypair_pool[0], certmodel.DistinguishedName.from_common_name("Picky"),
+            digest_document(DOC)))
+        with pytest.raises(EnrollmentRejectedError,
+                           match="^no CRL published for issuer O=No CN Issuer$") as excinfo:
+            signer._pick_crl(shared_issuer.issue_blank_crl().to_pem(), chain)
+        assert excinfo.value.ca_code == "no-matching-crl"
 
 
 class TestKeepKey:

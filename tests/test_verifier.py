@@ -11,8 +11,8 @@ from cryptography import x509
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from otcpki import ca, verifier
-from otcpki.ca import CaIdentity, CaRole, create_subordinate, init_hierarchy
+from otcpki import verifier
+from otcpki.ca import init_hierarchy
 from otcpki.certmodel import (
     Certificate,
     CertificationChain,
@@ -23,7 +23,7 @@ from otcpki.certmodel import (
     build_csr,
     decode,
 )
-from otcpki.crypto import EphemeralKeyPair, digest_document, random_serial
+from otcpki.crypto import EphemeralKeyPair, digest_document
 from otcpki.errors import OtcError
 from otcpki.signer import LocalEnrollmentClient, one_shot_sign
 from otcpki.verifier import (
@@ -36,7 +36,7 @@ from otcpki.verifier import (
     verify_bundle,
 )
 
-from conftest import fresh_policy
+from conftest import fresh_policy, no_cn_issuer
 from forge import (
     break_certificate_signature,
     forge_leaf,
@@ -692,23 +692,6 @@ class TestMemo:
             assert warm.to_text() == cold.to_text(), name
 
 
-def ca_named(name: x509.Name, role: CaRole, policy, parent=None) -> CaIdentity:
-    """A CA whose subject is any X.509 name, even one without the CN that
-    ``DistinguishedName`` requires, built as ``ca.create_root`` and
-    ``ca.create_subordinate`` build theirs."""
-    keypair = EphemeralKeyPair.generate(policy.suite)
-    builder = ca._ca_builder(name, parent.certificate.raw.subject if parent else name,
-                             keypair.public_key, random_serial(),
-                             datetime.now(timezone.utc), policy.chain_not_after, role)
-    if parent is None:
-        certificate = Certificate(builder.sign(keypair._signing_key(),
-                                               policy.suite.digest.hash_primitive()))
-        return CaIdentity(certificate, keypair, role, policy)
-    certificate = parent._sign_child_certificate(builder)
-    return CaIdentity(certificate, keypair, role, policy,
-                      (parent.certificate, *parent.lineage))
-
-
 class TestNamesWithoutCommonName:
     """Before chain trust and the CRL check compared and printed names as
     X.509 names, this chain failed chain-trust and crl with "cannot decode:
@@ -716,18 +699,12 @@ class TestNamesWithoutCommonName:
 
     @pytest.fixture(scope="class")
     def no_cn(self):
-        policy = fresh_policy()
-        organization = x509.NameOID.ORGANIZATION_NAME
-        root = ca_named(x509.Name([x509.NameAttribute(organization, "No CN Root")]),
-                        CaRole.ROOT, policy)
-        intermediate = create_subordinate(root, "CN Intermediate", CaRole.INTERMEDIATE)
-        issuer = ca_named(x509.Name([x509.NameAttribute(organization, "No CN Issuer")]),
-                          CaRole.ISSUER, policy, intermediate)
-        return root, one_shot_sign(DOC, "No CN Leaf", LocalEnrollmentClient(issuer))
+        issuer = no_cn_issuer()
+        return issuer.lineage[-1], one_shot_sign(DOC, "No CN Leaf", LocalEnrollmentClient(issuer))
 
     def test_chain_under_a_root_without_cn_is_accepted(self, no_cn):
         root, bundle = no_cn
-        report = verify_bundle(bundle, DOC, [root.certificate], POLICY)
+        report = verify_bundle(bundle, DOC, [root], POLICY)
         assert report.accepted, report.to_text()
         assert "anchored at O=No CN Root" in report.to_text()
 
