@@ -60,12 +60,12 @@ OFF_MENU_KEYS = {
 }
 
 
-def bound_csr(private_key, digest: DocumentDigest, name="Off Menu") -> SigningRequest:
+def bound_csr(private_key, digest: DocumentDigest) -> SigningRequest:
     """A request for any key type, signed by ``private_key`` so POP holds,
     carrying the binding of ``digest``."""
     builder = (
         x509.CertificateSigningRequestBuilder()
-        .subject_name(DistinguishedName.from_common_name(name).to_x509())
+        .subject_name(DistinguishedName.from_common_name("Off Menu").to_x509())
         .add_extension(OtcExtension(digest).to_x509(), critical=False)
     )
     algorithm = None if isinstance(private_key, ed25519.Ed25519PrivateKey) else hashes.SHA256()
