@@ -66,6 +66,8 @@ __all__ = [
     "init_hierarchy",
     "save_ca",
     "load_ca",
+    "save_hierarchy",
+    "issuer_directories",
 ]
 
 PASSPHRASE_ENV = "OTC_CA_PASSPHRASE"
@@ -157,10 +159,6 @@ class CaIdentity:
     # -- introspection ------------------------------------------------------
 
     @property
-    def name(self) -> DistinguishedName:
-        return self.certificate.subject
-
-    @property
     def state(self) -> CaState:
         return CaState.ACTIVE if self._keypair.is_live else CaState.RETIRED
 
@@ -181,24 +179,19 @@ class CaIdentity:
         return CertificationChain((self.certificate, *self.lineage))
 
     def __repr__(self) -> str:
-        return f"<CaIdentity {self.role.value} {self._subject_text} {self.state.value}>"
+        return f"<CaIdentity {self.role.value} {self.certificate.subject_text} {self.state.value}>"
 
     # -- internals ----------------------------------------------------------
-
-    @property
-    def _subject_text(self) -> str:
-        """The subject as RFC 4514 text, which any name has; ``name`` needs
-        the CN that ``DistinguishedName`` requires."""
-        return self.certificate.raw.subject.rfc4514_string()
 
     def _require_active(self, role: str, now: datetime):
         """Raise unless this CA can sign at ``now``: its key is live and its
         certificate has not expired. ``role`` starts the error code."""
         if not self._keypair.is_live:
-            raise CaRetiredError(f"{self._subject_text} is retired", code=f"{role}-retired")
+            raise CaRetiredError(f"{self.certificate.subject_text} is retired",
+                                 code=f"{role}-retired")
         if now > self.not_after:
-            raise CaExpiredError(f"{self._subject_text} expired at {self.not_after.isoformat()}",
-                                 code=f"{role}-expired")
+            raise CaExpiredError(f"{self.certificate.subject_text} expired at"
+                                 f" {self.not_after.isoformat()}", code=f"{role}-expired")
 
     def _sign_child_certificate(self, builder: x509.CertificateBuilder) -> Certificate:
         return Certificate(self._keypair.sign_builder(builder))
@@ -374,12 +367,16 @@ def spawn_issuer_pool(
     name_prefix: Optional[str] = None,
 ) -> list:
     """Create ``count`` issuer CAs under one parent, each with its own key,
-    so enrollment load can be spread without changing what verifiers see."""
+    so enrollment load can be spread without changing what verifiers see.
+    Unless ``name_prefix`` is given, each is named after the parent's CN, or
+    after its whole subject when it has none."""
     if count < 0:
         raise ValueError("pool size cannot be negative")
-    prefix = name_prefix or f"{parent.name.common_name} Issuer"
+    if not name_prefix:
+        names = parent.certificate.raw.subject.get_attributes_for_oid(x509.NameOID.COMMON_NAME)
+        name_prefix = f"{names[0].value if names else parent.certificate.subject_text} Issuer"
     return [
-        create_subordinate(parent, f"{prefix} {index:02d}", CaRole.ISSUER)
+        create_subordinate(parent, f"{name_prefix} {index:02d}", CaRole.ISSUER)
         for index in range(1, count + 1)
     ]
 
@@ -432,6 +429,9 @@ def init_hierarchy(
 # ---------------------------------------------------------------------------
 # Persistence
 #
+# A hierarchy (see save_hierarchy) keeps the root in root/, intermediate NN
+# in int-NN/ and its issuer MM in int-NN/iss-MM/, each numbered from 01.
+#
 # Directory layout per CA (see save_ca/load_ca):
 #   cert.pem      the CA certificate
 #   key.pem       encrypted PKCS#8 private key
@@ -471,6 +471,27 @@ def save_ca(ca: CaIdentity, directory: Union[str, Path], passphrase: bytes):
     _write_key_file(directory / "key.pem", key_pem)
     (directory / "chain.pem").write_bytes(ca.chain_to_root().to_pem())
     (directory / "crl.pem").write_bytes(ca.issue_blank_crl().to_pem())
+
+
+def save_hierarchy(hierarchy: Hierarchy, directory: Union[str, Path],
+                   passphrase: bytes) -> list:
+    """Save every CA of a hierarchy under ``directory``, each with
+    :func:`save_ca`; returns the ``(ca, directory)`` rows, root first."""
+    directory = Path(directory)
+    rows = [(hierarchy.root, directory / "root")]
+    for i, (intermediate, pool) in enumerate(zip(hierarchy.intermediates, hierarchy.issuers), 1):
+        int_dir = directory / f"int-{i:02d}"
+        rows.append((intermediate, int_dir))
+        rows.extend((issuer, int_dir / f"iss-{j:02d}") for j, issuer in enumerate(pool, 1))
+    for ca, ca_dir in rows:
+        save_ca(ca, ca_dir, passphrase)
+    return rows
+
+
+def issuer_directories(directory: Union[str, Path]) -> list:
+    """The issuer directories under a hierarchy saved by
+    :func:`save_hierarchy`, in order."""
+    return sorted(Path(directory).glob("int-*/iss-*"))
 
 
 def _role_of(certificate: Certificate) -> CaRole:

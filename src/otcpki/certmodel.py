@@ -171,49 +171,45 @@ def _extract_binding(extensions: x509.Extensions) -> Optional[OtcExtension]:
 
 @dataclass(frozen=True)
 class DistinguishedName:
-    """An ordered set of (dotted OID, value) attributes; CN is mandatory."""
+    """A name the program asks for: a CA's or a signer's, which must carry a
+    non-empty common name. It holds the ``x509.Name`` it was parsed or built
+    from. Names read from certificates, requests and CRLs stay the
+    ``x509.Name`` that cryptography parsed, CN or not."""
 
-    attributes: tuple  # of (str, str)
+    name: x509.Name
 
     def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(tuple(a) for a in self.attributes))
         if not self.common_name:
             raise InvalidNameError("a non-empty common name (2.5.4.3) is required")
 
     @property
     def common_name(self) -> str:
-        for oid, value in self.attributes:
-            if oid == x509.NameOID.COMMON_NAME.dotted_string:
-                return value
-        return ""
+        common_names = self.name.get_attributes_for_oid(x509.NameOID.COMMON_NAME)
+        return common_names[0].value if common_names else ""
 
     @classmethod
     def from_common_name(cls, common_name: str) -> "DistinguishedName":
-        return cls(((x509.NameOID.COMMON_NAME.dotted_string, common_name),))
-
-    def to_x509(self) -> x509.Name:
-        return x509.Name(
-            [x509.NameAttribute(x509.ObjectIdentifier(oid), value) for oid, value in self.attributes]
-        )
-
-    @classmethod
-    def from_x509(cls, name: x509.Name) -> "DistinguishedName":
-        attrs = []
-        for rdn in name.rdns:
-            for attr in rdn:
-                attrs.append((attr.oid.dotted_string, attr.value))
-        return cls(tuple(attrs))
+        try:
+            name = x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, common_name)])
+        except ValueError as exc:  # cryptography refuses a CN outside 1-64 characters
+            raise InvalidNameError(f"cannot use common name {common_name!r}: {exc}") from exc
+        return cls(name)
 
     @classmethod
     def from_string(cls, text: str) -> "DistinguishedName":
-        """Parse an RFC 4514 string such as ``CN=Alice,O=Example``."""
+        """Parse an RFC 4514 string such as ``CN=Alice,O=Example``, a
+        multi-valued RDN such as ``CN=Alice+O=Example`` included."""
         try:
-            return cls.from_x509(x509.Name.from_rfc4514_string(text))
+            name = x509.Name.from_rfc4514_string(text)
         except (ValueError, TypeError) as exc:
             raise InvalidNameError(f"cannot parse name {text!r}: {exc}") from exc
+        return cls(name)
+
+    def to_x509(self) -> x509.Name:
+        return self.name
 
     def __str__(self) -> str:
-        return self.to_x509().rfc4514_string()
+        return self.name.rfc4514_string()
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +256,9 @@ class _Subject(_Wrapper):
     binding if there is one."""
 
     @property
-    def subject(self) -> DistinguishedName:
-        return DistinguishedName.from_x509(self._raw.subject)
+    def subject_text(self) -> str:
+        """The subject as RFC 4514 text, which any name has, CN or not."""
+        return self._raw.subject.rfc4514_string()
 
     @property
     def public_key(self) -> PublicKey:
@@ -300,10 +297,6 @@ class Certificate(_Subject):
     @property
     def serial(self) -> int:
         return self._raw.serial_number
-
-    @property
-    def issuer(self) -> DistinguishedName:
-        return DistinguishedName.from_x509(self._raw.issuer)
 
     @property
     def not_before(self) -> datetime:
@@ -359,7 +352,7 @@ class Certificate(_Subject):
             return False
 
     def __repr__(self) -> str:
-        return f"<Certificate {self._raw.subject.rfc4514_string()} serial={self.serial:x}>"
+        return f"<Certificate {self.subject_text} serial={self.serial:x}>"
 
 
 class RevocationList(_Wrapper):
@@ -367,8 +360,9 @@ class RevocationList(_Wrapper):
     input still parses so a verifier can inspect and reject it."""
 
     @property
-    def issuer(self) -> DistinguishedName:
-        return DistinguishedName.from_x509(self._raw.issuer)
+    def last_update(self) -> datetime:
+        """thisUpdate: the instant from which the list is in force."""
+        return self._raw.last_update_utc
 
     @property
     def next_update(self) -> Optional[datetime]:

@@ -33,7 +33,10 @@ def parse_duration(text: str) -> timedelta:
     match = _DURATION_RE.match(text.strip())
     if not match:
         raise ValueError(f"bad duration {text!r} (use 30s, 15m, 24h or 7d)")
-    return timedelta(seconds=int(match.group(1)) * _DURATION_UNITS[match.group(2)])
+    try:
+        return timedelta(seconds=int(match.group(1)) * _DURATION_UNITS[match.group(2)])
+    except OverflowError:
+        raise ValueError(f"duration {text!r} is out of range") from None
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -48,6 +51,8 @@ def parse_timestamp(text: str) -> datetime:
     except ValueError:
         raise ValueError(f"bad timestamp {text!r} (use ISO-8601, e.g."
                          " 2030-01-01T00:00:00Z)") from None
+    except OverflowError:  # its offset moves it past year 9999 or before year 1
+        raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -60,7 +65,7 @@ def _fail(message: str, code: int = 2) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_pki_init(args: argparse.Namespace) -> int:
-    from .ca import CaPolicy, init_hierarchy, passphrase_from_env, save_ca
+    from .ca import CaPolicy, init_hierarchy, passphrase_from_env, save_hierarchy
     from .crypto import AlgorithmSuite
     from .errors import OtcError
 
@@ -69,7 +74,10 @@ def cmd_pki_init(args: argparse.Namespace) -> int:
         if args.not_after:
             not_after = parse_timestamp(args.not_after)
         else:
-            not_after = datetime.now(timezone.utc) + parse_duration(args.lifetime)
+            try:
+                not_after = datetime.now(timezone.utc) + parse_duration(args.lifetime)
+            except OverflowError:
+                raise ValueError(f"lifetime {args.lifetime!r} ends after year 9999") from None
         passphrase = passphrase_from_env()
         policy = CaPolicy(chain_not_after=not_after, suite=suite)
         hierarchy = init_hierarchy(
@@ -77,21 +85,13 @@ def cmd_pki_init(args: argparse.Namespace) -> int:
             intermediates=args.intermediates,
             issuers_per_intermediate=args.issuers_per_intermediate,
         )
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        rows = [(hierarchy.root, out / "root")]
-        for i, intermediate in enumerate(hierarchy.intermediates, 1):
-            int_dir = out / f"int-{i:02d}"
-            rows.append((intermediate, int_dir))
-            for j, issuer in enumerate(hierarchy.issuers[i - 1], 1):
-                rows.append((issuer, int_dir / f"iss-{j:02d}"))
-        for ca, directory in rows:
-            save_ca(ca, directory, passphrase)
+        rows = save_hierarchy(hierarchy, args.out, passphrase)
     except (OtcError, ValueError, OSError) as exc:
         return _fail(str(exc))
     for ca, directory in rows:
         expiry = ca.not_after.strftime("%Y-%m-%dT%H:%M:%SZ")
-        print(f"{ca.role.value:<13} {ca.name.common_name:<40} expires {expiry}  [{directory}]")
+        print(f"{ca.role.value:<13} {ca.certificate.subject_text:<40} expires {expiry}"
+              f"  [{directory}]")
     return 0
 
 
@@ -143,7 +143,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
             " as soon as you no longer need it",
             file=sys.stderr,
         )
-    print(f"signed {doc_path} as {bundle.subject}: bundle written to {args.out}")
+    print(f"signed {doc_path} as {bundle.chain.leaf.subject_text}: bundle written to {args.out}")
     return 0
 
 

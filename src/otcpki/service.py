@@ -42,7 +42,7 @@ from http import HTTPStatus
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
-from .ca import CaIdentity, load_ca, passphrase_from_env
+from .ca import CaIdentity, issuer_directories, load_ca, passphrase_from_env
 from .certmodel import PEM_CONTENT_TYPE, SigningRequest, decode
 from .errors import (
     CaExpiredError,
@@ -236,7 +236,7 @@ class ServiceConfig:
 
     Keys: ``listen`` (host:port, default 127.0.0.1:8440), ``ca-dir`` (path
     holding the hierarchy, required), ``pool-size`` (how many issuers to
-    serve; default all found).
+    serve; default all found). Each key may be set once.
     """
 
     listen_host: str = "127.0.0.1"
@@ -254,7 +254,10 @@ class ServiceConfig:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ConfigError(f"line {lineno}: expected key = value")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ConfigError(f"line {lineno}: {key} is set twice")
+            values[key] = value.strip()
         unknown = set(values) - {"listen", "ca-dir", "pool-size"}
         if unknown:
             raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
@@ -294,12 +297,12 @@ class ServiceConfig:
 
 
 def load_pool(ca_dir: Union[str, Path], pool_size: Optional[int] = None) -> list:
-    """Load the issuer CAs under a hierarchy directory (layout written by
-    the pki-init command: ``<ca-dir>/int-*/iss-*``)."""
+    """Load the issuer CAs under a hierarchy directory, in the layout of
+    :func:`otcpki.ca.save_hierarchy`."""
     ca_dir = Path(ca_dir)
     if not ca_dir.is_dir():
         raise ConfigError(f"ca-dir {ca_dir} is not a directory")
-    issuer_dirs = sorted(ca_dir.glob("int-*/iss-*"))
+    issuer_dirs = issuer_directories(ca_dir)
     if not issuer_dirs:
         raise ConfigError(f"no issuer directories under {ca_dir}")
     if pool_size is not None:

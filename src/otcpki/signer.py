@@ -109,7 +109,7 @@ def _pick_crl(pem: bytes, chain: CertificationChain) -> RevocationList:
         if crl.raw.issuer == issuing_ca.raw.subject:
             return crl
     raise EnrollmentRejectedError(
-        f"no CRL published for issuer {issuing_ca.raw.subject.rfc4514_string()}",
+        f"no CRL published for issuer {issuing_ca.subject_text}",
         ca_code="no-matching-crl",
     )
 
@@ -273,13 +273,16 @@ class LocalEnrollmentClient:
         self._crl: Optional[RevocationList] = None
 
     def enroll(self, csr: SigningRequest) -> CertificationChain:
+        # The CRL is issued before the first leaf, so that it is in force
+        # from every leaf's notBefore.
+        self.fetch_crl(None)
         try:
             leaf = self._issuer.issue_otc(csr)
         except OtcError as exc:
             raise EnrollmentRejectedError(str(exc), ca_code=exc.code) from exc
         return CertificationChain((leaf, *self._issuer.chain_to_root()))
 
-    def fetch_crl(self, chain: CertificationChain) -> RevocationList:
+    def fetch_crl(self, chain: Optional[CertificationChain]) -> RevocationList:
         if self._crl is None:
             try:
                 self._crl = self._issuer.issue_blank_crl()
@@ -307,16 +310,12 @@ class SignedDocumentBundle:
     def __post_init__(self):
         object.__setattr__(self, "created_at", _utc_second(self.created_at))
 
-    @property
-    def subject(self) -> DistinguishedName:
-        return self.chain.leaf.subject
-
     def _meta_text(self) -> str:
         return (
             f"digest-alg = {self.document_digest.algorithm.value}\n"
             f"digest-hex = {self.document_digest.hex()}\n"
             f"created-at = {self.created_at.strftime('%Y-%m-%dT%H:%M:%SZ')}\n"
-            f"subject = {self.subject}\n"
+            f"subject = {self.chain.leaf.subject_text}\n"
         )
 
     def save(self, path: Union[str, Path]):

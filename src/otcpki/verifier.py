@@ -95,6 +95,8 @@ class RecencyPolicy:
             raise ValueError("max_age cannot be negative")
         if self.clock_skew_allowance < timedelta(0):
             raise ValueError("clock_skew_allowance cannot be negative")
+        if self.max_age > timedelta.max - self.clock_skew_allowance:
+            raise ValueError("max_age plus clock_skew_allowance is out of range")
 
     @property
     def limit(self) -> timedelta:
@@ -199,12 +201,6 @@ def check_recency(leaf: Certificate, policy: RecencyPolicy, at_time: datetime) -
 # Full bundle verification
 # ---------------------------------------------------------------------------
 
-def _name(certificate: Certificate) -> str:
-    """The subject as RFC 4514 text. Any name will do: a CA need not have
-    the CN that ``DistinguishedName`` requires."""
-    return certificate.raw.subject.rfc4514_string()
-
-
 def _fails_undecodable(name: str, code: FailureCode):
     """Turn an exception from a check into its failure. cryptography decodes
     names, extensions and keys when they are first read, so a certificate or
@@ -233,9 +229,9 @@ def _extension_failure(certificate: Certificate) -> Optional[str]:
     constraints, so it refuses them rather than process them."""
     for extension in certificate.raw.extensions:
         if extension.oid == ExtensionOID.NAME_CONSTRAINTS and certificate.is_ca:
-            return f"{_name(certificate)} carries nameConstraints"
+            return f"{certificate.subject_text} carries nameConstraints"
         if extension.critical and extension.oid not in _PROCESSED_EXTENSIONS:
-            return (f"{_name(certificate)} carries the critical extension"
+            return (f"{certificate.subject_text} carries the critical extension"
                     f" {extension.oid.dotted_string}, which is not processed")
     return None
 
@@ -248,22 +244,22 @@ def _path_failure(certificates: tuple) -> Optional[str]:
     certificate below it."""
     for depth, (child, parent) in enumerate(zip(certificates, certificates[1:])):
         if not parent.is_ca:
-            return f"{_name(parent)} is not a CA certificate"
+            return f"{parent.subject_text} is not a CA certificate"
         failure = _extension_failure(parent)
         if failure is not None:
             return failure
         if not parent.may_sign_certificates:
-            return f"{_name(parent)} keyUsage does not assert keyCertSign"
+            return f"{parent.subject_text} keyUsage does not assert keyCertSign"
         # depth CA certificates sit between the leaf and parent; only those
         # that are not self-issued count against the constraint.
         limit = parent.path_length
         if limit is not None and depth > limit:
             below = sum(not cert.is_self_issued for cert in certificates[1:depth + 1])
             if below > limit:
-                return (f"{_name(parent)} pathLenConstraint {limit}"
+                return (f"{parent.subject_text} pathLenConstraint {limit}"
                         f" exceeded by {below} CA certificates below it")
         if not child.verify_signed_by(parent):
-            return f"{_name(child)} is not signed by {_name(parent)}"
+            return f"{child.subject_text} is not signed by {parent.subject_text}"
     if not certificates[-1].is_self_signed:
         return "chain does not end in a self-signed root"
     return None
@@ -277,7 +273,7 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
         return CheckResult(name, False, "no trust anchors supplied", FailureCode.UNTRUSTED_CHAIN)
     leaf, path = chain.leaf, chain.certificates[1:]
     if leaf.is_ca:
-        return CheckResult(name, False, f"leaf {_name(leaf)} is a CA certificate",
+        return CheckResult(name, False, f"leaf {leaf.subject_text} is a CA certificate",
                            FailureCode.UNTRUSTED_CHAIN)
     failure = _extension_failure(leaf)
     if failure is not None:
@@ -288,13 +284,14 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
         failure = _path_failure(chain.certificates)
         if failure is not None:
             return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
-        root_name = _name(chain.root)
+        root_name = chain.root.subject_text
         if path:
             _passed.put(path_key, root_name)
     elif not leaf.verify_signed_by(path[0]):
         # Every check of the path above the leaf passed before; only the
         # leaf's own link is new.
-        return CheckResult(name, False, f"{_name(leaf)} is not signed by {_name(path[0])}",
+        return CheckResult(name, False,
+                           f"{leaf.subject_text} is not signed by {path[0].subject_text}",
                            FailureCode.UNTRUSTED_CHAIN)
     root_der = chain.root.to_der()
     if not any(anchor.to_der() == root_der for anchor in anchors):
@@ -308,10 +305,10 @@ def _check_validity_window(chain: CertificationChain, at_time: datetime) -> Chec
     name = "validity-window"
     for cert in chain:
         if at_time < cert.not_before:
-            return CheckResult(name, False, f"{_name(cert)} not valid until"
+            return CheckResult(name, False, f"{cert.subject_text} not valid until"
                                f" {cert.not_before.isoformat()}", FailureCode.EXPIRED)
         if at_time > cert.not_after:
-            return CheckResult(name, False, f"{_name(cert)} expired"
+            return CheckResult(name, False, f"{cert.subject_text} expired"
                                f" {cert.not_after.isoformat()}", FailureCode.EXPIRED)
     return CheckResult(name, True, "every certificate valid at the verification instant")
 
@@ -347,7 +344,7 @@ def _check_signature(bundle: SignedDocumentBundle, digest) -> CheckResult:
 
 
 @_fails_undecodable("crl", FailureCode.BAD_CRL)
-def _check_crl(bundle: SignedDocumentBundle) -> CheckResult:
+def _check_crl(bundle: SignedDocumentBundle, at_time: datetime) -> CheckResult:
     name = "crl"
     crl = bundle.crl
     if crl is None:
@@ -359,12 +356,20 @@ def _check_crl(bundle: SignedDocumentBundle) -> CheckResult:
         if crl.raw.issuer != issuing_ca.raw.subject:
             return CheckResult(name, False,
                                f"CRL issued by {crl.raw.issuer.rfc4514_string()},"
-                               f" leaf issued by {_name(issuing_ca)}",
+                               f" leaf issued by {issuing_ca.subject_text}",
                                FailureCode.BAD_CRL)
         if not crl.is_signed_by(issuing_ca):
             return CheckResult(name, False, "CRL signature does not verify under the issuing CA",
                                FailureCode.BAD_CRL)
         _passed.put(crl_key)
+    # The memo holds no instant, so the window is checked on every verify.
+    if at_time < crl.last_update:
+        return CheckResult(name, False, f"CRL not in force until {crl.last_update.isoformat()}",
+                           FailureCode.BAD_CRL)
+    next_update = crl.next_update
+    if next_update is not None and at_time > next_update:
+        return CheckResult(name, False, f"CRL expired {next_update.isoformat()}",
+                           FailureCode.BAD_CRL)
     if not crl.is_blank:
         return CheckResult(name, False,
                            f"CRL lists {len(crl.revoked_serials)} entries;"
@@ -388,8 +393,9 @@ def verify_bundle(
     semantics would conclude: the binding, uniform-expiry, and recency
     checks are skipped (the binding extension is non-critical precisely so
     such validators accept these certificates), leaving chain trust, the
-    validity window, the blank CRL, and the signature, which a detached-
-    signature validator checks over the presented document.
+    validity window, the blank CRL in force at the instant, and the
+    signature, which a detached-signature validator checks over the
+    presented document.
     """
     moment = _utc(at_time if at_time is not None else datetime.now(timezone.utc))
     chain = bundle.chain
@@ -414,5 +420,5 @@ def verify_bundle(
     checks.append(_check_signature(bundle, signed))
     if not legacy:
         checks.append(check_recency(leaf, policy, moment))
-    checks.append(_check_crl(bundle))
+    checks.append(_check_crl(bundle, moment))
     return VerificationReport(checks=tuple(checks), at_time=moment)

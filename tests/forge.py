@@ -126,6 +126,19 @@ def forge_nonblank_crl(issuer: CaIdentity, serial: int) -> RevocationList:
     return RevocationList(builder.sign(key, issuer.suite.digest.hash_primitive()))
 
 
+def forge_blank_crl(issuer: CaIdentity, last_update: datetime,
+                    next_update: datetime) -> RevocationList:
+    """A blank CRL signed by the issuer, with the given thisUpdate and
+    nextUpdate."""
+    builder = (
+        x509.CertificateRevocationListBuilder()
+        .issuer_name(issuer.certificate.raw.subject)
+        .last_update(last_update)
+        .next_update(next_update)
+    )
+    return RevocationList(issuer._keypair.sign_builder(builder))
+
+
 def break_certificate_signature(certificate: Certificate) -> Certificate:
     """The same certificate with the last byte of its signature flipped;
     still parses, no longer verifies under its issuer."""

@@ -26,8 +26,10 @@ from otcpki.ca import (
     create_root,
     create_subordinate,
     init_hierarchy,
+    issuer_directories,
     load_ca,
     save_ca,
+    save_hierarchy,
     spawn_issuer_pool,
 )
 from otcpki.certmodel import (
@@ -54,6 +56,7 @@ from otcpki.errors import (
 from conftest import (
     PADDED_OID_PAYLOAD,
     bound_csr,
+    ca_named,
     csr_with_extension,
     fresh_policy,
     modes_at_write,
@@ -276,7 +279,7 @@ class TestBlankCrl:
         assert crl.is_blank
         assert crl.revoked_serials == ()
         assert crl.next_update == shared_issuer.not_after
-        assert crl.issuer == shared_issuer.name
+        assert crl.raw.issuer == shared_issuer.certificate.raw.subject
         assert crl.is_signed_by(shared_issuer.certificate)
 
     def test_not_signed_by_other_ca(self, shared_hierarchy, shared_issuer):
@@ -381,7 +384,7 @@ class TestIssuerPool:
         pool = spawn_issuer_pool(hierarchy.intermediates[0], 3)
         assert len(pool) == 3
         assert len({ca.certificate.public_key.public_numbers() for ca in pool}) == 3
-        assert len({ca.name.common_name for ca in pool}) == 3
+        assert len({ca.certificate.subject_text for ca in pool}) == 3
         for issuer in pool:
             assert issuer.not_after == hierarchy.root.not_after
             chain = CertificationChain(
@@ -389,6 +392,17 @@ class TestIssuerPool:
             )
             assert chain.links_verify()
             assert chain.root == hierarchy.root.certificate
+
+    def test_named_after_a_parent_without_common_name(self, keypair_pool):
+        policy = fresh_policy()
+        root = create_root("Pool Parent Root", policy)
+        organization = x509.NameAttribute(x509.NameOID.ORGANIZATION_NAME, "I")
+        intermediate = ca_named(x509.Name([organization]), CaRole.INTERMEDIATE, policy, root)
+        (issuer,) = spawn_issuer_pool(intermediate, 1)
+        assert issuer.certificate.raw.subject == x509.Name(
+            [x509.NameAttribute(x509.NameOID.COMMON_NAME, "O=I Issuer 01")])
+        leaf = issuer.issue_otc(make_csr(keypair_pool[0]))
+        assert leaf.verify_signed_by(issuer.certificate)
 
     def test_zero_is_allowed(self, shared_hierarchy):
         assert spawn_issuer_pool(shared_hierarchy.intermediates[0], 0) == []
@@ -422,6 +436,24 @@ class TestPersistence:
         reloaded_issuer = load_ca(tmp_path / "int-01/iss-01", passphrase)
         leaf = reloaded_issuer.issue_otc(make_csr(keypair_pool[0]))
         assert leaf.verify_signed_by(hierarchy.first_issuer().certificate)
+
+    def test_hierarchy_layout(self, tmp_path, passphrase):
+        hierarchy = init_hierarchy("Layout Root", fresh_policy(), intermediates=2,
+                                   issuers_per_intermediate=2)
+        rows = save_hierarchy(hierarchy, tmp_path, passphrase)
+        assert [(ca, directory.relative_to(tmp_path).as_posix()) for ca, directory in rows] == [
+            (hierarchy.root, "root"),
+            (hierarchy.intermediates[0], "int-01"),
+            (hierarchy.issuers[0][0], "int-01/iss-01"),
+            (hierarchy.issuers[0][1], "int-01/iss-02"),
+            (hierarchy.intermediates[1], "int-02"),
+            (hierarchy.issuers[1][0], "int-02/iss-01"),
+            (hierarchy.issuers[1][1], "int-02/iss-02"),
+        ]
+        for ca, directory in rows:
+            assert load_ca(directory, passphrase).certificate == ca.certificate
+        assert issuer_directories(tmp_path) == [directory for ca, directory in rows
+                                                if ca.role is CaRole.ISSUER]
 
     def test_wrong_passphrase_refused(self, tmp_path, passphrase):
         root = create_root("Locked Root", fresh_policy())

@@ -166,7 +166,8 @@ class TestExtensionCodec:
 class TestDistinguishedName:
     def test_requires_common_name(self):
         with pytest.raises(InvalidNameError):
-            DistinguishedName(attributes=(("2.5.4.10", "Org Only"),))
+            DistinguishedName(x509.Name([x509.NameAttribute(x509.NameOID.ORGANIZATION_NAME,
+                                                            "Org Only")]))
 
     def test_rejects_empty_common_name(self):
         with pytest.raises(InvalidNameError):
@@ -178,17 +179,30 @@ class TestDistinguishedName:
         assert name.common_name == "Alice Example"
 
     def test_x509_roundtrip_preserves_order(self):
-        name = DistinguishedName(
-            (("2.5.4.6", "SE"), ("2.5.4.10", "Example"), ("2.5.4.3", "Alice"))
-        )
-        assert DistinguishedName.from_x509(name.to_x509()) == name
+        raw = x509.Name([x509.NameAttribute(x509.ObjectIdentifier(oid), value) for oid, value
+                         in (("2.5.4.6", "SE"), ("2.5.4.10", "Example"), ("2.5.4.3", "Alice"))])
+        name = DistinguishedName(raw)
+        assert name.to_x509() == raw
+        assert DistinguishedName(name.to_x509()) == name
+        assert [attr.oid.dotted_string for attr in name.to_x509()] == [
+            "2.5.4.6", "2.5.4.10", "2.5.4.3"]
 
     def test_unparseable_string(self):
         with pytest.raises(InvalidNameError):
             DistinguishedName.from_string("not-a-dn")
 
+    def test_common_name_out_of_range(self):
+        with pytest.raises(InvalidNameError):
+            DistinguishedName.from_common_name("x" * 65)
+
 
 class TestBuildCsr:
+    def test_multi_valued_rdn_kept_as_written(self, keypair_pool):
+        csr = build_csr(keypair_pool[0], DistinguishedName.from_string("CN=a+O=b"),
+                        sha256_digest())
+        assert csr.raw.subject == x509.Name.from_rfc4514_string("CN=a+O=b")
+        assert csr.subject_text == "CN=a+O=b"
+
     def test_binding_embedded_verbatim(self, keypair_pool):
         digest = sha256_digest(b"csr doc")
         csr = build_csr(keypair_pool[0], DistinguishedName.from_common_name("A"), digest)

@@ -44,6 +44,10 @@ class TestParseDuration:
         with pytest.raises(ValueError):
             parse_duration(text)
 
+    def test_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_duration("99999999999d")
+
 
 class TestParseTimestamp:
     def test_zulu_suffix(self):
@@ -62,6 +66,10 @@ class TestParseTimestamp:
         with pytest.raises(ValueError):
             parse_timestamp("next tuesday")
 
+    def test_out_of_range_in_utc(self):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_timestamp("9999-12-31T23:59:59-05:00")
+
 
 class TestPkiInit:
     def test_defaults_build_three_tiers_with_one_expiry(
@@ -73,6 +81,11 @@ class TestPkiInit:
         captured = capsys.readouterr()
         lines = captured.out.strip().splitlines()
         assert len(lines) == 3
+        assert [re.match(r"(\S+) +(.+?) +expires", line).groups() for line in lines] == [
+            ("root", "CN=OTC Root CA"),
+            ("intermediate", "CN=OTC Root CA Intermediate 01"),
+            ("issuer", "CN=OTC Root CA Int01 Issuer 01"),
+        ]
         assert (out / "root" / "cert.pem").is_file()
         assert (out / "int-01" / "iss-01" / "key.pem").is_file()
         expiries = EXPIRES_RE.findall(captured.out)
@@ -99,6 +112,12 @@ class TestPkiInit:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "pki" / "root").exists()
+
+    def test_lifetime_past_year_9999_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(PASSPHRASE_ENV, "init-pass")
+        rc = main(["pki-init", "--lifetime", "4000000d", "--out", str(tmp_path / "pki")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: lifetime '4000000d' ends after year 9999\n"
 
     def test_missing_passphrase_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(PASSPHRASE_ENV, raising=False)
@@ -259,6 +278,20 @@ class TestSignAndVerify:
         assert rc == 1
         assert out.startswith("verdict: rejected")
         assert "signature: FAIL [bad-signature]" in out
+
+    @pytest.mark.parametrize("option", [
+        ["--max-age", "99999999999d"],
+        ["--max-age", "999999999d", "--skew", "1d"],  # each in range, not their sum
+        ["--max-age", "24h", "--at", "9999-12-31T23:59:59-05:00"],
+    ], ids=["max-age", "max-age-plus-skew", "at"])
+    def test_out_of_range_is_usage_error(self, cli_stack, capsys, option):
+        rc = main([
+            "verify", "--doc", str(cli_stack.doc),
+            "--bundle", str(cli_stack.bundle),
+            "--trust", str(cli_stack.trust), *option,
+        ])
+        assert rc == 2
+        assert re.fullmatch(r"error: .* out of range( in UTC)?\n", capsys.readouterr().err)
 
     def test_bad_duration_is_usage_error(self, cli_stack, capsys):
         rc = main([

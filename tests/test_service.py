@@ -674,8 +674,8 @@ class TestKeepAlive:
             for chain in chains:
                 client.fetch_crl(chain)
             assert len(client._crls) == 2
-            assert client.fetch_crl(chains[2]).issuer == chains[2].issuing_ca.subject
-            assert client.fetch_crl(chains[0]).issuer == chains[0].issuing_ca.subject
+            assert client.fetch_crl(chains[2]).raw.issuer == chains[2].issuing_ca.raw.subject
+            assert client.fetch_crl(chains[0]).raw.issuer == chains[0].issuing_ca.raw.subject
         finally:
             client.close()
             service.stop()
@@ -727,7 +727,7 @@ class TestPoolBehavior:
         issuers_seen = set()
         for i in range(4):
             bundle = one_shot_sign(b"spread", f"Spread {i}", client)
-            issuers_seen.add(str(bundle.chain.issuing_ca.subject))
+            issuers_seen.add(bundle.chain.issuing_ca.subject_text)
         assert len(issuers_seen) == 2
 
     def test_bundles_verify_regardless_of_pool_member(self, stack):
@@ -785,7 +785,7 @@ class TestRetirement:
             client = HttpEnrollmentClient(url)
             hierarchy.issuers[0][0].retire()
             bundle = one_shot_sign(b"still up", "Survivor", client)  # second member serves
-            assert bundle.chain.issuing_ca.subject == hierarchy.issuers[0][1].name
+            assert bundle.chain.issuing_ca == hierarchy.issuers[0][1].certificate
             hierarchy.issuers[0][1].retire()
             with pytest.raises(EnrollmentRejectedError) as excinfo:
                 one_shot_sign(b"down", "Too Late", client)
@@ -1270,3 +1270,7 @@ class TestServiceConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ServiceConfig.parse(tmp_path / "absent.conf")
+
+    def test_repeated_key_refused(self):
+        with pytest.raises(ConfigError, match="^line 3: ca-dir is set twice$"):
+            ServiceConfig.parse_text("ca-dir = /a\n# the second wins nothing\nca-dir = /b\n")

@@ -9,6 +9,7 @@ import zlib
 from datetime import timedelta, timezone
 
 import pytest
+from cryptography import x509
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +51,7 @@ class TestOneShotSign:
     def test_bundle_is_complete_and_verifiable(self, client, trust_anchors):
         bundle = one_shot_sign(DOC, "Bundle Author", client)
         assert bundle.document_digest == digest_document(DOC)
-        assert bundle.subject.common_name == "Bundle Author"
+        assert bundle.chain.leaf.subject_text == "CN=Bundle Author"
         assert bundle.chain.leaf.binding.digest == bundle.document_digest
         assert len(bundle.chain) == 4
         assert bundle.crl.is_blank
@@ -285,6 +286,26 @@ class TestBundleArchive:
         assert loaded.created_at == bundle.created_at
         assert verify_bundle(loaded, DOC, trust_anchors, POLICY).accepted
 
+    def test_leaf_without_common_name(self, client, keypair_pool, trust_anchors, tmp_path):
+        """A leaf needs no CN: ``/enroll`` certifies the subject a request
+        names, whatever it is."""
+        keypair, digest = keypair_pool[6], digest_document(DOC)
+        subject = x509.Name([x509.NameAttribute(x509.NameOID.ORGANIZATION_NAME, "NoCN")])
+        csr = certmodel.SigningRequest(keypair.sign_builder(
+            x509.CertificateSigningRequestBuilder().subject_name(subject)
+            .add_extension(certmodel.OtcExtension(digest).to_x509(), critical=False)))
+        chain = client.enroll(csr)
+        bundle = SignedDocumentBundle(digest, keypair.sign_digest(digest), chain,
+                                      client.fetch_crl(chain), chain.leaf.not_before)
+        at_time = chain.leaf.not_before
+        report = verify_bundle(bundle, DOC, trust_anchors, POLICY, at_time)
+        assert report.accepted, report.to_text()
+        path = tmp_path / "no-cn.otcb"
+        bundle.save(path)
+        loaded = SignedDocumentBundle.load(path)
+        assert loaded.chain.leaf.raw.subject == subject
+        assert verify_bundle(loaded, DOC, trust_anchors, POLICY, at_time) == report
+
     def test_archive_layout(self, client, tmp_path):
         bundle = one_shot_sign(DOC, "Layout", client)
         path = tmp_path / "layout.otcb"
@@ -298,7 +319,7 @@ class TestBundleArchive:
         assert keys == ["digest-alg", "digest-hex", "created-at", "subject"]
         assert f"digest-hex = {bundle.document_digest.hex()}" in meta
         assert "digest-alg = sha-256" in meta
-        assert str(bundle.subject) in meta
+        assert f"subject = {bundle.chain.leaf.subject_text}\n" in meta
 
     def test_created_at_is_utc_second_precision(self, client, tmp_path):
         bundle = one_shot_sign(DOC, "Clock", client)

@@ -2,6 +2,7 @@
 behavior of the recency window, legacy mode, and soundness fuzzing."""
 
 import dataclasses
+import itertools
 import shutil
 import subprocess
 from datetime import datetime, timedelta, timezone
@@ -11,6 +12,7 @@ from cryptography import x509
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from otcpki import ca as ca_module
 from otcpki import verifier
 from otcpki.ca import init_hierarchy
 from otcpki.certmodel import (
@@ -39,6 +41,7 @@ from otcpki.verifier import (
 from conftest import fresh_policy, no_cn_issuer
 from forge import (
     break_certificate_signature,
+    forge_blank_crl,
     forge_leaf,
     forge_nonblank_crl,
     reissue_ca,
@@ -51,6 +54,7 @@ from forge import (
 
 DOC = b"the agreed text"
 HOUR = timedelta(hours=1)
+DAY = timedelta(days=1)
 POLICY = RecencyPolicy(max_age=HOUR)
 
 CHECK_ORDER = (
@@ -413,13 +417,14 @@ class TestAgainstOpensslVerify:
     }
 
     @staticmethod
-    def openssl_verify(chain: CertificationChain, tmp_path) -> subprocess.CompletedProcess:
+    def openssl_verify(chain: CertificationChain, tmp_path,
+                       *options: str) -> subprocess.CompletedProcess:
         files = {"root": chain.certificates[-1:], "untrusted": chain.certificates[1:-1],
                  "leaf": chain.certificates[:1]}
         for name, certificates in files.items():
             (tmp_path / name).write_bytes(b"".join(cert.to_pem() for cert in certificates))
         return subprocess.run(
-            [OPENSSL, "verify", "-CAfile", str(tmp_path / "root"),
+            [OPENSSL, "verify", *options, "-CAfile", str(tmp_path / "root"),
              "-untrusted", str(tmp_path / "untrusted"), str(tmp_path / "leaf")],
             capture_output=True, text=True, timeout=30)
 
@@ -441,6 +446,66 @@ class TestAgainstOpensslVerify:
         openssl = self.openssl_verify(critical_binding_bundle(shared_issuer, bundle).chain,
                                       tmp_path)
         assert "error 34 " in openssl.stdout + openssl.stderr
+
+
+@pytest.fixture(scope="module")
+def ticking_stack():
+    """A fresh hierarchy whose CAs read a clock that moves one second per
+    read, the blank CRLs of its root and intermediate, and a bundle signed
+    under its first issuer through ``LocalEnrollmentClient``. Every CRL is
+    issued before the leaf, so all are in force at its notBefore."""
+    start = ca_module._now()
+    ticks = itertools.count()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ca_module, "_now", lambda: start + timedelta(seconds=next(ticks)))
+        hierarchy = init_hierarchy("Ticking Root", fresh_policy())
+        ca_crls = [ca.issue_blank_crl() for ca in (hierarchy.root, *hierarchy.intermediates)]
+        bundle = one_shot_sign(DOC, "Ticking Author",
+                               LocalEnrollmentClient(hierarchy.first_issuer()))
+    return hierarchy, ca_crls, bundle
+
+
+class TestCrlValidityWindow:
+    """The CRL must be in force at the verification instant, as
+    ``openssl verify -crl_check_all`` requires (errors 11 and 12)."""
+
+    CASES = {
+        "honest": (None, "OK"),
+        "expired": (lambda at: (at - 2 * DAY, at - DAY), "error 12 "),
+        "not-yet-in-force": (lambda at: (at + DAY, at + 2 * DAY), "error 11 "),
+    }
+
+    @staticmethod
+    def case_bundle(case, ticking_stack):
+        hierarchy, _, bundle = ticking_stack
+        window = TestCrlValidityWindow.CASES[case][0]
+        if window is None:
+            return bundle
+        at_time = bundle.chain.leaf.not_before
+        return with_crl(bundle, forge_blank_crl(hierarchy.first_issuer(), *window(at_time)))
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("legacy", [False, True], ids=["aware", "legacy"])
+    def test_at_the_leaf_not_before(self, case, legacy, ticking_stack):
+        hierarchy, _, _ = ticking_stack
+        bundle = self.case_bundle(case, ticking_stack)
+        report = verify_bundle(bundle, DOC, [hierarchy.root.certificate], POLICY,
+                               bundle.chain.leaf.not_before, legacy=legacy)
+        expected = () if case == "honest" else (FailureCode.BAD_CRL.value,)
+        assert report.failure_codes == expected, report.to_text()
+
+    @pytest.mark.skipif(OPENSSL is None, reason="openssl CLI not installed")
+    @pytest.mark.parametrize("case", CASES)
+    def test_openssl_agrees(self, case, ticking_stack, tmp_path):
+        _, ca_crls, _ = ticking_stack
+        bundle = self.case_bundle(case, ticking_stack)
+        crls = tmp_path / "crls"
+        crls.write_bytes(b"".join(crl.to_pem() for crl in (*ca_crls, bundle.crl)))
+        openssl = TestAgainstOpensslVerify.openssl_verify(
+            bundle.chain, tmp_path, "-crl_check_all", "-CRLfile", str(crls),
+            "-attime", str(int(bundle.chain.leaf.not_before.timestamp())))
+        assert self.CASES[case][1] in openssl.stdout + openssl.stderr
+        assert (openssl.returncode == 0) is (case == "honest")
 
 
 class TestRecencyBoundary:
