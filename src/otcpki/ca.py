@@ -55,7 +55,6 @@ from .errors import (
 
 __all__ = [
     "CaRole",
-    "CaState",
     "CaPolicy",
     "CaIdentity",
     "Hierarchy",
@@ -67,6 +66,7 @@ __all__ = [
     "save_ca",
     "load_ca",
     "save_hierarchy",
+    "check_hierarchy_directory",
     "issuer_directories",
 ]
 
@@ -74,24 +74,20 @@ PASSPHRASE_ENV = "OTC_CA_PASSPHRASE"
 
 
 class CaRole(enum.Enum):
-    ROOT = "root"
-    INTERMEDIATE = "intermediate"
-    ISSUER = "issuer"
+    """Each tier with the pathLenConstraint its certificates carry: a root
+    is unconstrained, an intermediate may sign one more CA tier, an issuer
+    signs only end-entity certificates."""
 
-    @property
-    def rank(self) -> int:
-        return {CaRole.ROOT: 0, CaRole.INTERMEDIATE: 1, CaRole.ISSUER: 2}[self]
+    ROOT = ("root", None)
+    INTERMEDIATE = ("intermediate", 1)
+    ISSUER = ("issuer", 0)
 
-    @property
-    def path_length(self) -> Optional[int]:
-        # Root is unconstrained; an intermediate may sign one more CA tier;
-        # an issuer signs only end-entity certificates.
-        return {CaRole.ROOT: None, CaRole.INTERMEDIATE: 1, CaRole.ISSUER: 0}[self]
+    def __init__(self, label: str, path_length: Optional[int]):
+        self.label = label
+        self.path_length = path_length
 
 
-class CaState(enum.Enum):
-    ACTIVE = "active"
-    RETIRED = "retired"
+_ROLE_OF_PATH_LENGTH = {role.path_length: role for role in CaRole}
 
 
 def _utc(moment: datetime) -> datetime:
@@ -133,7 +129,9 @@ class CaPolicy:
 
 
 class CaIdentity:
-    """One certificate authority: a certificate and a live-or-destroyed key.
+    """One certificate authority: a certificate, a live-or-destroyed key and
+    the certificates above it. The tier is read from the certificate's
+    pathLenConstraint, the expiry from its notAfter, the suite from the key.
 
     All mutating operations take the per-CA lock, so a single identity can
     serve concurrent enrollment threads. Serials are drawn at random per
@@ -144,14 +142,16 @@ class CaIdentity:
         self,
         certificate: Certificate,
         keypair: EphemeralKeyPair,
-        role: CaRole,
-        policy: CaPolicy,
         lineage: Sequence[Certificate] = (),
     ):
+        role = _ROLE_OF_PATH_LENGTH.get(certificate.path_length) if certificate.is_ca else None
+        # Only a root is unconstrained, and only a root is self-issued.
+        if role is None or (role is CaRole.ROOT) != certificate.is_self_issued:
+            raise RoleViolationError(f"{certificate.subject_text} is not a CA certificate"
+                                     " of any tier")
         self.certificate = certificate
         self._keypair = keypair
         self.role = role
-        self.policy = policy
         # Ancestors, nearest parent first, ending at the root. Empty for roots.
         self.lineage = tuple(lineage)
         self._lock = threading.Lock()
@@ -159,16 +159,12 @@ class CaIdentity:
     # -- introspection ------------------------------------------------------
 
     @property
-    def state(self) -> CaState:
-        return CaState.ACTIVE if self._keypair.is_live else CaState.RETIRED
-
-    @property
     def is_active(self) -> bool:
         return self._keypair.is_live
 
     @property
     def suite(self) -> AlgorithmSuite:
-        return self.policy.suite
+        return self._keypair.suite
 
     @property
     def not_after(self) -> datetime:
@@ -179,7 +175,8 @@ class CaIdentity:
         return CertificationChain((self.certificate, *self.lineage))
 
     def __repr__(self) -> str:
-        return f"<CaIdentity {self.role.value} {self.certificate.subject_text} {self.state.value}>"
+        state = "active" if self.is_active else "retired"
+        return f"<CaIdentity {self.role.label} {self.certificate.subject_text} {state}>"
 
     # -- internals ----------------------------------------------------------
 
@@ -208,7 +205,7 @@ class CaIdentity:
         """
         if self.role is not CaRole.ISSUER:
             raise RoleViolationError(
-                f"{self.role.value} CA cannot issue end-entity certificates"
+                f"{self.role.label} CA cannot issue end-entity certificates"
             )
         # Checked first as well, so that a retired or expired CA says so
         # whatever the request; the check that counts is under the lock.
@@ -274,8 +271,13 @@ class CaIdentity:
 # Hierarchy construction
 # ---------------------------------------------------------------------------
 
-def _as_name(name: Union[str, DistinguishedName]) -> DistinguishedName:
-    return DistinguishedName.from_common_name(name) if isinstance(name, str) else name
+def _derived_name(base: str, suffix: str) -> DistinguishedName:
+    """The common name ``base + suffix`` of a CA named after another name,
+    with ``base`` cut short to fit a CN's 64 characters. The suffix is kept
+    whole, so names with distinct suffixes stay distinct, and the length is
+    never ``base``'s, so the name differs from a CN it was derived from."""
+    keep = min(len(base), 64 - len(suffix) - (len(base) == 64))
+    return DistinguishedName.from_common_name(base[:keep] + suffix)
 
 
 def _ca_builder(
@@ -318,7 +320,7 @@ def _ca_builder(
 def create_root(name: Union[str, DistinguishedName], policy: CaPolicy) -> CaIdentity:
     """Create a self-signed root whose expiry fixes the whole hierarchy's."""
     policy.check_usable()
-    subject = _as_name(name)
+    subject = DistinguishedName.requested(name)
     keypair = EphemeralKeyPair.generate(policy.suite)
     builder = _ca_builder(
         subject.to_x509(),
@@ -329,7 +331,7 @@ def create_root(name: Union[str, DistinguishedName], policy: CaPolicy) -> CaIden
         policy.chain_not_after,
         CaRole.ROOT,
     )
-    return CaIdentity(Certificate(keypair.sign_builder(builder)), keypair, CaRole.ROOT, policy)
+    return CaIdentity(Certificate(keypair.sign_builder(builder)), keypair)
 
 
 def create_subordinate(
@@ -337,12 +339,14 @@ def create_subordinate(
     name: Union[str, DistinguishedName],
     role: CaRole,
 ) -> CaIdentity:
-    """Create a CA one tier below ``parent``, expiring at the same instant."""
-    if role.rank <= parent.role.rank:
+    """Create a CA of a tier below ``parent``'s, expiring at the same
+    instant."""
+    limit = parent.role.path_length  # None: unconstrained
+    if role.path_length is None or (limit is not None and role.path_length >= limit):
         raise RoleViolationError(
-            f"a {parent.role.value} CA cannot create a {role.value} CA"
+            f"a {parent.role.label} CA cannot create a {role.label} CA"
         )
-    subject = _as_name(name)
+    subject = DistinguishedName.requested(name)
     keypair = EphemeralKeyPair.generate(parent.suite)
     with parent._lock:
         now = _now()
@@ -357,26 +361,20 @@ def create_subordinate(
             role,
         )
         certificate = parent._sign_child_certificate(builder)
-    lineage = (parent.certificate, *parent.lineage)
-    return CaIdentity(certificate, keypair, role, parent.policy, lineage)
+    return CaIdentity(certificate, keypair, (parent.certificate, *parent.lineage))
 
 
-def spawn_issuer_pool(
-    parent: CaIdentity,
-    count: int,
-    name_prefix: Optional[str] = None,
-) -> list:
+def spawn_issuer_pool(parent: CaIdentity, count: int) -> list:
     """Create ``count`` issuer CAs under one parent, each with its own key,
     so enrollment load can be spread without changing what verifiers see.
-    Unless ``name_prefix`` is given, each is named after the parent's CN, or
-    after its whole subject when it has none."""
+    Issuer NN is named ``<parent> Issuer NN`` after the parent's CN, or after
+    its whole subject when it has none."""
     if count < 0:
         raise ValueError("pool size cannot be negative")
-    if not name_prefix:
-        names = parent.certificate.raw.subject.get_attributes_for_oid(x509.NameOID.COMMON_NAME)
-        name_prefix = f"{names[0].value if names else parent.certificate.subject_text} Issuer"
+    names = parent.certificate.raw.subject.get_attributes_for_oid(x509.NameOID.COMMON_NAME)
+    base = names[0].value if names else parent.certificate.subject_text
     return [
-        create_subordinate(parent, f"{name_prefix} {index:02d}", CaRole.ISSUER)
+        create_subordinate(parent, _derived_name(base, f" Issuer {index:02d}"), CaRole.ISSUER)
         for index in range(1, count + 1)
     ]
 
@@ -406,23 +404,25 @@ def init_hierarchy(
     intermediates: int = 1,
     issuers_per_intermediate: int = 1,
 ) -> Hierarchy:
-    """Bootstrap root -> intermediates -> issuer pools in one call."""
+    """Bootstrap root -> intermediates -> issuer pools in one call.
+    ``root_name`` is read by :meth:`DistinguishedName.requested`; the other
+    CAs are named after its CN, as ``<CN> Intermediate NN`` and
+    ``<CN> IntNN Issuer MM``."""
     if intermediates < 1 or issuers_per_intermediate < 1:
         raise ValueError("need at least one intermediate and one issuer each")
-    root = create_root(root_name, policy)
-    base = _as_name(root_name).common_name
-    hierarchy = Hierarchy(root)
+    root_name = DistinguishedName.requested(root_name)
+    hierarchy = Hierarchy(create_root(root_name, policy))
+    base = root_name.common_name
     for i in range(1, intermediates + 1):
         intermediate = create_subordinate(
-            root, f"{base} Intermediate {i:02d}", CaRole.INTERMEDIATE
-        )
-        pool = spawn_issuer_pool(
-            intermediate,
-            issuers_per_intermediate,
-            name_prefix=f"{base} Int{i:02d} Issuer",
+            hierarchy.root, _derived_name(base, f" Intermediate {i:02d}"), CaRole.INTERMEDIATE
         )
         hierarchy.intermediates.append(intermediate)
-        hierarchy.issuers.append(pool)
+        hierarchy.issuers.append([
+            create_subordinate(intermediate, _derived_name(base, f" Int{i:02d} Issuer {j:02d}"),
+                               CaRole.ISSUER)
+            for j in range(1, issuers_per_intermediate + 1)
+        ])
     return hierarchy
 
 
@@ -430,7 +430,9 @@ def init_hierarchy(
 # Persistence
 #
 # A hierarchy (see save_hierarchy) keeps the root in root/, intermediate NN
-# in int-NN/ and its issuer MM in int-NN/iss-MM/, each numbered from 01.
+# in int-NN/ and its issuer MM in int-NN/iss-MM/, each numbered from 01. It
+# is saved only into a new or empty directory, so that no CA key is written
+# over and no CA of another hierarchy is left beside it.
 #
 # Directory layout per CA (see save_ca/load_ca):
 #   cert.pem      the CA certificate
@@ -473,10 +475,21 @@ def save_ca(ca: CaIdentity, directory: Union[str, Path], passphrase: bytes):
     (directory / "crl.pem").write_bytes(ca.issue_blank_crl().to_pem())
 
 
+def check_hierarchy_directory(directory: Union[str, Path]) -> None:
+    """Raise :class:`FileExistsError` unless ``directory`` is absent or an
+    empty directory, the only places a hierarchy is saved into."""
+    directory = Path(directory)
+    if directory.exists() and (not directory.is_dir() or any(directory.iterdir())):
+        raise FileExistsError(f"{directory} exists and is not empty; a hierarchy is"
+                              " saved only into a new or empty directory")
+
+
 def save_hierarchy(hierarchy: Hierarchy, directory: Union[str, Path],
                    passphrase: bytes) -> list:
     """Save every CA of a hierarchy under ``directory``, each with
-    :func:`save_ca`; returns the ``(ca, directory)`` rows, root first."""
+    :func:`save_ca`; returns the ``(ca, directory)`` rows, root first.
+    ``directory`` must pass :func:`check_hierarchy_directory`."""
+    check_hierarchy_directory(directory)
     directory = Path(directory)
     rows = [(hierarchy.root, directory / "root")]
     for i, (intermediate, pool) in enumerate(zip(hierarchy.intermediates, hierarchy.issuers), 1):
@@ -492,14 +505,6 @@ def issuer_directories(directory: Union[str, Path]) -> list:
     """The issuer directories under a hierarchy saved by
     :func:`save_hierarchy`, in order."""
     return sorted(Path(directory).glob("int-*/iss-*"))
-
-
-def _role_of(certificate: Certificate) -> CaRole:
-    if not certificate.is_ca:
-        raise RoleViolationError("certificate is not a CA certificate")
-    if certificate.raw.subject == certificate.raw.issuer:
-        return CaRole.ROOT
-    return CaRole.ISSUER if certificate.path_length == 0 else CaRole.INTERMEDIATE
 
 
 def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
@@ -522,7 +527,6 @@ def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
         raise UnsupportedSuiteError(
             f"CA certificate hash {hash_name} does not match suite {suite.label}"
         )
-    role = _role_of(certificate)
     keypair = EphemeralKeyPair(suite, key)
     if keypair.public_der() != certificate.public_der():
         raise InvalidPolicyError(f"{directory / 'key.pem'} is not the key of"
@@ -532,5 +536,4 @@ def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
         raise RoleViolationError("chain.pem does not start with this CA's certificate")
     if not chain.links_verify():
         raise RoleViolationError("chain.pem does not chain to a self-signed root")
-    policy = CaPolicy(chain_not_after=certificate.not_after, suite=suite)
-    return CaIdentity(certificate, keypair, role, policy, lineage=chain.certificates[1:])
+    return CaIdentity(certificate, keypair, lineage=chain.certificates[1:])

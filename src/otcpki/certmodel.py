@@ -23,7 +23,7 @@ import re
 import threading
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Optional, Type, TypeVar
+from typing import Optional, Type, TypeVar, Union
 
 from cryptography import x509
 from cryptography.hazmat.primitives import serialization
@@ -204,6 +204,14 @@ class DistinguishedName:
         except (ValueError, TypeError) as exc:
             raise InvalidNameError(f"cannot parse name {text!r}: {exc}") from exc
         return cls(name)
+
+    @classmethod
+    def requested(cls, name: Union[str, DistinguishedName]) -> "DistinguishedName":
+        """Read a name a caller asks for: a string with ``=`` is an RFC 4514
+        name (``CN=...,O=...``), any other string is a common name."""
+        if isinstance(name, DistinguishedName):
+            return name
+        return cls.from_string(name) if "=" in name else cls.from_common_name(name)
 
     def to_x509(self) -> x509.Name:
         return self.name

@@ -65,7 +65,8 @@ def _fail(message: str, code: int = 2) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_pki_init(args: argparse.Namespace) -> int:
-    from .ca import CaPolicy, init_hierarchy, passphrase_from_env, save_hierarchy
+    from .ca import (CaPolicy, check_hierarchy_directory, init_hierarchy,
+                     passphrase_from_env, save_hierarchy)
     from .crypto import AlgorithmSuite
     from .errors import OtcError
 
@@ -79,6 +80,7 @@ def cmd_pki_init(args: argparse.Namespace) -> int:
             except OverflowError:
                 raise ValueError(f"lifetime {args.lifetime!r} ends after year 9999") from None
         passphrase = passphrase_from_env()
+        check_hierarchy_directory(args.out)  # before any key is generated
         policy = CaPolicy(chain_not_after=not_after, suite=suite)
         hierarchy = init_hierarchy(
             args.root_name, policy,
@@ -90,7 +92,7 @@ def cmd_pki_init(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     for ca, directory in rows:
         expiry = ca.not_after.strftime("%Y-%m-%dT%H:%M:%SZ")
-        print(f"{ca.role.value:<13} {ca.certificate.subject_text:<40} expires {expiry}"
+        print(f"{ca.role.label:<13} {ca.certificate.subject_text:<40} expires {expiry}"
               f"  [{directory}]")
     return 0
 
@@ -233,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     init = sub.add_parser("pki-init", help="bootstrap a CA hierarchy on disk")
     init.add_argument("--root-name", default="OTC Root CA",
-                      help="root CA common name (default: %(default)s)")
+                      help="root CA name: a bare common name or an RFC 4514 DN;"
+                           " the other CAs are named after its CN"
+                           " (default: %(default)s)")
     init.add_argument("--not-after",
                       help="shared expiry for the whole hierarchy, ISO-8601"
                            " (default: now + --lifetime)")
@@ -247,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     init.add_argument("--suite", default="ecdsa-p256",
                       help="algorithm suite (default: %(default)s)")
     init.add_argument("--out", required=True, metavar="DIR",
-                      help="directory to write the hierarchy into")
+                      help="new or empty directory to write the hierarchy into")
     init.set_defaults(handler=cmd_pki_init)
 
     sign = sub.add_parser("sign", help="sign one document under a fresh one-time certificate")

@@ -32,7 +32,6 @@ __all__ = [
     "SUITES",
     "DocumentDigest",
     "EphemeralKeyPair",
-    "KeyState",
     "digest_document",
     "verify_signature",
 ]
@@ -162,11 +161,6 @@ def digest_document(
     return DocumentDigest(algorithm, hasher.digest())
 
 
-class KeyState(enum.Enum):
-    LIVE = "live"
-    DESTROYED = "destroyed"
-
-
 class EphemeralKeyPair:
     """A keypair meant to sign exactly once and then be destroyed.
 
@@ -191,10 +185,6 @@ class EphemeralKeyPair:
     @property
     def suite(self) -> AlgorithmSuite:
         return self._suite
-
-    @property
-    def state(self) -> KeyState:
-        return KeyState.LIVE if self.is_live else KeyState.DESTROYED
 
     @property
     def is_live(self) -> bool:

@@ -448,16 +448,6 @@ def _parse_meta(raw: bytes) -> dict:
 # The one-shot workflow
 # ---------------------------------------------------------------------------
 
-def _as_subject(subject: Union[str, DistinguishedName]) -> DistinguishedName:
-    """A string with ``=`` is a full subject (``CN=...,O=...``); any other
-    string is a common name."""
-    if isinstance(subject, DistinguishedName):
-        return subject
-    if "=" in subject:
-        return DistinguishedName.from_string(subject)
-    return DistinguishedName.from_common_name(subject)
-
-
 def _enroll_and_sign(
     keypair: EphemeralKeyPair,
     digest: DocumentDigest,
@@ -507,7 +497,7 @@ def one_shot_sign(
     bundle; the caller then owns its lifecycle (any further certificate
     still requires a fresh enrollment).
     """
-    subject = _as_subject(subject)
+    subject = DistinguishedName.requested(subject)
     digest = digest_document(document, suite.digest)
     keypair = EphemeralKeyPair.generate(suite)
     try:
@@ -535,6 +525,6 @@ def resign_with_existing_key(
     """
     if not keypair.is_live:
         raise KeyDestroyedError("cannot re-enroll a destroyed key")
-    subject = _as_subject(subject)
+    subject = DistinguishedName.requested(subject)
     digest = digest_document(document, keypair.suite.digest)
     return _enroll_and_sign(keypair, digest, subject, enrollment)

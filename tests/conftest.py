@@ -83,10 +83,9 @@ def ca_named(name: x509.Name, role: CaRole, policy, parent=None) -> CaIdentity:
     if parent is None:
         certificate = Certificate(builder.sign(keypair._signing_key(),
                                                policy.suite.digest.hash_primitive()))
-        return CaIdentity(certificate, keypair, role, policy)
+        return CaIdentity(certificate, keypair)
     certificate = parent._sign_child_certificate(builder)
-    return CaIdentity(certificate, keypair, role, policy,
-                      (parent.certificate, *parent.lineage))
+    return CaIdentity(certificate, keypair, (parent.certificate, *parent.lineage))
 
 
 def no_cn_issuer() -> CaIdentity:

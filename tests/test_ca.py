@@ -22,7 +22,6 @@ from otcpki.ca import (
     CaIdentity,
     CaPolicy,
     CaRole,
-    CaState,
     create_root,
     create_subordinate,
     init_hierarchy,
@@ -93,7 +92,7 @@ class TestCreateRoot:
         assert root.certificate.is_self_signed
         assert root.certificate.not_after == policy.chain_not_after
         assert root.role is CaRole.ROOT
-        assert root.state is CaState.ACTIVE
+        assert root.is_active
 
     def test_past_expiry_rejected(self):
         policy = CaPolicy(chain_not_after=utcnow() - timedelta(hours=1))
@@ -147,6 +146,47 @@ class TestHierarchyRules:
         assert hierarchy.root.certificate.path_length is None
         assert hierarchy.intermediates[0].certificate.path_length == 1
         assert hierarchy.first_issuer().certificate.path_length == 0
+
+    @pytest.mark.parametrize("role", list(CaRole), ids=lambda role: role.name.lower())
+    def test_role_read_back_from_certificate(self, keypair_pool, role):
+        """The table that writes a tier's pathLenConstraint reads it back."""
+        keypair = keypair_pool[0]
+        subject = DistinguishedName.from_common_name("Tier").to_x509()
+        issuer = subject if role is CaRole.ROOT else DistinguishedName.from_common_name(
+            "Above").to_x509()
+        builder = ca_module._ca_builder(subject, issuer, keypair.public_key, random_serial(),
+                                        utcnow(), utcnow() + timedelta(days=1), role)
+        identity = CaIdentity(Certificate(keypair.sign_builder(builder)), keypair)
+        assert identity.role is role
+        assert identity.certificate.path_length == role.path_length
+
+    def test_leaf_certificate_is_no_ca(self, shared_issuer, keypair_pool):
+        leaf = shared_issuer.issue_otc(make_csr(keypair_pool[0]))
+        with pytest.raises(RoleViolationError, match="not a CA certificate"):
+            CaIdentity(leaf, keypair_pool[0])
+
+    @pytest.mark.parametrize("path_length,self_issued", [(None, False), (0, True), (1, True),
+                                                         (2, False)])
+    def test_certificate_of_no_tier_refused(self, keypair_pool, path_length, self_issued):
+        """Only a root is unconstrained and self-issued, and no tier has a
+        pathLenConstraint above 1."""
+        keypair = keypair_pool[0]
+        subject = DistinguishedName.from_common_name("No Tier").to_x509()
+        issuer = subject if self_issued else DistinguishedName.from_common_name(
+            "Above").to_x509()
+        builder = (
+            x509.CertificateBuilder()
+            .subject_name(subject)
+            .issuer_name(issuer)
+            .public_key(keypair.public_key)
+            .serial_number(random_serial())
+            .not_valid_before(utcnow())
+            .not_valid_after(utcnow() + timedelta(days=1))
+            .add_extension(x509.BasicConstraints(ca=True, path_length=path_length),
+                           critical=True)
+        )
+        with pytest.raises(RoleViolationError, match="is not a CA certificate of any tier"):
+            CaIdentity(Certificate(keypair.sign_builder(builder)), keypair)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -298,7 +338,7 @@ class TestRetirement:
         leaf = issuer.issue_otc(make_csr(keypair_pool[0]))
         crl = issuer.issue_blank_crl()
         assert issuer.retire() == "destroyed"
-        assert issuer.state is CaState.RETIRED
+        assert not issuer.is_active
         with pytest.raises(CaRetiredError) as excinfo:
             issuer.issue_otc(make_csr(keypair_pool[1]))
         assert excinfo.value.code == "issuer-retired"
@@ -368,7 +408,10 @@ class TestNamesWithoutCommonName:
     """A CA needs no CN, so messages print its subject as RFC 4514 text."""
 
     def test_repr(self):
-        assert repr(no_cn_issuer()) == "<CaIdentity issuer O=No CN Issuer active>"
+        issuer = no_cn_issuer()
+        assert repr(issuer) == "<CaIdentity issuer O=No CN Issuer active>"
+        issuer.retire()
+        assert repr(issuer) == "<CaIdentity issuer O=No CN Issuer retired>"
 
     def test_retired_issuer_names_itself(self, keypair_pool):
         issuer = no_cn_issuer()
@@ -403,6 +446,26 @@ class TestIssuerPool:
             [x509.NameAttribute(x509.NameOID.COMMON_NAME, "O=I Issuer 01")])
         leaf = issuer.issue_otc(make_csr(keypair_pool[0]))
         assert leaf.verify_signed_by(issuer.certificate)
+
+    @pytest.mark.parametrize("attribute,value", [
+        # 64 characters, ending as the name of its first issuer would
+        (x509.NameOID.COMMON_NAME, "P" * 54 + " Issuer 01"),
+        (x509.NameOID.ORGANIZATION_NAME, "O" * 64),
+    ], ids=["64-character-cn", "long-o-only"])
+    def test_named_after_a_long_parent_name(self, attribute, value):
+        """Issuer names fit in a CN's 64 characters, differ from each other
+        and from their parent's name."""
+        policy = fresh_policy()
+        root = create_root("Long Parent Root", policy)
+        parent_name = x509.Name([x509.NameAttribute(attribute, value)])
+        intermediate = ca_named(parent_name, CaRole.INTERMEDIATE, policy, root)
+        pool = spawn_issuer_pool(intermediate, 2)
+        names = [issuer.certificate.raw.subject for issuer in pool]
+        common_names = [name.get_attributes_for_oid(x509.NameOID.COMMON_NAME)[0].value
+                        for name in names]
+        assert [cn[-10:] for cn in common_names] == [" Issuer 01", " Issuer 02"]
+        assert all(len(cn) <= 64 for cn in common_names)
+        assert len({*names, parent_name}) == 3
 
     def test_zero_is_allowed(self, shared_hierarchy):
         assert spawn_issuer_pool(shared_hierarchy.intermediates[0], 0) == []
@@ -454,6 +517,12 @@ class TestPersistence:
             assert load_ca(directory, passphrase).certificate == ca.certificate
         assert issuer_directories(tmp_path) == [directory for ca, directory in rows
                                                 if ca.role is CaRole.ISSUER]
+
+    def test_hierarchy_not_saved_over_another(self, tmp_path, passphrase, shared_hierarchy):
+        (tmp_path / "root").mkdir()
+        with pytest.raises(FileExistsError, match="is not empty"):
+            save_hierarchy(shared_hierarchy, tmp_path, passphrase)
+        assert [path.name for path in tmp_path.rglob("*")] == ["root"]
 
     def test_wrong_passphrase_refused(self, tmp_path, passphrase):
         root = create_root("Locked Root", fresh_policy())

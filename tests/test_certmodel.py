@@ -195,6 +195,19 @@ class TestDistinguishedName:
         with pytest.raises(InvalidNameError):
             DistinguishedName.from_common_name("x" * 65)
 
+    @pytest.mark.parametrize("text,expected", [
+        ("Pat Example", x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, "Pat Example")])),
+        ("CN=Example,O=Org", x509.Name.from_rfc4514_string("CN=Example,O=Org")),
+        ("CN=a+O=b", x509.Name.from_rfc4514_string("CN=a+O=b")),
+    ])
+    def test_requested_string(self, text, expected):
+        """A string with ``=`` is an RFC 4514 name; any other, a CN."""
+        assert DistinguishedName.requested(text).to_x509() == expected
+
+    def test_requested_name_as_is(self):
+        name = DistinguishedName.from_common_name("O=I")
+        assert DistinguishedName.requested(name) is name
+
 
 class TestBuildCsr:
     def test_multi_valued_rdn_kept_as_written(self, keypair_pool):

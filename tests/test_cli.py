@@ -17,14 +17,22 @@ from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import pytest
+from cryptography import x509
 
 from otcpki.ca import PASSPHRASE_ENV, load_ca
 from otcpki.cli import KEY_PASSPHRASE_ENV, main, parse_duration, parse_timestamp
+from otcpki.crypto import EphemeralKeyPair
 from otcpki.service import EnrollmentService, load_pool
 
 from conftest import modes_at_write, patch_central_entry, set_clock_past
 
 EXPIRES_RE = re.compile(r"expires (\S+)")
+
+
+def listed(output: str) -> list:
+    """The (role, name) rows that ``otc pki-init`` prints."""
+    return [re.match(r"(\S+) +(.+?) +expires", line).groups()
+            for line in output.strip().splitlines()]
 
 
 class TestParseDuration:
@@ -118,6 +126,65 @@ class TestPkiInit:
         rc = main(["pki-init", "--lifetime", "4000000d", "--out", str(tmp_path / "pki")])
         assert rc == 2
         assert capsys.readouterr().err == "error: lifetime '4000000d' ends after year 9999\n"
+
+    @pytest.mark.parametrize("root_name,common_name", [
+        ("CN=Example,O=Org", "Example"),
+        ("CN=a+O=b", "a"),
+    ])
+    def test_root_name_as_rfc4514_name(self, tmp_path, monkeypatch, capsys, root_name,
+                                       common_name):
+        """--root-name is read as --subject is; the CAs below are named
+        after its CN."""
+        monkeypatch.setenv(PASSPHRASE_ENV, "init-pass")
+        out = tmp_path / "pki"
+        assert main(["pki-init", "--root-name", root_name, "--out", str(out)]) == 0
+        assert listed(capsys.readouterr().out) == [
+            ("root", root_name),
+            ("intermediate", f"CN={common_name} Intermediate 01"),
+            ("issuer", f"CN={common_name} Int01 Issuer 01"),
+        ]
+        root = load_ca(out / "root", b"init-pass").certificate.raw.subject
+        assert root == x509.Name.from_rfc4514_string(root_name)
+
+    def test_64_character_root_name(self, tmp_path, monkeypatch, capsys):
+        """Derived names fit in 64 characters and stay distinct, even from
+        a root named as its first intermediate would be."""
+        monkeypatch.setenv(PASSPHRASE_ENV, "init-pass")
+        root_name = "R" * 48 + " Intermediate 01"
+        rc = main(["pki-init", "--root-name", root_name, "--intermediates", "2",
+                   "--issuers-per-intermediate", "2", "--out", str(tmp_path / "pki")])
+        assert rc == 0
+        names = [name for _, name in listed(capsys.readouterr().out)]
+        assert names == [f"CN={root_name}",
+                         "CN=" + "R" * 47 + " Intermediate 01",
+                         "CN=" + "R" * 47 + " Int01 Issuer 01",
+                         "CN=" + "R" * 47 + " Int01 Issuer 02",
+                         "CN=" + "R" * 47 + " Intermediate 02",
+                         "CN=" + "R" * 47 + " Int02 Issuer 01",
+                         "CN=" + "R" * 47 + " Int02 Issuer 02"]
+
+    def test_refuses_a_directory_that_is_not_empty(self, tmp_path, monkeypatch, capsys):
+        """A second pki-init into a hierarchy's directory changes no file
+        and generates no key."""
+        monkeypatch.setenv(PASSPHRASE_ENV, "init-pass")
+        out = tmp_path / "pki"
+        assert main(["pki-init", "--intermediates", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        files = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+        def generate(*args, **kwargs):
+            raise AssertionError("a key was generated")
+
+        monkeypatch.setattr(EphemeralKeyPair, "generate", generate)
+        assert main(["pki-init", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {out} exists and is not empty; a hierarchy"
+                                           " is saved only into a new or empty directory\n")
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == files
+
+    def test_empty_directory_is_used(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(PASSPHRASE_ENV, "init-pass")
+        assert main(["pki-init", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "root" / "key.pem").is_file()
 
     def test_missing_passphrase_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(PASSPHRASE_ENV, raising=False)
