@@ -155,6 +155,11 @@ class CaIdentity:
         # Ancestors, nearest parent first, ending at the root. Empty for roots.
         self.lineage = tuple(lineage)
         self._lock = threading.Lock()
+        # Names this CA's key in all it signs (RFC 5280 §4.2.1.1, §5.2.1).
+        # It is made from the key, not read from the certificate, so CAs
+        # whose certificates carry no subjectKeyIdentifier still sign with it.
+        self._key_identifier = x509.AuthorityKeyIdentifier.from_issuer_public_key(
+            certificate.public_key)
 
     # -- introspection ------------------------------------------------------
 
@@ -191,7 +196,8 @@ class CaIdentity:
                                  f" {self.not_after.isoformat()}", code=f"{role}-expired")
 
     def _sign_child_certificate(self, builder: x509.CertificateBuilder) -> Certificate:
-        return Certificate(self._keypair.sign_builder(builder))
+        return Certificate(self._keypair.sign_builder(
+            builder.add_extension(self._key_identifier, critical=False)))
 
     # -- operations ---------------------------------------------------------
 
@@ -257,6 +263,8 @@ class CaIdentity:
                 .issuer_name(self.certificate.raw.subject)
                 .last_update(max(now, self.certificate.not_before))
                 .next_update(self.certificate.not_after)
+                .add_extension(self._key_identifier, critical=False)
+                .add_extension(x509.CRLNumber(1), critical=False)
             )
             return RevocationList(self._keypair.sign_builder(builder))
 
@@ -300,6 +308,7 @@ def _ca_builder(
         .add_extension(
             x509.BasicConstraints(ca=True, path_length=role.path_length), critical=True
         )
+        .add_extension(x509.SubjectKeyIdentifier.from_public_key(public_key), critical=False)
         .add_extension(
             x509.KeyUsage(
                 digital_signature=False,

@@ -446,7 +446,13 @@ class CertificationChain:
         """The certificates in a PEM blob, in order of appearance. Leaves
         are new each time while the CA certificates after them repeat, so
         when the blob opens with a certificate block, the certificates after
-        that block come from the memo, keyed by their exact PEM bytes."""
+        that block come from the memo, keyed by their exact PEM bytes. A
+        blob of more than ``_MAX_CHAIN_BLOCKS`` PEM blocks raises
+        :class:`MalformedEncodingError` before any block is parsed."""
+        blocks = data.count(b"-----BEGIN")
+        if blocks > _MAX_CHAIN_BLOCKS:
+            raise MalformedEncodingError(f"a chain of {blocks} PEM blocks; at most"
+                                         f" {_MAX_CHAIN_BLOCKS} are read")
         leaf = _LEAF_BLOCK.match(data)
         if leaf is None:
             return cls(load_certificates(data))
@@ -458,6 +464,12 @@ class CertificationChain:
             return cls(certificates)
         return cls(load_certificates(leaf.group()) + above)
 
+
+# Most PEM blocks a chain is read from. The hierarchy makes chains of 4
+# certificates, and an /enroll reply follows them with one CRL. A longer chain
+# is refused as it is loaded, so that neither its parsing nor the memo of its
+# decoded certificates grows with a length that only a hostile chain has.
+_MAX_CHAIN_BLOCKS = 8
 
 # A certificate block as cryptography writes it, opening a PEM blob. A PEM
 # parser reads whatever follows such a block as it would read it alone.

@@ -2,7 +2,8 @@
 
 Three endpoints, all speaking PEM:
 
-    POST /enroll   CSR in, full certificate chain out (leaf first)
+    POST /enroll   CSR in; out, the leaf, the issuing member's chain up to
+                   the root, then that member's blank CRL
     GET  /crl      the pool's blank CRLs, one PEM block per issuer
     GET  /chain    the CA chain clients should pin, issuer to root
 
@@ -340,11 +341,16 @@ class EnrollmentService:
         self._port = port
         self._next = 0
         self._lock = threading.Lock()
-        # Stable bytes for the GET endpoints, fixed at startup: repeated
-        # fetches must compare equal, and CA lifetimes outlive the process.
-        self._crl_pem = b"".join(ca.issue_blank_crl().to_pem() for ca in self._issuers)
-        # Each member's chain, issuer to root, follows the leaf in /enroll.
-        self._chain_pems = {ca: ca.chain_to_root().to_pem() for ca in self._issuers}
+        # Stable bytes, fixed at startup: repeated fetches must compare
+        # equal, and CA lifetimes outlive the process. After the leaf,
+        # /enroll sends the member's chain, issuer to root, then its blank
+        # CRL, so that one reply holds all a bundle needs; /crl sends every
+        # member's CRL.
+        crl_pems = [ca.issue_blank_crl().to_pem() for ca in self._issuers]
+        self._crl_pem = b"".join(crl_pems)
+        self._enroll_tails = {ca: ca.chain_to_root().to_pem() + crl
+                              for ca, crl in zip(self._issuers, crl_pems)}
+        self._chain_pem = self._issuers[0].chain_to_root().to_pem()
         self._server: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
         self._serving = False  # a serve_forever loop runs or is about to
@@ -382,7 +388,7 @@ class EnrollmentService:
             return 503, f"{exc.code}: {exc}".encode()
         except OtcError as exc:
             return 422, f"{exc.code}: {exc}".encode()
-        return 200, leaf.to_pem() + self._chain_pems[issuer]
+        return 200, leaf.to_pem() + self._enroll_tails[issuer]
 
     def handle_crl(self) -> Tuple[int, bytes]:
         if not self.has_active_issuer:
@@ -390,7 +396,7 @@ class EnrollmentService:
         return 200, self._crl_pem
 
     def handle_chain(self) -> Tuple[int, bytes]:
-        return 200, self._chain_pems[self._issuers[0]]
+        return 200, self._chain_pem
 
     # -- HTTP plumbing -------------------------------------------------------
 

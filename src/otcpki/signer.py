@@ -29,7 +29,6 @@ from typing import BinaryIO, Optional, Protocol, Tuple, Union
 from .ca import CaIdentity, _utc_second
 from .certmodel import (
     PEM_CONTENT_TYPE,
-    BoundedMemo,
     CertificationChain,
     DistinguishedName,
     RevocationList,
@@ -71,6 +70,10 @@ _MAX_MEMBER_BYTES = 1 << 20
 # Largest archive load() reads: the four members at the cap, and one cap more
 # for headers, other members and deflate's overhead on incompressible data.
 _MAX_ARCHIVE_BYTES = (len(_ARCHIVE_MEMBERS) + 1) * _MAX_MEMBER_BYTES
+# Most central-directory entries load() lets zipfile read; save() writes 4.
+_MAX_ARCHIVE_ENTRIES = 16
+# The signature that opens a central-directory entry (PKWARE APPNOTE 4.3.12).
+_CENTRAL_ENTRY = b"PK\x01\x02"
 # Member flags load() refuses: encrypted (bits 0 and 6) and patched data (bit 5).
 _REFUSED_FLAGS = 0x61
 # A local file header (PKWARE APPNOTE 4.3.7): signature, 22 bytes load() does
@@ -95,23 +98,6 @@ class EnrollmentClient(Protocol):
 
 # A CRL block as RevocationList.to_pem() writes it.
 _CRL_BLOCK = re.compile(rb"-----BEGIN X509 CRL-----\n[A-Za-z0-9+/=\n]*-----END X509 CRL-----\n")
-
-
-def _pick_crl(pem: bytes, chain: CertificationChain) -> RevocationList:
-    """From one or more PEM CRL blocks, pick the one published by the CA
-    that issued the chain's leaf."""
-    blocks = _CRL_BLOCK.findall(pem)
-    if not blocks:
-        raise MalformedEncodingError("no CRL blocks in response")
-    issuing_ca = chain.issuing_ca or chain.leaf
-    for block in blocks:
-        crl = decode_crl(block)
-        if crl.raw.issuer == issuing_ca.raw.subject:
-            return crl
-    raise EnrollmentRejectedError(
-        f"no CRL published for issuer {issuing_ca.subject_text}",
-        ca_code="no-matching-crl",
-    )
 
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
@@ -145,11 +131,12 @@ class HttpEnrollmentClient:
     one send with Nagle off. Its reply is read under the limits of
     :mod:`otcpki.framing`, with a body of at most 1 MiB, within ``timeout``
     seconds of waiting for its first byte and ``timeout`` more for the rest.
-    Each issuing CA's blank CRL is fetched once and cached, for at most
-    ``certmodel.MEMO_LIMIT`` CAs: it stays the same until the chain expires.
-    The client connects directly; proxy variables are not read. An
-    ``https://`` service must present a certificate for the URL's host that
-    the default trust store (``ssl.create_default_context()``) accepts.
+    An ``/enroll`` reply carries the issuing CA's blank CRL after the chain,
+    and ``fetch_crl`` answers from the last one the calling thread read, so
+    each signature is one request. The client connects directly; proxy
+    variables are not read. An ``https://`` service must present a
+    certificate for the URL's host that the default trust store
+    (``ssl.create_default_context()``) accepts.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0):
@@ -176,7 +163,6 @@ class HttpEnrollmentClient:
         # A connection is dropped with its thread or with the client;
         # close() closes those still open.
         self._connections = weakref.WeakSet()
-        self._crls = BoundedMemo()  # issuing CA certificate DER -> RevocationList
 
     def _connect(self) -> socket.socket:
         sock = socket.create_connection(self._address, self._timeout)
@@ -245,14 +231,22 @@ class HttpEnrollmentClient:
         return payload
 
     def enroll(self, csr: SigningRequest) -> CertificationChain:
-        return CertificationChain.from_pem(self._request(b"/enroll", csr.to_pem()))
+        reply = self._request(b"/enroll", csr.to_pem())
+        crl = _CRL_BLOCK.search(reply)
+        self._local.crl = None if crl is None else crl.group()
+        return CertificationChain.from_pem(reply)
 
     def fetch_crl(self, chain: CertificationChain) -> RevocationList:
-        issuer_der = (chain.issuing_ca or chain.leaf).to_der()
-        crl = self._crls.get(issuer_der)
-        if crl is None:
-            crl = _pick_crl(self._request(b"/crl"), chain)
-            self._crls.put(issuer_der, crl)
+        """The CRL of the CA that issued ``chain``, from the last ``/enroll``
+        reply this thread read; no request is sent."""
+        issuing_ca = chain.issuing_ca or chain.leaf
+        block = getattr(self._local, "crl", None)
+        crl = None if block is None else decode_crl(block)
+        if crl is None or crl.raw.issuer != issuing_ca.raw.subject:
+            raise EnrollmentRejectedError(
+                f"no CRL published for issuer {issuing_ca.subject_text}",
+                ca_code="no-matching-crl",
+            )
         return crl
 
     def fetch_chain(self) -> CertificationChain:
@@ -356,14 +350,21 @@ def _read_members(path: Path) -> dict:
     deflated and not encrypted, its local header must carry its name, and it
     must inflate to a complete stream of its declared size and CRC-32, no
     further than one byte past ``_MAX_MEMBER_BYTES``. An archive over its
-    cap, a repeated member name and every failed check raise
-    :class:`MalformedEncodingError`.
+    cap or with more than ``_MAX_ARCHIVE_ENTRIES`` entries, a repeated
+    member name and every failed check raise :class:`MalformedEncodingError`.
     """
     with open(path, "rb") as handle:  # a missing file stays an OSError
         # Sized by the file; the byte past the cap shows an archive over it.
         data = handle.read(min(os.fstat(handle.fileno()).st_size, _MAX_ARCHIVE_BYTES) + 1)
     if len(data) > _MAX_ARCHIVE_BYTES:
         raise MalformedEncodingError(f"bundle archive exceeds {_MAX_ARCHIVE_BYTES} bytes")
+    # zipfile builds an object for every entry of the central directory
+    # before any name is read, and it walks the directory by its size, not
+    # by the count the end record declares. Each entry it reads opens with
+    # the signature, so counting signatures bounds its work.
+    if data.count(_CENTRAL_ENTRY) > _MAX_ARCHIVE_ENTRIES:
+        raise MalformedEncodingError(
+            f"bundle archive has more than {_MAX_ARCHIVE_ENTRIES} entries")
     try:
         with zipfile.ZipFile(io.BytesIO(data)) as archive:
             entries = archive.infolist()

@@ -13,7 +13,8 @@ always shows the full picture.
 
 Acceptors see many leaves under a few issuer chains, so the module keeps a
 bounded memo of the checks that do not depend on the leaf: a CA path whose
-links all verify, and a CRL whose signature verifies under its issuing CA.
+links all verify up to a trust anchor, and a CRL whose signature verifies
+under the issuing CA of such a path.
 Entries are keyed by exact DER bytes and only passes are stored, so a report
 reads the same whether or not its chain was seen before.
 """
@@ -57,7 +58,8 @@ DEFAULT_CLOCK_SKEW = timedelta(seconds=300)
 # three-certificate ECDSA path. Keys: ("ca-path", *DER of each certificate
 # above the leaf) for a path that passed _path_failure, holding the root's
 # RFC 4514 name; ("crl", CRL DER, issuing CA DER) for a CRL whose issuer name
-# and signature matched that CA.
+# and signature matched that CA. Both are stored only for a chain that passes
+# chain-trust, so that chains under other roots cannot fill the memo.
 _passed = BoundedMemo()
 
 
@@ -278,6 +280,12 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
     failure = _extension_failure(leaf)
     if failure is not None:
         return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
+    # The root is compared first, so that a chain under a root no anchor
+    # names costs no signature check and leaves nothing in the memo.
+    root_der = chain.root.to_der()
+    if not any(anchor.to_der() == root_der for anchor in anchors):
+        return CheckResult(name, False, f"root {chain.root.subject_text} is not a trust anchor",
+                           FailureCode.UNTRUSTED_CHAIN)
     path_key = ("ca-path", *(cert.to_der() for cert in path))
     root_name = _passed.get(path_key) if path else None
     if root_name is None:
@@ -292,10 +300,6 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
         # leaf's own link is new.
         return CheckResult(name, False,
                            f"{leaf.subject_text} is not signed by {path[0].subject_text}",
-                           FailureCode.UNTRUSTED_CHAIN)
-    root_der = chain.root.to_der()
-    if not any(anchor.to_der() == root_der for anchor in anchors):
-        return CheckResult(name, False, f"root {root_name} is not a trust anchor",
                            FailureCode.UNTRUSTED_CHAIN)
     return CheckResult(name, True, f"chain of {len(chain)} anchored at {root_name}")
 
@@ -344,7 +348,8 @@ def _check_signature(bundle: SignedDocumentBundle, digest) -> CheckResult:
 
 
 @_fails_undecodable("crl", FailureCode.BAD_CRL)
-def _check_crl(bundle: SignedDocumentBundle, at_time: datetime) -> CheckResult:
+def _check_crl(bundle: SignedDocumentBundle, at_time: datetime, trusted: bool) -> CheckResult:
+    """``trusted``: chain-trust passed, so a CRL that passes is remembered."""
     name = "crl"
     crl = bundle.crl
     if crl is None:
@@ -361,7 +366,8 @@ def _check_crl(bundle: SignedDocumentBundle, at_time: datetime) -> CheckResult:
         if not crl.is_signed_by(issuing_ca):
             return CheckResult(name, False, "CRL signature does not verify under the issuing CA",
                                FailureCode.BAD_CRL)
-        _passed.put(crl_key)
+        if trusted:
+            _passed.put(crl_key)
     # The memo holds no instant, so the window is checked on every verify.
     if at_time < crl.last_update:
         return CheckResult(name, False, f"CRL not in force until {crl.last_update.isoformat()}",
@@ -420,5 +426,5 @@ def verify_bundle(
     checks.append(_check_signature(bundle, signed))
     if not legacy:
         checks.append(check_recency(leaf, policy, moment))
-    checks.append(_check_crl(bundle, moment))
+    checks.append(_check_crl(bundle, moment, checks[0].passed))
     return VerificationReport(checks=tuple(checks), at_time=moment)

@@ -3,6 +3,7 @@ CRLs, retirement-by-key-destruction, pools, and disk persistence."""
 
 import itertools
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -40,6 +41,7 @@ from otcpki.certmodel import (
     build_csr,
 )
 from otcpki.crypto import EphemeralKeyPair, digest_document, random_serial
+from otcpki.signer import LocalEnrollmentClient, one_shot_sign
 from otcpki.errors import (
     CaExpiredError,
     CaRetiredError,
@@ -64,6 +66,9 @@ from conftest import (
     utcnow,
 )
 from dersurgery import forge_duplicate_binding_csr
+from forge import reissue_ca
+
+OPENSSL = shutil.which("openssl")
 
 
 # Load an issuer saved on disk and print the serials of N fresh leaves.
@@ -473,6 +478,84 @@ class TestIssuerPool:
     def test_negative_rejected(self, shared_hierarchy):
         with pytest.raises(ValueError):
             spawn_issuer_pool(shared_hierarchy.intermediates[0], -1)
+
+
+def key_identifier(signed, kind) -> bytes:
+    """The key identifier a certificate or CRL carries in the extension
+    ``kind``."""
+    value = signed.raw.extensions.get_extension_for_class(kind).value
+    return value.key_identifier if kind is x509.AuthorityKeyIdentifier else value.digest
+
+
+def openssl_verify(tmp_path, root: Certificate, untrusted: list, leaf: Certificate,
+                   *options: str) -> subprocess.CompletedProcess:
+    files = {"root": [root], "untrusted": untrusted, "leaf": [leaf]}
+    for name, certificates in files.items():
+        (tmp_path / name).write_bytes(b"".join(cert.to_pem() for cert in certificates))
+    return subprocess.run(
+        [OPENSSL, "verify", "-x509_strict", *options, "-CAfile", str(tmp_path / "root"),
+         "-untrusted", str(tmp_path / "untrusted"), str(tmp_path / "leaf")],
+        capture_output=True, text=True, timeout=30)
+
+
+class TestKeyIdentifiers:
+    """RFC 5280: each CA certificate carries a subjectKeyIdentifier
+    (§4.2.1.2); each certificate a CA signs, and each CRL, an
+    authorityKeyIdentifier naming the signing key (§4.2.1.1, §5.2.1); and a
+    CRL its number (§5.2.3). None was carried before, so ``openssl verify
+    -x509_strict`` refused every chain (error 85)."""
+
+    def test_each_signature_names_the_signing_key(self, shared_issuer, keypair_pool):
+        leaf = shared_issuer.issue_otc(make_csr(keypair_pool[0]))
+        chain = [leaf, *shared_issuer.chain_to_root()]
+        for child, parent in zip(chain, chain[1:]):
+            assert (key_identifier(child, x509.AuthorityKeyIdentifier)
+                    == key_identifier(parent, x509.SubjectKeyIdentifier))
+        crl = shared_issuer.issue_blank_crl()
+        assert (key_identifier(crl, x509.AuthorityKeyIdentifier)
+                == key_identifier(shared_issuer.certificate, x509.SubjectKeyIdentifier))
+        assert crl.raw.extensions.get_extension_for_class(x509.CRLNumber).value.crl_number == 1
+
+    def test_ca_saved_without_identifiers_still_loads_and_signs(self, shared_hierarchy,
+                                                                 shared_issuer, tmp_path,
+                                                                 keypair_pool):
+        """A CA certificate from before key identifiers carries none; its
+        leaves name its key all the same."""
+        old = CaIdentity(reissue_ca(shared_issuer, shared_hierarchy.intermediates[0],
+                                    path_length=0),
+                         shared_issuer._keypair, shared_issuer.lineage)
+        with pytest.raises(x509.ExtensionNotFound):
+            key_identifier(old.certificate, x509.SubjectKeyIdentifier)
+        save_ca(old, tmp_path, b"old-pw")
+        loaded = load_ca(tmp_path, b"old-pw")
+        leaf = loaded.issue_otc(make_csr(keypair_pool[0]))
+        assert leaf.verify_signed_by(old.certificate)
+        assert (key_identifier(leaf, x509.AuthorityKeyIdentifier)
+                == x509.SubjectKeyIdentifier.from_public_key(old.certificate.public_key).digest)
+
+    @pytest.mark.skipif(OPENSSL is None, reason="openssl CLI not installed")
+    def test_openssl_strict_accepts_an_honest_bundle(self, shared_issuer, tmp_path):
+        bundle = one_shot_sign(b"strict", "Strict Signer", LocalEnrollmentClient(shared_issuer))
+        chain = bundle.chain
+        (tmp_path / "crl").write_bytes(bundle.crl.to_pem())
+        openssl = openssl_verify(tmp_path, chain.root, list(chain[1:-1]), chain.leaf,
+                                 "-crl_check", "-CRLfile", str(tmp_path / "crl"))
+        assert openssl.returncode == 0, openssl.stdout + openssl.stderr
+
+    @pytest.mark.skipif(OPENSSL is None, reason="openssl CLI not installed")
+    def test_same_named_issuers_told_apart(self, tmp_path, keypair_pool):
+        """Two pools spawned under one parent hold issuers of one name. By
+        name alone, OpenSSL took whichever came first and failed on the
+        second's leaf (error 7)."""
+        hierarchy = init_hierarchy("Twin Pools Root", fresh_policy())
+        intermediate = hierarchy.intermediates[0]
+        first, second = (spawn_issuer_pool(intermediate, 1)[0] for _ in range(2))
+        assert first.certificate.raw.subject == second.certificate.raw.subject
+        leaf = second.issue_otc(make_csr(keypair_pool[0]))
+        for issuers in ([first, second], [second, first]):
+            untrusted = [issuer.certificate for issuer in issuers] + [intermediate.certificate]
+            openssl = openssl_verify(tmp_path, hierarchy.root.certificate, untrusted, leaf)
+            assert openssl.returncode == 0, openssl.stdout + openssl.stderr
 
 
 class TestPersistence:

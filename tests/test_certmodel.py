@@ -19,6 +19,7 @@ from cryptography.hazmat.primitives.serialization import Encoding
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from otcpki import certmodel
 from otcpki.certmodel import (
     MEMO_LIMIT,
     OTC_EXTENSION_OID,
@@ -427,6 +428,32 @@ class TestChainFromPem:
         for leaf in leaves[:2]:
             blob = b"".join(leaf if piece == "leaf" else blocks[piece] for piece in pieces)
             assert_parses_as_cryptography_does(blob)
+
+    @pytest.mark.parametrize("blocks", [8, 9])
+    def test_chain_over_eight_blocks_is_refused_before_parsing(self, pem_blocks, blocks,
+                                                               monkeypatch):
+        """A chain of 9 PEM blocks is refused before any block is decoded
+        or remembered. A chain of 1400 certificates, under a bundle
+        member's 1 MiB cap, used to be decoded whole and kept in the memo,
+        about 1.4 MiB a bundle."""
+        leaves, cas, crl = pem_blocks
+        blob = leaves[0] + b"".join(cas[n % len(cas)] for n in range(blocks - 2)) + crl
+        decoded = []
+        load_certificates = certmodel.load_certificates
+
+        def counted(pem):
+            decoded.append(pem)
+            return load_certificates(pem)
+
+        monkeypatch.setattr(certmodel, "load_certificates", counted)
+        memo_entries = len(certmodel._decoded)
+        if blocks <= 8:
+            assert len(CertificationChain.from_pem(blob)) == blocks - 1
+            return
+        with pytest.raises(MalformedEncodingError, match="9 PEM blocks"):
+            CertificationChain.from_pem(blob)
+        assert decoded == []
+        assert len(certmodel._decoded) == memo_entries
 
     def test_ca_certificates_are_reused(self, pem_blocks):
         leaves, cas, _ = pem_blocks

@@ -47,7 +47,7 @@ from otcpki.errors import (
     EnrollmentUnreachableError,
     OtcError,
 )
-from otcpki import certmodel, framing
+from otcpki import framing
 from otcpki import service as service_module
 from otcpki.service import EnrollmentService, ServiceConfig
 from otcpki.signer import HttpEnrollmentClient, LocalEnrollmentClient, one_shot_sign
@@ -171,17 +171,26 @@ class TestEnrollEndpoint:
         assert chain.links_verify()
 
     def test_response_is_leaf_then_issuer_chain_pem(self, stack):
-        """The chain after the leaf is each pool member's PEM, encoded once
-        at startup; two enrollments cover both members."""
+        """After the leaf come the pool member's chain and its blank CRL,
+        each encoded once at startup; two enrollments cover both members,
+        and their CRLs are /crl's blocks. A chain read from the reply is the
+        chain alone: PEM readers skip the CRL block."""
         _, service, _ = stack
+        crls = {}
         for name in ("First Member", "Second Member"):
             keypair, csr = make_csr(name)
             status, body = service.handle_enroll(csr.to_pem())
             keypair.destroy()
             assert status == 200
-            leaf, issuing_ca = CertificationChain.from_pem(body)[:2]
-            issuer = next(ca for ca in service.issuers if ca.certificate == issuing_ca)
-            assert body == leaf.to_pem() + issuer.chain_to_root().to_pem()
+            chain = CertificationChain.from_pem(body)
+            issuer = next(ca for ca in service.issuers if ca.certificate == chain.issuing_ca)
+            chain_pem = chain.leaf.to_pem() + issuer.chain_to_root().to_pem()
+            assert body.startswith(chain_pem)
+            assert chain == CertificationChain.from_pem(chain_pem)
+            assert len(x509.load_pem_x509_certificates(body)) == 4
+            crl = crls[service.issuers.index(issuer)] = body[len(chain_pem):]
+            assert x509.load_pem_x509_crl(crl).issuer == issuer.certificate.raw.subject
+        assert service.handle_crl() == (200, crls[0] + crls[1])
 
     def test_garbage_is_400(self, stack):
         _, _, url = stack
@@ -611,13 +620,13 @@ class TestHostileRequests:
 
 
 class TestKeepAlive:
-    def test_two_signs_one_connection_three_requests(self, single_issuer_url, counted):
+    def test_two_signs_one_connection_two_requests(self, single_issuer_url, counted):
         counts, _ = counted
         client = HttpEnrollmentClient(single_issuer_url)
         one_shot_sign(b"first", "First", client)
         one_shot_sign(b"second", "Second", client)
         client.close()
-        assert counts == {"connect": 1, "request": 3}  # /enroll twice, /crl once
+        assert counts == {"connect": 1, "request": 2}  # /enroll twice
 
     def test_closed_connection_reopened_once(self, short_timeout_stack, counted):
         hierarchy, url = short_timeout_stack
@@ -630,8 +639,8 @@ class TestKeepAlive:
         client.close()
         report = verify_bundle(bundle, b"after", [hierarchy.root.certificate], POLICY)
         assert report.accepted, report.to_text()
-        # /enroll, /crl, then /enroll on the closed connection and once more.
-        assert counts == {"connect": 2, "request": 4}
+        # /enroll, then /enroll on the closed connection and once more.
+        assert counts == {"connect": 2, "request": 3}
 
     def test_second_failure_is_unreachable(self, shared_issuer, counted):
         counts, _ = counted
@@ -659,27 +668,30 @@ class TestKeepAlive:
         assert not server.is_alive()
         assert counts == {"connect": 2, "request": 3}
 
-    def test_crl_cache_holds_at_most_memo_limit_issuers(self, monkeypatch, counted):
-        """A service that names one issuing CA more than the cache holds
-        drops the oldest CRL; the client fetches it again when asked."""
+    def test_one_request_per_signature_across_the_pool(self, counted):
+        """Each signature is one /enroll request, whichever pool member
+        signs; fetch_crl sends none. The client used to fetch /crl once per
+        issuing CA and cache it."""
         counts, _ = counted
-        monkeypatch.setattr(certmodel, "MEMO_LIMIT", 2)
-        hierarchy = init_hierarchy("CRL Cache Root", fresh_policy(),
+        hierarchy = init_hierarchy("One Request Root", fresh_policy(),
                                    issuers_per_intermediate=3)
         service = EnrollmentService(hierarchy.issuers[0])
         client = HttpEnrollmentClient(service.start())
         try:
-            chains = [client.enroll(make_csr(f"Cached {i}")[1]) for i in range(3)]
-            assert len({chain.issuing_ca for chain in chains}) == 3
-            for chain in chains:
-                client.fetch_crl(chain)
-            assert len(client._crls) == 2
-            assert client.fetch_crl(chains[2]).raw.issuer == chains[2].issuing_ca.raw.subject
-            assert client.fetch_crl(chains[0]).raw.issuer == chains[0].issuing_ca.raw.subject
+            bundles = [one_shot_sign(b"pooled", f"Pooled {i}", client) for i in range(6)]
+            assert counts["request"] == 6
+            chain = client.enroll(make_csr("Last")[1])
+            crl = client.fetch_crl(chain)
         finally:
             client.close()
             service.stop()
-        assert counts["request"] == 3 + 3 + 1  # /enroll x3, /crl x3, chains[0]'s again
+        assert counts["request"] == 7
+        assert len({bundle.chain.issuing_ca for bundle in bundles}) == 3
+        assert crl.raw.issuer == chain.issuing_ca.raw.subject
+        anchors = [hierarchy.root.certificate]
+        for bundle in bundles:
+            report = verify_bundle(bundle, b"pooled", anchors, POLICY)
+            assert report.accepted, report.to_text()
 
     def test_connection_closed_when_its_thread_ends(self, single_issuer_url, monkeypatch):
         """Each thread's connection is closed as the thread ends. The
@@ -1013,6 +1025,29 @@ class TestHostileReplies:
                             b"Content-Type: application/x-pem-file\r\n"
                             b"Content-Length: %d\r\n\r\n%s"
                             % (urllib.parse.urlsplit(url).netloc.encode(), len(body), body)]
+
+    @pytest.mark.parametrize("with_crl", [True, False], ids=["another-issuers-crl", "no-crl"])
+    def test_reply_without_its_issuers_crl(self, shared_issuer, with_crl):
+        """An /enroll reply whose CRL another CA issued, or that carries
+        none, as one from a service that served CRLs only at /crl. The
+        issuing CA is named even when it has no CN."""
+        keypair, csr = make_csr()
+        chain = LocalEnrollmentClient(no_cn_issuer()).enroll(csr)
+        keypair.destroy()
+        body = chain.to_pem() + (shared_issuer.issue_blank_crl().to_pem() if with_crl else b"")
+
+        def enroll_then_fetch_crl(url):
+            client = HttpEnrollmentClient(url, timeout=5)
+            try:
+                return client.fetch_crl(client.enroll(csr))
+            finally:
+                client.close()
+
+        with scripted_service(sends(reply_with(body))) as url:
+            outcome = bounded(lambda: enroll_then_fetch_crl(url))
+        assert isinstance(outcome, EnrollmentRejectedError), outcome
+        assert outcome.ca_code == "no-matching-crl"
+        assert str(outcome) == "no CRL published for issuer O=No CN Issuer"
 
     @pytest.mark.parametrize("url", ["ftp://127.0.0.1/", "http://", "http://h:99999",
                                      "http://h/a b", "http://h/é"])

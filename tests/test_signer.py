@@ -32,7 +32,6 @@ from otcpki.verifier import RecencyPolicy, verify_bundle
 
 from conftest import (
     fresh_policy,
-    no_cn_issuer,
     overwritten,
     patch_central_entry,
     set_clock_past,
@@ -153,17 +152,6 @@ class TestErrorPathHygiene:
         assert not live
 
 
-class TestPickCrl:
-    def test_no_match_names_an_issuer_without_cn(self, shared_issuer, keypair_pool):
-        chain = LocalEnrollmentClient(no_cn_issuer()).enroll(certmodel.build_csr(
-            keypair_pool[0], certmodel.DistinguishedName.from_common_name("Picky"),
-            digest_document(DOC)))
-        with pytest.raises(EnrollmentRejectedError,
-                           match="^no CRL published for issuer O=No CN Issuer$") as excinfo:
-            signer._pick_crl(shared_issuer.issue_blank_crl().to_pem(), chain)
-        assert excinfo.value.ca_code == "no-matching-crl"
-
-
 class TestKeepKey:
     def test_returns_live_key(self, client, key_ledger):
         bundle, keypair = one_shot_sign(DOC, "Keeper", client, keep_key=True)
@@ -269,6 +257,8 @@ def archive_variants(shared_issuer, tmp_path_factory):
         overwritten(path.read_bytes()),  # the same bundle deflated, as written before
         st.integers(0, len(saved)).map(lambda size: saved[:size]),
         stored.map(zip_members),  # stored members, some missing or edited
+        st.integers(1, 40).map(lambda extra: zip_members(  # more entries, past the bound too
+            {**parts, **{f"extra-{n}": b"" for n in range(extra)}})),
         st.binary(max_size=300),
     ), path
 
@@ -561,6 +551,39 @@ class TestArchiveReader:
                 self.load_bytes(tmp_path, data)
         else:
             assert self.load_bytes(tmp_path, data).signature == bundle_members[b"signature.bin"]
+
+    @pytest.mark.parametrize("entries,declared", [(16, None), (17, None), (60_000, None),
+                                                  (60_000, 4)],
+                             ids=["16", "17", "60000", "60000-declared-as-4"])
+    def test_entries_past_the_bound_are_refused_before_zipfile(
+            self, bundle_members, tmp_path, monkeypatch, entries, declared):
+        """60,000 empty members fit in 5.0 MB, under the archive cap, and
+        zipfile built an object for each before load() could read a name:
+        about 0.5 s to refuse the archive. zipfile walks the central directory
+        whatever count the end record declares, so a record that says 4 is
+        no way round the bound."""
+        members = [{"name": name, "content": content}
+                   for name, content in bundle_members.items()]
+        members += [{"name": b"%d" % n, "content": b"", "method": zipfile.ZIP_STORED,
+                     "stored": b""} for n in range(entries - len(members))]
+        data = raw_zip(members)
+        if declared is not None:  # the end record's two entry counts
+            data = data[:-14] + struct.pack("<2H", declared, declared) + data[-10:]
+        built = []
+        zip_file = zipfile.ZipFile
+
+        def spied(*args, **kwargs):
+            built.append(args)
+            return zip_file(*args, **kwargs)
+
+        monkeypatch.setattr(zipfile, "ZipFile", spied)
+        if entries <= signer._MAX_ARCHIVE_ENTRIES:
+            assert self.load_bytes(tmp_path, data).signature == bundle_members[b"signature.bin"]
+            assert len(built) == 1
+            return
+        with pytest.raises(MalformedEncodingError, match="more than 16 entries"):
+            self.load_bytes(tmp_path, data)
+        assert built == []
 
     @pytest.mark.parametrize("method", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA],
                              ids=["bzip2", "lzma"])

@@ -389,11 +389,12 @@ def unused_bit_leaf_bundle(client):
 
 @pytest.mark.skipif(OPENSSL is None, reason="openssl CLI not installed")
 class TestAgainstOpensslVerify:
-    """Differential check of chain-trust against ``openssl verify -CAfile
-    root -untrusted CAs leaf``: wherever OpenSSL rejects a chain,
-    chain-trust rejects it too. ``-x509_strict`` cannot be the reference,
-    since it rejects every chain this PKI issues for lacking Authority and
-    Subject Key Identifiers. Two differences are tolerated, each one way:
+    """Differential check of chain-trust against ``openssl verify
+    -x509_strict -CAfile root -untrusted CAs leaf``: wherever OpenSSL
+    rejects a chain, chain-trust rejects it too. ``-x509_strict`` became the
+    reference once CA certificates carried subject key identifiers and every
+    certificate an authority key identifier; before, it rejected every chain
+    this PKI issued. Two differences are tolerated, each one way:
     OpenSSL accepts a leaf that is a CA, which chain-trust refuses; and
     OpenSSL refuses a leaf whose binding is critical (error 34), which
     chain-trust processes and accepts in both modes."""
@@ -424,7 +425,7 @@ class TestAgainstOpensslVerify:
         for name, certificates in files.items():
             (tmp_path / name).write_bytes(b"".join(cert.to_pem() for cert in certificates))
         return subprocess.run(
-            [OPENSSL, "verify", *options, "-CAfile", str(tmp_path / "root"),
+            [OPENSSL, "verify", "-x509_strict", *options, "-CAfile", str(tmp_path / "root"),
              "-untrusted", str(tmp_path / "untrusted"), str(tmp_path / "leaf")],
             capture_output=True, text=True, timeout=30)
 
@@ -696,6 +697,40 @@ class TestMemo:
         assert report.checks[-1].detail == (
             f"CRL issued by {root.certificate.raw.subject.rfc4514_string()},"
             f" leaf issued by {shared_issuer.certificate.raw.subject.rfc4514_string()}")
+
+    def test_unanchored_chain_checks_no_signature_and_is_not_remembered(
+            self, bundle, monkeypatch):
+        """The root is compared with the anchors before any link. An
+        unanchored chain used to cost 4 verify_signed_by calls, its links
+        and the root's self-signature, and to add its CA path and CRL to the
+        memo, so that chains under any root could push out honest ones."""
+        stranger = init_hierarchy("Unanchored Stranger", fresh_policy()).root
+        calls = []
+        verify_signed_by = Certificate.verify_signed_by
+
+        def counted(certificate, issuer):
+            calls.append(certificate)
+            return verify_signed_by(certificate, issuer)
+
+        monkeypatch.setattr(Certificate, "verify_signed_by", counted)
+        verifier._passed.clear()
+        report = verify_bundle(bundle, DOC, [stranger.certificate], POLICY)
+        assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
+        assert report.checks[0].detail == (f"root {bundle.chain.root.subject_text}"
+                                           " is not a trust anchor")
+        assert calls == []
+        assert len(verifier._passed) == 0
+
+    def test_unanchored_broken_chain_reports_its_root(self, bundle):
+        """A chain under a root no anchor names is refused for that root,
+        whatever its links; a broken link used to be reported first."""
+        stranger = init_hierarchy("Broken Stranger", fresh_policy()).root
+        certs = list(bundle.chain.certificates)
+        certs[1] = break_certificate_signature(certs[1])
+        report = verify_bundle(with_chain(bundle, CertificationChain(certs)), DOC,
+                               [stranger.certificate], POLICY)
+        assert report.checks[0].detail == (f"root {bundle.chain.root.subject_text}"
+                                           " is not a trust anchor")
 
     def test_reports_match_cold_and_warm(self, shared_hierarchy, shared_issuer, bundle,
                                          trust_anchors):
