@@ -32,6 +32,7 @@ from .certmodel import (
     DistinguishedName,
     RevocationList,
     SigningRequest,
+    _path_failure,
     decode,
     verify_csr_pop,
 )
@@ -160,6 +161,7 @@ class CaIdentity:
         # whose certificates carry no subjectKeyIdentifier still sign with it.
         self._key_identifier = x509.AuthorityKeyIdentifier.from_issuer_public_key(
             certificate.public_key)
+        self._blank_crl: Optional[RevocationList] = None
 
     # -- introspection ------------------------------------------------------
 
@@ -250,23 +252,23 @@ class CaIdentity:
             return self._sign_child_certificate(builder)
 
     def issue_blank_crl(self) -> RevocationList:
-        """Publish an empty revocation list, valid until the chain expiry.
-
-        One-time certificates are never revoked; the list exists so legacy
-        validators that demand a CRL get a well-formed empty one.
-        """
+        """This CA's one blank CRL, in force from its certificate's notBefore
+        to its notAfter. It is signed on the first call and returned again on
+        later ones, while the CA can sign. What it signs is fixed by the
+        certificate, so each process that loads the CA publishes it alike,
+        with CRL number 1. One-time certificates are never revoked; the list
+        exists so legacy validators that demand a CRL get a well-formed one."""
         with self._lock:
-            now = _now()
-            self._require_active("issuer", now)
-            builder = (
-                x509.CertificateRevocationListBuilder()
-                .issuer_name(self.certificate.raw.subject)
-                .last_update(max(now, self.certificate.not_before))
-                .next_update(self.certificate.not_after)
-                .add_extension(self._key_identifier, critical=False)
-                .add_extension(x509.CRLNumber(1), critical=False)
-            )
-            return RevocationList(self._keypair.sign_builder(builder))
+            self._require_active("issuer", _now())
+            if self._blank_crl is None:
+                self._blank_crl = RevocationList(self._keypair.sign_builder(
+                    x509.CertificateRevocationListBuilder()
+                    .issuer_name(self.certificate.raw.subject)
+                    .last_update(self.certificate.not_before)
+                    .next_update(self.certificate.not_after)
+                    .add_extension(self._key_identifier, critical=False)
+                    .add_extension(x509.CRLNumber(1), critical=False)))
+            return self._blank_crl
 
     def retire(self) -> str:
         """Destroy the private key. Idempotent. Previously issued
@@ -519,8 +521,8 @@ def issuer_directories(directory: Union[str, Path]) -> list:
 def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
     """Load a CA saved by :func:`save_ca`; role and suite are recovered
     from the certificate itself. A key that is not the certificate's raises
-    :class:`InvalidPolicyError`, and a ``chain.pem`` whose links do not
-    verify up to a self-signed root :class:`RoleViolationError`."""
+    :class:`InvalidPolicyError`, and a ``chain.pem`` that chain-trust's
+    path rule refuses :class:`RoleViolationError`."""
     directory = Path(directory)
     certificate = decode((directory / "cert.pem").read_bytes(), Certificate)
     try:
@@ -543,6 +545,7 @@ def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
     chain = CertificationChain.from_pem((directory / "chain.pem").read_bytes())
     if chain.leaf != certificate:
         raise RoleViolationError("chain.pem does not start with this CA's certificate")
-    if not chain.links_verify():
-        raise RoleViolationError("chain.pem does not chain to a self-signed root")
+    failure = _path_failure(chain.certificates)
+    if failure is not None:
+        raise RoleViolationError(f"chain.pem does not chain to a self-signed root: {failure}")
     return CaIdentity(certificate, keypair, lineage=chain.certificates[1:])

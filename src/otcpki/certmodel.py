@@ -27,6 +27,7 @@ from typing import Optional, Type, TypeVar, Union
 
 from cryptography import x509
 from cryptography.hazmat.primitives import serialization
+from cryptography.x509.oid import ExtensionOID
 
 from .crypto import (
     DigestAlgorithm,
@@ -393,6 +394,58 @@ class RevocationList(_Wrapper):
             return False
 
 
+# The extensions a path check processes. A certificate with any other
+# critical extension must be refused (RFC 5280 §6.1.4 (o) and §6.1.5 (f)).
+_PROCESSED_EXTENSIONS = frozenset(
+    (ExtensionOID.BASIC_CONSTRAINTS, ExtensionOID.KEY_USAGE, OTC_EXTENSION_OID))
+
+
+def _extension_failure(certificate: Certificate) -> Optional[str]:
+    """Why a path check refuses the certificate's extensions, or None: a
+    critical extension it does not process, or name constraints on a CA
+    (RFC 5280 §4.2.1.10), critical or not. This PKI never issues name
+    constraints, so it refuses them rather than process them."""
+    for extension in certificate.raw.extensions:
+        if extension.oid == ExtensionOID.NAME_CONSTRAINTS and certificate.is_ca:
+            return f"{certificate.subject_text} carries nameConstraints"
+        if extension.critical and extension.oid not in _PROCESSED_EXTENSIONS:
+            return (f"{certificate.subject_text} carries the critical extension"
+                    f" {extension.oid.dotted_string}, which is not processed")
+    return None
+
+
+def _path_failure(certificates: tuple) -> Optional[str]:
+    """Why the links from the first certificate up to a self-signed root
+    fail RFC 5280 §6.1, or None. Each issuer must be a CA, pass
+    ``_extension_failure``, assert keyCertSign if it has a keyUsage
+    extension, have no more CA certificates below it than its
+    pathLenConstraint allows, and sign the certificate below it. A first
+    certificate that is a CA, as in a CA's own chain, is an issuer too."""
+    for depth, (child, issuer) in enumerate(zip((None, *certificates), certificates)):
+        if child is None and not issuer.is_ca:
+            continue  # a leaf
+        if not issuer.is_ca:
+            return f"{issuer.subject_text} is not a CA certificate"
+        failure = _extension_failure(issuer)
+        if failure is not None:
+            return failure
+        if not issuer.may_sign_certificates:
+            return f"{issuer.subject_text} keyUsage does not assert keyCertSign"
+        # depth certificates sit below issuer; only the CA certificates that
+        # are not self-issued count against the constraint.
+        limit = issuer.path_length
+        if limit is not None and depth > limit:
+            below = sum(cert.is_ca and not cert.is_self_issued for cert in certificates[:depth])
+            if below > limit:
+                return (f"{issuer.subject_text} pathLenConstraint {limit}"
+                        f" exceeded by {below} CA certificates below it")
+        if child is not None and not child.verify_signed_by(issuer):
+            return f"{child.subject_text} is not signed by {issuer.subject_text}"
+    if not certificates[-1].is_self_signed:
+        return "chain does not end in a self-signed root"
+    return None
+
+
 @dataclass(frozen=True)
 class CertificationChain:
     """Certificates ordered leaf first, root last."""
@@ -432,11 +485,8 @@ class CertificationChain:
         return len({cert.not_after for cert in self.certificates}) == 1
 
     def links_verify(self) -> bool:
-        """Each certificate signed by its successor, and the root by itself."""
-        for child, parent in zip(self.certificates, self.certificates[1:]):
-            if not child.verify_signed_by(parent):
-                return False
-        return self.root.is_self_signed
+        """The chain is an RFC 5280 path: ``_path_failure`` finds no fault."""
+        return _path_failure(self.certificates) is None
 
     def to_pem(self) -> bytes:
         return b"".join(cert.to_pem() for cert in self.certificates)

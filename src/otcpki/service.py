@@ -341,11 +341,9 @@ class EnrollmentService:
         self._port = port
         self._next = 0
         self._lock = threading.Lock()
-        # Stable bytes, fixed at startup: repeated fetches must compare
-        # equal, and CA lifetimes outlive the process. After the leaf,
-        # /enroll sends the member's chain, issuer to root, then its blank
-        # CRL, so that one reply holds all a bundle needs; /crl sends every
-        # member's CRL.
+        # Encoded once; each member has one blank CRL. After the leaf,
+        # /enroll sends the member's chain, issuer to root, then its CRL, so
+        # that one reply holds all a bundle needs; /crl sends every member's.
         crl_pems = [ca.issue_blank_crl().to_pem() for ca in self._issuers]
         self._crl_pem = b"".join(crl_pems)
         self._enroll_tails = {ca: ca.chain_to_root().to_pem() + crl

@@ -259,17 +259,13 @@ class HttpEnrollmentClient:
 
 
 class LocalEnrollmentClient:
-    """In-process enrollment against a CA object; the library-embedding
-    counterpart of the HTTP client, with the same error surface."""
+    """In-process enrollment against a CA object, with the HTTP client's
+    error surface. It holds no CRL: ``fetch_crl`` returns the CA's one."""
 
     def __init__(self, issuer: CaIdentity):
         self._issuer = issuer
-        self._crl: Optional[RevocationList] = None
 
     def enroll(self, csr: SigningRequest) -> CertificationChain:
-        # The CRL is issued before the first leaf, so that it is in force
-        # from every leaf's notBefore.
-        self.fetch_crl(None)
         try:
             leaf = self._issuer.issue_otc(csr)
         except OtcError as exc:
@@ -277,12 +273,10 @@ class LocalEnrollmentClient:
         return CertificationChain((leaf, *self._issuer.chain_to_root()))
 
     def fetch_crl(self, chain: Optional[CertificationChain]) -> RevocationList:
-        if self._crl is None:
-            try:
-                self._crl = self._issuer.issue_blank_crl()
-            except OtcError as exc:
-                raise EnrollmentRejectedError(str(exc), ca_code=exc.code) from exc
-        return self._crl
+        try:
+            return self._issuer.issue_blank_crl()
+        except OtcError as exc:
+            raise EnrollmentRejectedError(str(exc), ca_code=exc.code) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +424,10 @@ def _parse_meta(raw: bytes) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise MalformedEncodingError(f"meta.txt line {lineno}: expected key = value")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in pairs:
+            raise MalformedEncodingError(f"meta.txt line {lineno}: {key} is set twice")
+        pairs[key] = value.strip()
     try:
         algorithm = DigestAlgorithm(pairs["digest-alg"])
         digest = DocumentDigest.from_hex(algorithm, pairs["digest-hex"])

@@ -27,15 +27,14 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import BinaryIO, Iterable, Optional, Tuple, Union
 
-from cryptography.x509.oid import ExtensionOID
-
 from .ca import _utc
 from .certmodel import (
-    OTC_EXTENSION_OID,
     BoundedMemo,
     Certificate,
     CertificationChain,
     OtcExtension,
+    _extension_failure,
+    _path_failure,
 )
 from .crypto import digest_document, verify_signature
 from .signer import SignedDocumentBundle
@@ -216,55 +215,6 @@ def _fails_undecodable(name: str, code: FailureCode):
                 return CheckResult(name, False, f"cannot decode: {exc!r}", code)
         return guarded
     return decorate
-
-
-# The extensions chain-trust processes. A certificate with any other critical
-# extension must be refused (RFC 5280 §6.1.4 (o) and §6.1.5 (f)).
-_PROCESSED_EXTENSIONS = frozenset(
-    (ExtensionOID.BASIC_CONSTRAINTS, ExtensionOID.KEY_USAGE, OTC_EXTENSION_OID))
-
-
-def _extension_failure(certificate: Certificate) -> Optional[str]:
-    """Why chain-trust refuses the certificate's extensions, or None: a
-    critical extension it does not process, or name constraints on a CA
-    (RFC 5280 §4.2.1.10), critical or not. This PKI never issues name
-    constraints, so it refuses them rather than process them."""
-    for extension in certificate.raw.extensions:
-        if extension.oid == ExtensionOID.NAME_CONSTRAINTS and certificate.is_ca:
-            return f"{certificate.subject_text} carries nameConstraints"
-        if extension.critical and extension.oid not in _PROCESSED_EXTENSIONS:
-            return (f"{certificate.subject_text} carries the critical extension"
-                    f" {extension.oid.dotted_string}, which is not processed")
-    return None
-
-
-def _path_failure(certificates: tuple) -> Optional[str]:
-    """Why the links from the leaf up to a self-signed root fail RFC 5280
-    §6.1, or None. Each issuer must be a CA, pass ``_extension_failure``,
-    assert keyCertSign if it has a keyUsage extension, have no more CA
-    certificates below it than its pathLenConstraint allows, and sign the
-    certificate below it."""
-    for depth, (child, parent) in enumerate(zip(certificates, certificates[1:])):
-        if not parent.is_ca:
-            return f"{parent.subject_text} is not a CA certificate"
-        failure = _extension_failure(parent)
-        if failure is not None:
-            return failure
-        if not parent.may_sign_certificates:
-            return f"{parent.subject_text} keyUsage does not assert keyCertSign"
-        # depth CA certificates sit between the leaf and parent; only those
-        # that are not self-issued count against the constraint.
-        limit = parent.path_length
-        if limit is not None and depth > limit:
-            below = sum(not cert.is_self_issued for cert in certificates[1:depth + 1])
-            if below > limit:
-                return (f"{parent.subject_text} pathLenConstraint {limit}"
-                        f" exceeded by {below} CA certificates below it")
-        if not child.verify_signed_by(parent):
-            return f"{child.subject_text} is not signed by {parent.subject_text}"
-    if not certificates[-1].is_self_signed:
-        return "chain does not end in a self-signed root"
-    return None
 
 
 @_fails_undecodable("chain-trust", FailureCode.UNTRUSTED_CHAIN)

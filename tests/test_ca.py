@@ -42,6 +42,7 @@ from otcpki.certmodel import (
 )
 from otcpki.crypto import EphemeralKeyPair, digest_document, random_serial
 from otcpki.signer import LocalEnrollmentClient, one_shot_sign
+from otcpki.verifier import RecencyPolicy, verify_bundle
 from otcpki.errors import (
     CaExpiredError,
     CaRetiredError,
@@ -66,7 +67,7 @@ from conftest import (
     utcnow,
 )
 from dersurgery import forge_duplicate_binding_csr
-from forge import reissue_ca
+from forge import reissue_ca, with_chain, with_extension
 
 OPENSSL = shutil.which("openssl")
 
@@ -334,6 +335,41 @@ class TestBlankCrl:
     def test_every_tier_publishes_one(self, shared_hierarchy):
         for ca in shared_hierarchy.all_cas():
             assert ca.issue_blank_crl().is_blank
+
+    def test_one_crl_fixed_by_the_certificate(self, shared_issuer, monkeypatch):
+        """Each call used to sign a new CRL dated now, numbered 1 all the
+        same; the first is now the only one, dated at the CA's notBefore."""
+        crl = shared_issuer.issue_blank_crl()
+        assert shared_issuer.issue_blank_crl() is crl
+        assert crl.last_update == shared_issuer.certificate.not_before
+        assert crl.next_update == shared_issuer.not_after
+        assert crl.raw.extensions.get_extension_for_class(x509.CRLNumber).value.crl_number == 1
+        set_clock_past(monkeypatch, shared_issuer.not_after)
+        with pytest.raises(CaExpiredError) as excinfo:
+            shared_issuer.issue_blank_crl()
+        assert excinfo.value.code == "issuer-expired"
+
+    def test_one_crl_under_concurrent_first_calls(self):
+        issuer = init_hierarchy("Concurrent CRL Root", fresh_policy()).first_issuer()
+        barrier = threading.Barrier(8)
+        crls = []
+
+        def first_call():
+            barrier.wait(timeout=10)
+            crls.append(issuer.issue_blank_crl())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_call) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(crls) == 8 and all(crl is crls[0] for crl in crls)
 
 
 class TestRetirement:
@@ -674,6 +710,46 @@ class TestPersistence:
             CertificationChain((ours.first_issuer().certificate, *foreign_tail)).to_pem())
         with pytest.raises(RoleViolationError, match="does not chain to a self-signed root"):
             load_ca(tmp_path, passphrase)
+
+    # Each case re-signs one certificate of an issuer's chain, its own (0)
+    # or its intermediate's (1), with the same name and key, so what that CA
+    # signed still verifies under it.
+    FORGED_CHAINS = {
+        "intermediate-without-key-cert-sign": (1, lambda h: reissue_ca(
+            h.intermediates[0], h.root, path_length=1, key_cert_sign=False)),
+        "intermediate-path-length": (1, lambda h: reissue_ca(
+            h.intermediates[0], h.root, path_length=0)),
+        "intermediate-critical-extension": (1, lambda h: with_extension(
+            h.intermediates[0].certificate, h.root,
+            x509.UnrecognizedExtension(x509.ObjectIdentifier("1.3.6.1.4.1.55555.1"), b"\x05\x00"),
+            critical=True)),
+        "issuer-without-key-cert-sign": (0, lambda h: reissue_ca(
+            h.first_issuer(), h.intermediates[0], path_length=0, key_cert_sign=False)),
+    }
+
+    @pytest.mark.parametrize("case", FORGED_CHAINS)
+    def test_chain_that_chain_trust_refuses_is_refused(self, tmp_path, passphrase,
+                                                       shared_hierarchy, case):
+        """load_ca used to check only the signatures of chain.pem's links,
+        so each of these issuers loaded, and every bundle it then signed
+        failed chain-trust. Both apply one rule now, and say the same."""
+        issuer = shared_hierarchy.first_issuer()
+        position, forge = self.FORGED_CHAINS[case]
+        certificates = list(issuer.chain_to_root())
+        certificates[position] = forge(shared_hierarchy)
+        save_ca(issuer, tmp_path, passphrase)
+        (tmp_path / "cert.pem").write_bytes(certificates[0].to_pem())
+        (tmp_path / "chain.pem").write_bytes(CertificationChain(certificates).to_pem())
+        with pytest.raises(RoleViolationError) as excinfo:
+            load_ca(tmp_path, passphrase)
+        bundle = one_shot_sign(b"forged chain", "Forged Chain", LocalEnrollmentClient(issuer))
+        chain = CertificationChain((bundle.chain.leaf, *certificates))
+        report = verify_bundle(with_chain(bundle, chain), b"forged chain",
+                               [shared_hierarchy.root.certificate],
+                               RecencyPolicy(max_age=timedelta(hours=1)))
+        assert report.failure_codes == ("untrusted-chain",)
+        assert str(excinfo.value) == ("chain.pem does not chain to a self-signed root: "
+                                      + report.checks[0].detail)
 
     def test_serials_distinct_across_save_and_reload(self, tmp_path, passphrase,
                                                      keypair_pool):

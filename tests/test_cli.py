@@ -7,6 +7,7 @@ startup behavior only mean something there.
 
 import os
 import re
+import select
 import signal
 import stat
 import subprocess
@@ -14,12 +15,16 @@ import sys
 import time
 import urllib.request
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from cryptography import x509
 
-from otcpki.ca import PASSPHRASE_ENV, load_ca
+import otcpki
+from otcpki import ca as ca_module
+from otcpki import signer
+from otcpki.ca import PASSPHRASE_ENV, issuer_directories, load_ca
 from otcpki.cli import KEY_PASSPHRASE_ENV, main, parse_duration, parse_timestamp
 from otcpki.crypto import EphemeralKeyPair
 from otcpki.service import EnrollmentService, load_pool
@@ -454,6 +459,57 @@ class TestServe:
             _, err = proc.communicate(timeout=10)
         assert proc.returncode == 0
         assert "shutting down" in err
+
+    def test_two_services_publish_the_saved_crls(self, tmp_path, monkeypatch):
+        """Each service used to sign its issuers' CRLs again at start-up,
+        dated then. Two services over one hierarchy now send the same CRL
+        for each issuer, the one in its crl.pem: dated at the issuer's
+        notBefore and numbered 1."""
+        monkeypatch.setenv(PASSPHRASE_ENV, "two-services-pass")
+        # An hour old, so that a CRL signed as a service starts shows it.
+        created = ca_module._now() - timedelta(hours=1)
+        monkeypatch.setattr(ca_module, "_now", lambda: created)
+        pki = tmp_path / "pki"
+        assert main(["pki-init", "--issuers-per-intermediate", "2", "--out", str(pki)]) == 0
+        config = tmp_path / "service.conf"
+        config.write_text(f"listen = 127.0.0.1:0\nca-dir = {pki}\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(otcpki.__file__).resolve().parents[1]))
+        command = [sys.executable, "-m", "otcpki", "serve", "--config", str(config)]
+        processes = []
+        try:
+            for _ in range(2):
+                processes.append(subprocess.Popen(command, stdout=subprocess.PIPE,
+                                                  stderr=subprocess.PIPE, text=True, env=env))
+            bodies = []
+            for proc in processes:
+                ready, _, _ = select.select([proc.stdout], [], [], 30)
+                assert ready, "the service printed no banner within 30 s"
+                banner = proc.stdout.readline()
+                match = re.search(r"listening on (http://\S+)", banner)
+                assert match, banner
+                with urllib.request.urlopen(match.group(1) + "/crl", timeout=5) as reply:
+                    bodies.append(reply.read())
+        finally:
+            for proc in processes:
+                proc.send_signal(signal.SIGTERM)
+            for proc in processes:
+                try:
+                    proc.communicate(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.communicate(timeout=10)
+        assert [proc.returncode for proc in processes] == [0, 0]
+        issuers = issuer_directories(pki)
+        saved = [x509.load_pem_x509_crl((path / "crl.pem").read_bytes()) for path in issuers]
+        for body in bodies:
+            served = [x509.load_pem_x509_crl(block)
+                      for block in signer._CRL_BLOCK.findall(body)]
+            assert ([crl.tbs_certlist_bytes for crl in served]
+                    == [crl.tbs_certlist_bytes for crl in saved])
+        for path, crl in zip(issuers, saved):
+            certificate = x509.load_pem_x509_certificate((path / "cert.pem").read_bytes())
+            assert crl.last_update_utc == certificate.not_valid_before_utc
+            assert crl.extensions.get_extension_for_class(x509.CRLNumber).value.crl_number == 1
 
     def test_bad_ca_dir_is_usage_error(self, tmp_path):
         empty = tmp_path / "nothing-here"

@@ -49,6 +49,7 @@ from otcpki.errors import (
 )
 from otcpki import framing
 from otcpki import service as service_module
+from otcpki import verifier
 from otcpki.service import EnrollmentService, ServiceConfig
 from otcpki.signer import HttpEnrollmentClient, LocalEnrollmentClient, one_shot_sign
 from otcpki.verifier import RecencyPolicy, verify_bundle
@@ -751,6 +752,30 @@ class TestPoolBehavior:
             bundle = one_shot_sign(document, f"User {i}", client)
             report = verify_bundle(bundle, document, anchors, POLICY)
             assert report.accepted, report.to_text()
+
+    def test_one_crl_per_member(self, stack):
+        """Every /enroll reply from a member carries its one CRL, so the
+        bundles signed under it hold one CRL object between them and leave
+        one entry for it in the verifier's memo."""
+        hierarchy, service, url = stack
+        client = HttpEnrollmentClient(url)
+        try:
+            bundles = [one_shot_sign(b"counted", f"Counted {i}", client) for i in range(6)]
+        finally:
+            client.close()
+        crls = {bundle.chain.issuing_ca: bundle.crl for bundle in bundles}
+        assert len(crls) == len(service.issuers) == 2
+        assert all(bundle.crl is crls[bundle.chain.issuing_ca] for bundle in bundles)
+        for issuer in service.issuers:
+            assert crls[issuer.certificate].to_der() == issuer.issue_blank_crl().to_der()
+        verifier._passed.clear()
+        for bundle in bundles:
+            assert verify_bundle(bundle, b"counted", [hierarchy.root.certificate],
+                                 POLICY).accepted
+        # One CA path and one CRL for each member.
+        assert len(verifier._passed) == 2 * len(crls)
+        for issuing_ca, crl in crls.items():
+            assert ("crl", crl.to_der(), issuing_ca.to_der()) in verifier._passed
 
     def test_concurrent_enrollments_distinct_serials(self, stack):
         _, _, url = stack

@@ -606,6 +606,14 @@ class TestArchiveReader:
         with pytest.raises(MalformedEncodingError, match="created-at"):
             self.load_bytes(tmp_path, archive_with(bundle_members, content=short))
 
+    def test_repeated_meta_key(self, bundle_members, tmp_path):
+        """The last of two digest-hex lines used to be read."""
+        meta = bundle_members[b"meta.txt"].decode()
+        twice = meta + f"digest-hex = {'00' * 32}\n"
+        with pytest.raises(MalformedEncodingError,
+                           match="meta.txt line 5: digest-hex is set twice"):
+            self.load_bytes(tmp_path, archive_with(bundle_members, content=twice.encode()))
+
     def test_second_bundle_under_a_seen_chain_decodes_only_its_leaf(
             self, client, tmp_path, monkeypatch):
         paths = []

@@ -368,8 +368,12 @@ class TestSignatureBitString:
         assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
 
     def test_crl(self, shared_issuer, bundle, trust_anchors):
-        _, crl = unused_bit_variant(lambda: (bundle, shared_issuer.issue_blank_crl()),
-                                    RevocationList)
+        # issue_blank_crl() returns one CRL, so fresh signatures are forged.
+        honest = bundle.crl
+        _, crl = unused_bit_variant(
+            lambda: (bundle, forge_blank_crl(shared_issuer, honest.last_update,
+                                             honest.next_update)),
+            RevocationList)
         report = verify_bundle(with_crl(bundle, crl), DOC, trust_anchors, POLICY)
         assert report.failure_codes == (FailureCode.BAD_CRL.value,)
 
@@ -454,7 +458,7 @@ def ticking_stack():
     """A fresh hierarchy whose CAs read a clock that moves one second per
     read, the blank CRLs of its root and intermediate, and a bundle signed
     under its first issuer through ``LocalEnrollmentClient``. Every CRL is
-    issued before the leaf, so all are in force at its notBefore."""
+    in force from its CA's notBefore, so all are at the leaf's."""
     start = ca_module._now()
     ticks = itertools.count()
     with pytest.MonkeyPatch.context() as patch:
@@ -697,6 +701,19 @@ class TestMemo:
         assert report.checks[-1].detail == (
             f"CRL issued by {root.certificate.raw.subject.rfc4514_string()},"
             f" leaf issued by {shared_issuer.certificate.raw.subject.rfc4514_string()}")
+
+    def test_one_crl_entry_per_issuer(self, client, shared_issuer, trust_anchors):
+        """64 signatures through one LocalEnrollmentClient carry one CRL
+        object, the CA's own; the client used to hold a copy of its own."""
+        bundles = [one_shot_sign(DOC, f"Counted {i}", client) for i in range(64)]
+        crl = shared_issuer.issue_blank_crl()
+        assert all(bundle.crl is crl for bundle in bundles)
+        verifier._passed.clear()
+        for bundle in bundles:
+            assert verify_bundle(bundle, DOC, trust_anchors, POLICY).accepted
+        # One CA path and one CRL.
+        assert len(verifier._passed) == 2
+        assert ("crl", crl.to_der(), shared_issuer.certificate.to_der()) in verifier._passed
 
     def test_unanchored_chain_checks_no_signature_and_is_not_remembered(
             self, bundle, monkeypatch):
