@@ -38,7 +38,6 @@ _EXPORTS = {
     "create_root": "ca",
     "create_subordinate": "ca",
     "init_hierarchy": "ca",
-    "spawn_issuer_pool": "ca",
     # signer
     "HttpEnrollmentClient": "signer",
     "LocalEnrollmentClient": "signer",

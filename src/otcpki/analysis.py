@@ -166,10 +166,6 @@ class CostComparison:
     otc_total: float
     traditional_total: float
 
-    @property
-    def savings(self) -> float:
-        return self.traditional_total - self.otc_total
-
 
 def deployment_cost(model: CostModel) -> CostComparison:
     """Total cost each way: shared + delta for one-time certificates,

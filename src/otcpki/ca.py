@@ -41,6 +41,7 @@ from .crypto import (
     AlgorithmSuite,
     EphemeralKeyPair,
     random_serial,
+    spki_der,
 )
 from .errors import (
     CaExpiredError,
@@ -62,7 +63,6 @@ __all__ = [
     "PASSPHRASE_ENV",
     "create_root",
     "create_subordinate",
-    "spawn_issuer_pool",
     "init_hierarchy",
     "save_ca",
     "load_ca",
@@ -334,8 +334,8 @@ def create_root(name: Union[str, DistinguishedName], policy: CaPolicy) -> CaIden
     subject = DistinguishedName.requested(name)
     keypair = EphemeralKeyPair.generate(policy.suite)
     builder = _ca_builder(
-        subject.to_x509(),
-        subject.to_x509(),
+        subject.name,
+        subject.name,
         keypair.public_key,
         random_serial(),
         _now(),
@@ -363,7 +363,7 @@ def create_subordinate(
         now = _now()
         parent._require_active("parent", now)
         builder = _ca_builder(
-            subject.to_x509(),
+            subject.name,
             parent.certificate.raw.subject,
             keypair.public_key,
             random_serial(),
@@ -373,21 +373,6 @@ def create_subordinate(
         )
         certificate = parent._sign_child_certificate(builder)
     return CaIdentity(certificate, keypair, (parent.certificate, *parent.lineage))
-
-
-def spawn_issuer_pool(parent: CaIdentity, count: int) -> list:
-    """Create ``count`` issuer CAs under one parent, each with its own key,
-    so enrollment load can be spread without changing what verifiers see.
-    Issuer NN is named ``<parent> Issuer NN`` after the parent's CN, or after
-    its whole subject when it has none."""
-    if count < 0:
-        raise ValueError("pool size cannot be negative")
-    names = parent.certificate.raw.subject.get_attributes_for_oid(x509.NameOID.COMMON_NAME)
-    base = names[0].value if names else parent.certificate.subject_text
-    return [
-        create_subordinate(parent, _derived_name(base, f" Issuer {index:02d}"), CaRole.ISSUER)
-        for index in range(1, count + 1)
-    ]
 
 
 @dataclass
@@ -539,7 +524,7 @@ def load_ca(directory: Union[str, Path], passphrase: bytes) -> CaIdentity:
             f"CA certificate hash {hash_name} does not match suite {suite.label}"
         )
     keypair = EphemeralKeyPair(suite, key)
-    if keypair.public_der() != certificate.public_der():
+    if spki_der(keypair.public_key) != spki_der(certificate.public_key):
         raise InvalidPolicyError(f"{directory / 'key.pem'} is not the key of"
                                  f" {directory / 'cert.pem'}")
     chain = CertificationChain.from_pem((directory / "chain.pem").read_bytes())

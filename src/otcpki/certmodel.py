@@ -1,5 +1,5 @@
 """X.509 object model: the digest-binding extension, names, CSRs,
-certificates, CRLs, chains, and the DER/PEM codec.
+certificates, CRLs, chains, and the PEM decoder.
 
 The binding payload's exact bytes are the contract that makes a certificate a
 one-time certificate, so they are authored here rather than delegated:
@@ -104,6 +104,12 @@ class BoundedMemo:
 # Decoded objects by exact PEM bytes: (CertificationChain, the PEM after a
 # chain's leaf block) -> its certificates, (RevocationList, PEM) -> the CRL.
 _decoded = BoundedMemo()
+# Most PEM bytes a _decoded entry is keyed by. The largest honest key is an
+# /enroll reply's tail after its leaf: the three CA certificates and the CRL
+# of an rsa-3072 hierarchy with 64-character CNs, 5693 bytes. A larger blob
+# is decoded on every call, so that a bundle member of up to 1 MiB cannot
+# keep its bytes and its decoded objects in the memo.
+_MEMO_KEY_BYTES = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +126,6 @@ class OtcExtension:
 
     digest: DocumentDigest
     critical: bool = False
-
-    @property
-    def oid(self) -> x509.ObjectIdentifier:
-        return OTC_EXTENSION_OID
 
     def payload(self) -> bytes:
         """DER-encode the binding structure."""
@@ -214,9 +216,6 @@ class DistinguishedName:
             return name
         return cls.from_string(name) if "=" in name else cls.from_common_name(name)
 
-    def to_x509(self) -> x509.Name:
-        return self.name
-
     def __str__(self) -> str:
         return self.name.rfc4514_string()
 
@@ -272,11 +271,6 @@ class _Subject(_Wrapper):
     @property
     def public_key(self) -> PublicKey:
         return self._raw.public_key()
-
-    def public_der(self) -> bytes:
-        """The public key as DER SubjectPublicKeyInfo."""
-        return self.public_key.public_bytes(serialization.Encoding.DER,
-                                            serialization.PublicFormat.SubjectPublicKeyInfo)
 
     @property
     def binding(self) -> Optional[OtcExtension]:
@@ -496,15 +490,16 @@ class CertificationChain:
         """The certificates in a PEM blob, in order of appearance. Leaves
         are new each time while the CA certificates after them repeat, so
         when the blob opens with a certificate block, the certificates after
-        that block come from the memo, keyed by their exact PEM bytes. A
-        blob of more than ``_MAX_CHAIN_BLOCKS`` PEM blocks raises
+        that block come from the memo, keyed by their exact PEM bytes when
+        those are at most ``_MEMO_KEY_BYTES``. A blob of more than
+        ``_MAX_CHAIN_BLOCKS`` PEM blocks raises
         :class:`MalformedEncodingError` before any block is parsed."""
         blocks = data.count(b"-----BEGIN")
         if blocks > _MAX_CHAIN_BLOCKS:
             raise MalformedEncodingError(f"a chain of {blocks} PEM blocks; at most"
                                          f" {_MAX_CHAIN_BLOCKS} are read")
         leaf = _LEAF_BLOCK.match(data)
-        if leaf is None:
+        if leaf is None or len(data) - leaf.end() > _MEMO_KEY_BYTES:
             return cls(load_certificates(data))
         key = (CertificationChain, bytes(data[leaf.end():]))
         above = _decoded.get(key)
@@ -554,7 +549,7 @@ def build_csr(
     """
     builder = (
         x509.CertificateSigningRequestBuilder()
-        .subject_name(subject.to_x509())
+        .subject_name(subject.name)
         .add_extension(OtcExtension(digest).to_x509(), critical=False)
     )
     return SigningRequest(keypair.sign_builder(builder))
@@ -577,16 +572,18 @@ PEM_CONTENT_TYPE = "application/x-pem-file"
 _T = TypeVar("_T", SigningRequest, Certificate, RevocationList)
 
 _LOADERS = {
-    SigningRequest: (x509.load_der_x509_csr, x509.load_pem_x509_csr, "CSR"),
-    Certificate: (x509.load_der_x509_certificate, x509.load_pem_x509_certificate, "certificate"),
-    RevocationList: (x509.load_der_x509_crl, x509.load_pem_x509_crl, "CRL"),
+    SigningRequest: (x509.load_pem_x509_csr, "CSR"),
+    Certificate: (x509.load_pem_x509_certificate, "certificate"),
+    RevocationList: (x509.load_pem_x509_crl, "CRL"),
 }
 
 
 def decode_crl(data: bytes) -> RevocationList:
     """``decode(data, RevocationList)``, from the memo when these exact bytes
     were decoded before: an issuer's blank CRL rides in every bundle it
-    signs for."""
+    signs for. Bytes over ``_MEMO_KEY_BYTES`` are not remembered."""
+    if len(data) > _MEMO_KEY_BYTES:
+        return decode(data, RevocationList)
     key = (RevocationList, bytes(data))
     crl = _decoded.get(key)
     if crl is None:
@@ -596,26 +593,24 @@ def decode_crl(data: bytes) -> RevocationList:
 
 
 def decode(data: bytes, kind: Type[_T]) -> _T:
-    """Parse DER or PEM bytes as the requested kind.
+    """Parse PEM bytes as the requested kind; DER is not read.
 
     Raises :class:`KindMismatchError` when the bytes are a valid X.509
     object of a different kind, and :class:`MalformedEncodingError` (with
-    the parser's offset detail where available) otherwise.
+    the parser's detail where available) otherwise.
     """
     if kind not in _LOADERS:
         raise TypeError(f"cannot decode into {kind!r}")
-    der_loader, pem_loader, kind_name = _LOADERS[kind]
-    is_pem = b"-----BEGIN" in data[:1024]
-    loader = pem_loader if is_pem else der_loader
+    loader, kind_name = _LOADERS[kind]
     try:
         return kind(loader(data))
     except Exception as exc:
         # Distinguish "wrong kind" from "not parseable at all".
-        for other_kind, (other_der, other_pem, other_name) in _LOADERS.items():
+        for other_kind, (other_loader, other_name) in _LOADERS.items():
             if other_kind is kind:
                 continue
             try:
-                (other_pem if is_pem else other_der)(data)
+                other_loader(data)
             except Exception:
                 continue
             raise KindMismatchError(

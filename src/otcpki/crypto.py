@@ -113,6 +113,13 @@ _SUITE_OF_KEY_PARAMETER = {suite.key_parameter: suite for suite in AlgorithmSuit
 DEFAULT_SUITE = AlgorithmSuite.ECDSA_P256
 
 
+def spki_der(public_key: PublicKey) -> bytes:
+    """The public key as DER SubjectPublicKeyInfo, the form in which two
+    keys are the same key when their bytes are equal."""
+    return public_key.public_bytes(serialization.Encoding.DER,
+                                   serialization.PublicFormat.SubjectPublicKeyInfo)
+
+
 @dataclass(frozen=True)
 class DocumentDigest:
     """A hash value tagged with the algorithm that produced it."""
@@ -193,13 +200,6 @@ class EphemeralKeyPair:
     @property
     def public_key(self) -> PublicKey:
         return self._public_key
-
-    def public_der(self) -> bytes:
-        """The public key as DER SubjectPublicKeyInfo."""
-        return self._public_key.public_bytes(
-            serialization.Encoding.DER,
-            serialization.PublicFormat.SubjectPublicKeyInfo,
-        )
 
     def _signing_key(self) -> PrivateKey:
         """Internal accessor; the only gate to the private key."""

@@ -2,8 +2,9 @@
 
 Three endpoints, all speaking PEM:
 
-    POST /enroll   CSR in; out, the leaf, the issuing member's chain up to
-                   the root, then that member's blank CRL
+    POST /enroll   a PEM CSR in (DER gets 400 malformed-encoding); out, the
+                   leaf, the issuing member's chain up to the root, then
+                   that member's blank CRL
     GET  /crl      the pool's blank CRLs, one PEM block per issuer
     GET  /chain    the CA chain clients should pin, issuer to root
 

@@ -43,6 +43,7 @@ from .crypto import (
     DocumentDigest,
     EphemeralKeyPair,
     digest_document,
+    spki_der,
 )
 from .errors import (
     ConfigError,
@@ -79,6 +80,9 @@ _REFUSED_FLAGS = 0x61
 # A local file header (PKWARE APPNOTE 4.3.7): signature, 22 bytes load() does
 # not read, then the lengths of the name and the extra field that follow it.
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
+# The keys a meta.txt line may set: the three that _meta_text() writes, then
+# the subject that earlier versions wrote and nothing reads.
+_META_KEYS = ("digest-alg", "digest-hex", "created-at", "subject")
 # meta.txt's created-at, as _meta_text() writes it.
 _CREATED_AT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 _PEM_TYPE = PEM_CONTENT_TYPE.encode()
@@ -153,6 +157,9 @@ class HttpEnrollmentClient:
             raise ConfigError(f"no host in enrollment URL {base_url!r}")
         if _TARGET_REFUSED.search(self._target):
             raise ConfigError(f"control character or space in enrollment URL {base_url!r}")
+        # A request carries only the path, so these would be dropped unsent.
+        if "@" in url.netloc or "?" in base_url or "#" in base_url:
+            raise ConfigError(f"user name, query or fragment in enrollment URL {base_url!r}")
         self._address = (url.hostname, default_port if port is None else port)
         if b":" in host:
             host = b"[%s]" % host
@@ -192,14 +199,11 @@ class HttpEnrollmentClient:
         connection.sock.sendall(request)
         return read_reply(connection.rfile)
 
-    def _request(self, path: bytes, body: Optional[bytes] = None) -> bytes:
-        if body is None:
-            request = b"GET %s%s HTTP/1.1\r\nHost: %s\r\n\r\n" % (self._target, path,
-                                                                     self._host)
-        else:
-            request = (b"POST %s%s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\n"
-                       b"Content-Length: %d\r\n\r\n%s"
-                       % (self._target, path, self._host, _PEM_TYPE, len(body), body))
+    def _request(self, body: bytes) -> bytes:
+        """POST ``body`` to ``/enroll`` and return the reply's body."""
+        request = (b"POST %s/enroll HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\n"
+                   b"Content-Length: %d\r\n\r\n%s"
+                   % (self._target, self._host, _PEM_TYPE, len(body), body))
         connection = getattr(self._local, "connection", None)
         reused = connection is not None and not connection.closed
         try:
@@ -231,7 +235,7 @@ class HttpEnrollmentClient:
         return payload
 
     def enroll(self, csr: SigningRequest) -> CertificationChain:
-        reply = self._request(b"/enroll", csr.to_pem())
+        reply = self._request(csr.to_pem())
         crl = _CRL_BLOCK.search(reply)
         self._local.crl = None if crl is None else crl.group()
         return CertificationChain.from_pem(reply)
@@ -248,9 +252,6 @@ class HttpEnrollmentClient:
                 ca_code="no-matching-crl",
             )
         return crl
-
-    def fetch_chain(self) -> CertificationChain:
-        return CertificationChain.from_pem(self._request(b"/chain"))
 
     def close(self):
         """Close every thread's connection; a later request reconnects."""
@@ -303,7 +304,6 @@ class SignedDocumentBundle:
             f"digest-alg = {self.document_digest.algorithm.value}\n"
             f"digest-hex = {self.document_digest.hex()}\n"
             f"created-at = {self.created_at.strftime('%Y-%m-%dT%H:%M:%SZ')}\n"
-            f"subject = {self.chain.leaf.subject_text}\n"
         )
 
     def save(self, path: Union[str, Path]):
@@ -416,15 +416,25 @@ def _read_member(data: bytes, entry: zipfile.ZipInfo) -> bytes:
 
 
 def _parse_meta(raw: bytes) -> dict:
+    """The digest and creation instant in meta.txt: ``key = value`` lines,
+    each ended by ``\\n``, setting each of ``_META_KEYS`` at most once. A
+    blank line or an unknown key is refused at its line. No more lines are
+    split off than there are keys, and only the first line of the rest is
+    read, so a member of many lines costs about what one of five does."""
+    pieces = raw.split(b"\n", len(_META_KEYS))
+    if not pieces[-1]:  # what follows the newline that ends the last line
+        pieces.pop()
     pairs = {}
-    for lineno, line in enumerate(raw.decode("utf-8", "replace").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, piece in enumerate(pieces, 1):
+        line = piece.partition(b"\n")[0].decode("utf-8", "replace")
+        if not line.strip():
+            raise MalformedEncodingError(f"meta.txt line {lineno}: blank line")
         key, sep, value = line.partition("=")
+        key = key.strip()
         if not sep:
             raise MalformedEncodingError(f"meta.txt line {lineno}: expected key = value")
-        key = key.strip()
+        if key not in _META_KEYS:
+            raise MalformedEncodingError(f"meta.txt line {lineno}: unknown key {key[:40]!r}")
         if key in pairs:
             raise MalformedEncodingError(f"meta.txt line {lineno}: {key} is set twice")
         pairs[key] = value.strip()
@@ -455,7 +465,7 @@ def _enroll_and_sign(
     csr = build_csr(keypair, subject, digest)
     chain = enrollment.enroll(csr)
     leaf = chain.leaf
-    if leaf.public_der() != keypair.public_der():
+    if spki_der(leaf.public_key) != spki_der(keypair.public_key):
         raise EnrollmentRejectedError(
             "issued certificate names a different key", ca_code="leaf-mismatch"
         )

@@ -41,11 +41,9 @@ from .signer import SignedDocumentBundle
 
 __all__ = [
     "RecencyPolicy",
-    "Verdict",
     "FailureCode",
     "CheckResult",
     "VerificationReport",
-    "check_binding",
     "check_recency",
     "verify_bundle",
 ]
@@ -60,11 +58,6 @@ DEFAULT_CLOCK_SKEW = timedelta(seconds=300)
 # and signature matched that CA. Both are stored only for a chain that passes
 # chain-trust, so that chains under other roots cannot fill the memo.
 _passed = BoundedMemo()
-
-
-class Verdict(enum.Enum):
-    ACCEPTED = "accepted"
-    REJECTED = "rejected"
 
 
 class FailureCode(enum.Enum):
@@ -118,12 +111,8 @@ class VerificationReport:
     at_time: datetime
 
     @property
-    def verdict(self) -> Verdict:
-        return Verdict.ACCEPTED if all(check.passed for check in self.checks) else Verdict.REJECTED
-
-    @property
     def accepted(self) -> bool:
-        return self.verdict is Verdict.ACCEPTED
+        return all(check.passed for check in self.checks)
 
     @property
     def failure_codes(self) -> Tuple[str, ...]:
@@ -134,7 +123,7 @@ class VerificationReport:
         )
 
     def to_text(self) -> str:
-        lines = [f"verdict: {self.verdict.value}"]
+        lines = [f"verdict: {'accepted' if self.accepted else 'rejected'}"]
         for check in self.checks:
             status = "pass" if check.passed else f"FAIL [{check.failure_code.value}]"
             suffix = f" ({check.detail})" if check.detail else ""
@@ -156,6 +145,8 @@ def _read_binding(certificate: Certificate) -> Union[OtcExtension, None, Excepti
 
 
 def _match_binding(binding: Union[OtcExtension, None, Exception], digest) -> CheckResult:
+    """Does the binding name exactly the given digest? Algorithm and value
+    must both match; a right value under the wrong algorithm fails."""
     if isinstance(binding, Exception):
         return CheckResult(
             "binding-match", False, f"unreadable binding: {binding}",
@@ -179,12 +170,6 @@ def _match_binding(binding: Union[OtcExtension, None, Exception], digest) -> Che
             FailureCode.BINDING_MISMATCH,
         )
     return CheckResult("binding-match", True, "document digest matches the binding")
-
-
-def check_binding(certificate: Certificate, digest) -> CheckResult:
-    """Does this certificate bind exactly the given digest? Algorithm and
-    value must both match; a right value under the wrong algorithm fails."""
-    return _match_binding(_read_binding(certificate), digest)
 
 
 def check_recency(leaf: Certificate, policy: RecencyPolicy, at_time: datetime) -> CheckResult:

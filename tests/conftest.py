@@ -42,7 +42,7 @@ def csr_with_extension(keypair, extension) -> SigningRequest:
     """A request signed by ``keypair`` (so POP holds) carrying one extension."""
     raw = (
         x509.CertificateSigningRequestBuilder()
-        .subject_name(DistinguishedName.from_common_name("Odd Extension").to_x509())
+        .subject_name(DistinguishedName.from_common_name("Odd Extension").name)
         .add_extension(extension, critical=False)
         .sign(keypair._signing_key(), hashes.SHA256())
     )
@@ -65,7 +65,7 @@ def bound_csr(private_key, digest: DocumentDigest) -> SigningRequest:
     carrying the binding of ``digest``."""
     builder = (
         x509.CertificateSigningRequestBuilder()
-        .subject_name(DistinguishedName.from_common_name("Off Menu").to_x509())
+        .subject_name(DistinguishedName.from_common_name("Off Menu").name)
         .add_extension(OtcExtension(digest).to_x509(), critical=False)
     )
     algorithm = None if isinstance(private_key, ed25519.Ed25519PrivateKey) else hashes.SHA256()

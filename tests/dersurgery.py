@@ -6,10 +6,11 @@ extension node, reassemble, and re-sign the modified body with the same key
 so proof of possession still holds.
 """
 
+from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
 
-from otcpki.certmodel import SigningRequest, decode
+from otcpki.certmodel import SigningRequest
 
 # DER of OTC_EXTENSION_OID, 1.3.6.1.4.1.55555.1.1 (tag, length, arcs).
 _OUR_OID_DER = bytes.fromhex("060a2b0601040183b2030101")
@@ -88,4 +89,4 @@ def forge_duplicate_binding_csr(csr: SigningRequest, keypair) -> SigningRequest:
         algid,
         (0x03, b"\x00" + signature),
     ])
-    return decode(serialize_tree(rebuilt), SigningRequest)
+    return SigningRequest(x509.load_der_x509_csr(serialize_tree(rebuilt)))

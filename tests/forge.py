@@ -15,7 +15,6 @@ from otcpki.certmodel import (
     CertificationChain,
     RevocationList,
     SigningRequest,
-    decode,
 )
 from otcpki.crypto import random_serial
 from otcpki.signer import SignedDocumentBundle
@@ -144,7 +143,7 @@ def break_certificate_signature(certificate: Certificate) -> Certificate:
     still parses, no longer verifies under its issuer."""
     der = bytearray(certificate.to_der())
     der[-1] ^= 0xFF
-    return decode(bytes(der), Certificate)
+    return Certificate(x509.load_der_x509_certificate(bytes(der)))
 
 
 def with_chain(bundle: SignedDocumentBundle, chain: CertificationChain) -> SignedDocumentBundle:

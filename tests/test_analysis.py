@@ -130,7 +130,6 @@ class TestDeploymentCost:
         comparison = deployment_cost(model)
         assert comparison.traditional_total == 100_000_000
         assert comparison.otc_total == 0
-        assert comparison.savings == 100_000_000
 
     def test_no_users_means_only_delta_differs(self):
         model = CostModel(shared_cost=500.0, per_user_cost=3.0, user_count=0,
@@ -138,7 +137,6 @@ class TestDeploymentCost:
         comparison = deployment_cost(model)
         assert comparison.traditional_total == 500.0
         assert comparison.otc_total == 520.0
-        assert comparison.savings == -20.0
 
     def test_negative_inputs_refused(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from otcpki.ca import (
     load_ca,
     save_ca,
     save_hierarchy,
-    spawn_issuer_pool,
 )
 from otcpki.certmodel import (
     OTC_EXTENSION_OID,
@@ -58,7 +57,6 @@ from otcpki.errors import (
 from conftest import (
     PADDED_OID_PAYLOAD,
     bound_csr,
-    ca_named,
     csr_with_extension,
     fresh_policy,
     modes_at_write,
@@ -157,9 +155,9 @@ class TestHierarchyRules:
     def test_role_read_back_from_certificate(self, keypair_pool, role):
         """The table that writes a tier's pathLenConstraint reads it back."""
         keypair = keypair_pool[0]
-        subject = DistinguishedName.from_common_name("Tier").to_x509()
+        subject = DistinguishedName.from_common_name("Tier").name
         issuer = subject if role is CaRole.ROOT else DistinguishedName.from_common_name(
-            "Above").to_x509()
+            "Above").name
         builder = ca_module._ca_builder(subject, issuer, keypair.public_key, random_serial(),
                                         utcnow(), utcnow() + timedelta(days=1), role)
         identity = CaIdentity(Certificate(keypair.sign_builder(builder)), keypair)
@@ -177,9 +175,9 @@ class TestHierarchyRules:
         """Only a root is unconstrained and self-issued, and no tier has a
         pathLenConstraint above 1."""
         keypair = keypair_pool[0]
-        subject = DistinguishedName.from_common_name("No Tier").to_x509()
+        subject = DistinguishedName.from_common_name("No Tier").name
         issuer = subject if self_issued else DistinguishedName.from_common_name(
-            "Above").to_x509()
+            "Above").name
         builder = (
             x509.CertificateBuilder()
             .subject_name(subject)
@@ -229,7 +227,7 @@ class TestIssueOtc:
 
         bare = (
             x509.CertificateSigningRequestBuilder()
-            .subject_name(DistinguishedName.from_common_name("No Binding").to_x509())
+            .subject_name(DistinguishedName.from_common_name("No Binding").name)
             .sign(keypair_pool[0]._signing_key(), hashes.SHA256())
         )
         from otcpki.certmodel import SigningRequest
@@ -259,7 +257,7 @@ class TestIssueOtc:
             shared_issuer.issue_otc(csr)
 
     def test_broken_pop_rejected(self, shared_issuer, keypair_pool):
-        from otcpki.certmodel import SigningRequest, decode
+        from otcpki.certmodel import SigningRequest
 
         marker = "PopVictim"
         csr = make_csr(keypair_pool[6], name=marker)
@@ -267,7 +265,7 @@ class TestIssueOtc:
         index = der.find(marker.encode())
         der[index] ^= 0x01
         with pytest.raises(PopFailureError):
-            shared_issuer.issue_otc(decode(bytes(der), SigningRequest))
+            shared_issuer.issue_otc(SigningRequest(x509.load_der_x509_csr(bytes(der))))
 
     def test_key_off_the_menu_checked_after_pop_and_binding(self, shared_issuer,
                                                             off_menu_keys):
@@ -276,7 +274,7 @@ class TestIssueOtc:
         with pytest.raises(UnsupportedSuiteError):
             shared_issuer.issue_otc(csr)
         bare = (x509.CertificateSigningRequestBuilder()
-                .subject_name(DistinguishedName.from_common_name("Bare").to_x509())
+                .subject_name(DistinguishedName.from_common_name("Bare").name)
                 .sign(key, hashes.SHA256()))
         with pytest.raises(MissingBindingError):
             shared_issuer.issue_otc(SigningRequest(bare))
@@ -464,8 +462,8 @@ class TestNamesWithoutCommonName:
 
 class TestIssuerPool:
     def test_distinct_keys_same_root_same_expiry(self, keypair_pool):
-        hierarchy = init_hierarchy("Pool Root", fresh_policy())
-        pool = spawn_issuer_pool(hierarchy.intermediates[0], 3)
+        hierarchy = init_hierarchy("Pool Root", fresh_policy(), 1, 3)
+        pool = hierarchy.issuers[0]
         assert len(pool) == 3
         assert len({ca.certificate.public_key.public_numbers() for ca in pool}) == 3
         assert len({ca.certificate.subject_text for ca in pool}) == 3
@@ -477,43 +475,11 @@ class TestIssuerPool:
             assert chain.links_verify()
             assert chain.root == hierarchy.root.certificate
 
-    def test_named_after_a_parent_without_common_name(self, keypair_pool):
-        policy = fresh_policy()
-        root = create_root("Pool Parent Root", policy)
-        organization = x509.NameAttribute(x509.NameOID.ORGANIZATION_NAME, "I")
-        intermediate = ca_named(x509.Name([organization]), CaRole.INTERMEDIATE, policy, root)
-        (issuer,) = spawn_issuer_pool(intermediate, 1)
-        assert issuer.certificate.raw.subject == x509.Name(
-            [x509.NameAttribute(x509.NameOID.COMMON_NAME, "O=I Issuer 01")])
-        leaf = issuer.issue_otc(make_csr(keypair_pool[0]))
-        assert leaf.verify_signed_by(issuer.certificate)
-
-    @pytest.mark.parametrize("attribute,value", [
-        # 64 characters, ending as the name of its first issuer would
-        (x509.NameOID.COMMON_NAME, "P" * 54 + " Issuer 01"),
-        (x509.NameOID.ORGANIZATION_NAME, "O" * 64),
-    ], ids=["64-character-cn", "long-o-only"])
-    def test_named_after_a_long_parent_name(self, attribute, value):
-        """Issuer names fit in a CN's 64 characters, differ from each other
-        and from their parent's name."""
-        policy = fresh_policy()
-        root = create_root("Long Parent Root", policy)
-        parent_name = x509.Name([x509.NameAttribute(attribute, value)])
-        intermediate = ca_named(parent_name, CaRole.INTERMEDIATE, policy, root)
-        pool = spawn_issuer_pool(intermediate, 2)
-        names = [issuer.certificate.raw.subject for issuer in pool]
-        common_names = [name.get_attributes_for_oid(x509.NameOID.COMMON_NAME)[0].value
-                        for name in names]
-        assert [cn[-10:] for cn in common_names] == [" Issuer 01", " Issuer 02"]
-        assert all(len(cn) <= 64 for cn in common_names)
-        assert len({*names, parent_name}) == 3
-
-    def test_zero_is_allowed(self, shared_hierarchy):
-        assert spawn_issuer_pool(shared_hierarchy.intermediates[0], 0) == []
-
-    def test_negative_rejected(self, shared_hierarchy):
-        with pytest.raises(ValueError):
-            spawn_issuer_pool(shared_hierarchy.intermediates[0], -1)
+    def test_negative_rejected(self):
+        """A hierarchy has at least one intermediate and one issuer under each."""
+        for intermediates, issuers in ((0, 1), (1, 0), (1, -1)):
+            with pytest.raises(ValueError):
+                init_hierarchy("Empty Root", fresh_policy(), intermediates, issuers)
 
 
 def key_identifier(signed, kind) -> bytes:
@@ -580,12 +546,13 @@ class TestKeyIdentifiers:
 
     @pytest.mark.skipif(OPENSSL is None, reason="openssl CLI not installed")
     def test_same_named_issuers_told_apart(self, tmp_path, keypair_pool):
-        """Two pools spawned under one parent hold issuers of one name. By
-        name alone, OpenSSL took whichever came first and failed on the
-        second's leaf (error 7)."""
-        hierarchy = init_hierarchy("Twin Pools Root", fresh_policy())
+        """Two issuers created under one parent with one name. By name
+        alone, OpenSSL took whichever came first and failed on the second's
+        leaf (error 7)."""
+        hierarchy = init_hierarchy("Twin Issuers Root", fresh_policy())
         intermediate = hierarchy.intermediates[0]
-        first, second = (spawn_issuer_pool(intermediate, 1)[0] for _ in range(2))
+        first, second = (create_subordinate(intermediate, "Twin Issuer", CaRole.ISSUER)
+                         for _ in range(2))
         assert first.certificate.raw.subject == second.certificate.raw.subject
         leaf = second.issue_otc(make_csr(keypair_pool[0]))
         for issuers in ([first, second], [second, first]):
@@ -680,7 +647,7 @@ class TestPersistence:
     def _save_self_signed(self, directory, key, algorithm, passphrase):
         """Save a root CA made from ``key``, signed with ``algorithm``, in
         the layout ``save_ca`` writes."""
-        name = DistinguishedName.from_common_name("Hand Made Root").to_x509()
+        name = DistinguishedName.from_common_name("Hand Made Root").name
         builder = ca_module._ca_builder(name, name, key.public_key(), random_serial(), utcnow(),
                                  utcnow() + timedelta(days=1), CaRole.ROOT)
         certificate = Certificate(builder.sign(key, algorithm))

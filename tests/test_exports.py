@@ -1,17 +1,22 @@
-"""Every exported name resolves, and every private name is used. The package
-exports its names lazily, so a stale entry in ``otcpki.__all__`` or in a
-submodule's ``__all__`` would otherwise fail only when someone first uses
-it; a private helper that nothing reads is dead code."""
+"""Every exported name resolves, every private name is used, and every
+public name is used outside the unit tests. The package exports its names
+lazily, so a stale entry in ``otcpki.__all__`` or in a submodule's
+``__all__`` would otherwise fail only when someone first uses it; a private
+helper that nothing reads is dead code, and a public one that only unit
+tests read is a second way to do a job."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import otcpki
 
+PACKAGE = Path(otcpki.__file__).parent
+ROOT = PACKAGE.parent.parent
 MODULES = ["otcpki", *(f"otcpki.{info.name}" for info in pkgutil.iter_modules(otcpki.__path__)
                        if info.name != "__main__")]
 
@@ -42,19 +47,55 @@ def test_every_private_name_is_read():
     """Each private name (a leading ``_``, not a dunder) defined at module
     or class level in ``src/otcpki/`` is read somewhere in the package:
     as a name, an attribute or an import."""
-    defined, read = [], set()
-    for path in sorted(Path(otcpki.__file__).parent.glob("*.py")):
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         bodies = [tree.body, *(node.body for node in ast.walk(tree)
                                if isinstance(node, ast.ClassDef))]
         defined += [(path.name, name) for body in bodies for name in _defined(body)
                     if _private(name)]
-        for node in ast.walk(tree):
+    read = _read_in(PACKAGE.glob("*.py"))
+    assert defined
+    assert [(module, name) for module, name in defined if name not in read] == []
+
+
+def _read_in(paths) -> set:
+    """The names that Python files read: as a name, an attribute or an
+    import."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def _functions_and_classes(body) -> list:
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    """Each public function, class, method and property defined at module
+    level or in a public class of ``src/otcpki/`` is read in the package,
+    in ``perfbench/`` or in the acceptance criteria, or is written as code
+    in ``README.md``."""
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _functions_and_classes(ast.parse(path.read_text()).body):
+            defined.append((path.name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, f"{node.name}.{member.name}", member.name)
+                            for member in _functions_and_classes(node.body)
+                            if not isinstance(member, ast.ClassDef)]
+    read = _read_in([*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                     ROOT / "tests" / "test_acceptance.py"])
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        read.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", span))
     assert defined
-    assert [(module, name) for module, name in defined if name not in read] == []
+    assert [(module, qualified) for module, qualified, name in defined if name not in read] == []

@@ -38,7 +38,6 @@ from otcpki.certmodel import (
     OtcExtension,
     SigningRequest,
     build_csr,
-    decode,
 )
 from otcpki.crypto import EphemeralKeyPair, digest_document
 from otcpki.errors import (
@@ -200,6 +199,17 @@ class TestEnrollEndpoint:
         assert excinfo.value.code == 400
         assert excinfo.value.read().startswith(b"malformed-encoding:")
 
+    def test_der_request_is_400(self, stack):
+        """The body is read as PEM only; a DER request used to be issued a
+        certificate."""
+        _, _, url = stack
+        keypair, csr = make_csr("DER Request")
+        keypair.destroy()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            fetch(url, "/enroll", csr.to_der())
+        assert excinfo.value.code == 400
+        assert excinfo.value.read().startswith(b"malformed-encoding:")
+
     def test_wrong_kind_is_400(self, stack):
         hierarchy, _, url = stack
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -214,7 +224,7 @@ class TestEnrollEndpoint:
         keypair = EphemeralKeyPair.generate()
         bare = (
             x509.CertificateSigningRequestBuilder()
-            .subject_name(DistinguishedName.from_common_name("Bare").to_x509())
+            .subject_name(DistinguishedName.from_common_name("Bare").name)
             .sign(keypair._signing_key(), hashes.SHA256())
         )
         keypair.destroy()
@@ -662,9 +672,10 @@ class TestKeepAlive:
             server.start()
             client = HttpEnrollmentClient(f"http://127.0.0.1:{listener.getsockname()[1]}",
                                           timeout=5)
-            assert client.fetch_chain() == shared_issuer.chain_to_root()
+            _, csr = make_csr("Hung Up On")
+            assert client.enroll(csr) == shared_issuer.chain_to_root()
             with pytest.raises(EnrollmentUnreachableError):
-                client.fetch_chain()
+                client.enroll(csr)
             server.join(5)
         assert not server.is_alive()
         assert counts == {"connect": 2, "request": 3}
@@ -698,11 +709,12 @@ class TestKeepAlive:
         """Each thread's connection is closed as the thread ends. The
         collector used to close them, warning once for each socket."""
         client = HttpEnrollmentClient(single_issuer_url)
+        _, csr = make_csr("Thread End")
         chains, unraisable = [], []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
-            threads = [threading.Thread(target=lambda: chains.append(client.fetch_chain()))
+            threads = [threading.Thread(target=lambda: chains.append(client.enroll(csr)))
                        for _ in range(32)]
             for thread in threads:
                 thread.start()
@@ -891,18 +903,20 @@ def bounded(call, timeout=10):
     return outcome[0]
 
 
-def fetch_chain_once(url, timeout):
-    """``fetch_chain`` on a new client, bounded as by :func:`bounded`; the
-    client is closed in the thread that used it, which holds its connection."""
+def enroll_once(url, timeout):
+    """``enroll`` of a new request on a new client, bounded as by
+    :func:`bounded`; the client is closed in the thread that used it, which
+    holds its connection."""
     client = HttpEnrollmentClient(url, timeout=timeout)
+    _, csr = make_csr("Scripted Reply")
 
-    def fetch():
+    def enroll():
         try:
-            return client.fetch_chain()
+            return client.enroll(csr)
         finally:
             client.close()
 
-    return bounded(fetch)
+    return bounded(enroll)
 
 
 @contextlib.contextmanager
@@ -963,7 +977,7 @@ class TestHostileReplies:
 
         with scripted_service(trickle) as url:
             started = time.monotonic()
-            outcome = fetch_chain_once(url, timeout=1)
+            outcome = enroll_once(url, timeout=1)
             elapsed = time.monotonic() - started
         assert isinstance(outcome, EnrollmentUnreachableError), outcome
         assert elapsed < 2.5
@@ -974,7 +988,7 @@ class TestHostileReplies:
     def test_body_over_one_mebibyte_is_refused(self, chain_pem, head):
         """A valid chain padded to over 1 MiB; http.client read 3 MiB."""
         with scripted_service(sends(reply_with(chain_pem + b"\n" * (2 << 20), head))) as url:
-            outcome = fetch_chain_once(url, timeout=5)
+            outcome = enroll_once(url, timeout=5)
         assert isinstance(outcome, EnrollmentUnreachableError), outcome
 
     @pytest.mark.parametrize("make_reply", [
@@ -998,7 +1012,7 @@ class TestHostileReplies:
             "no-reply"])
     def test_reply_outside_the_subset_is_unreachable(self, chain_pem, make_reply):
         with scripted_service(sends(make_reply(chain_pem))) as url:
-            outcome = fetch_chain_once(url, timeout=5)
+            outcome = enroll_once(url, timeout=5)
         assert isinstance(outcome, EnrollmentUnreachableError), outcome
 
     @pytest.mark.parametrize("make_reply", [
@@ -1012,14 +1026,14 @@ class TestHostileReplies:
     ], ids=["100-continue-first", "100-fields", "line-of-64KiB", "http-1.0-to-close"])
     def test_reply_inside_the_subset_is_read(self, chain_pem, make_reply):
         with scripted_service(sends(make_reply(chain_pem))) as url:
-            outcome = fetch_chain_once(url, timeout=5)
+            outcome = enroll_once(url, timeout=5)
         assert outcome == CertificationChain.from_pem(chain_pem)
 
     def test_rejection_carries_the_service_code(self):
         reply = reply_with(b"issuer-retired: no active issuer in the pool",
                            b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: %d\r\n")
         with scripted_service(sends(reply)) as url:
-            outcome = fetch_chain_once(url, timeout=5)
+            outcome = enroll_once(url, timeout=5)
         assert isinstance(outcome, EnrollmentRejectedError)
         assert outcome.ca_code == "issuer-retired"
         assert str(outcome) == "no active issuer in the pool"
@@ -1080,6 +1094,14 @@ class TestHostileReplies:
         with pytest.raises(ConfigError):
             HttpEnrollmentClient(url)
 
+    @pytest.mark.parametrize("url", ["http://h:1/p?x=1", "http://h:1/p#f", "http://u:pw@h:1/p"],
+                             ids=["query", "fragment", "userinfo"])
+    def test_url_part_that_is_not_sent_is_config_error(self, url):
+        """A request carries only the URL's path. The client used to send to
+        /p/enroll and drop the query, fragment or user name unsaid."""
+        with pytest.raises(ConfigError, match="user name, query or fragment"):
+            HttpEnrollmentClient(url)
+
 
 def _build_reply(status_line, headers, body):
     return status_line + b"\r\n" + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body
@@ -1108,7 +1130,7 @@ class TestHostileReplyBytes:
            | st.binary(max_size=200))
     def test_any_reply_returns_or_raises_otc_error(self, data):
         with scripted_service(sends(data)) as url:
-            outcome = fetch_chain_once(url, timeout=2)
+            outcome = enroll_once(url, timeout=2)
         assert isinstance(outcome, (CertificationChain, OtcError)), repr(outcome)
 
 
@@ -1196,7 +1218,7 @@ class TestHttps:
         chain = shared_issuer.chain_to_root()
         reply = reply_with(chain.to_pem())
         with scripted_service(sends(reply), self._tls_wrap(tls_material[certificate])) as url:
-            outcome = fetch_chain_once(url, timeout=5)
+            outcome = enroll_once(url, timeout=5)
         if accepted:
             assert outcome == chain
         else:
@@ -1282,8 +1304,8 @@ class TestHostileCsrs:
         body = serialize_tree(info)
         signature = keypair._signing_key().sign(body, ec.ECDSA(hashes.SHA256()))
         keypair.destroy()
-        forged = decode(serialize_tree((0x30, [info, algorithm, (0x03, b"\x00" + signature)])),
-                        SigningRequest)
+        forged = SigningRequest(x509.load_der_x509_csr(
+            serialize_tree((0x30, [info, algorithm, (0x03, b"\x00" + signature)]))))
         status, reply = service.handle_enroll(forged.to_pem())
         assert (status, reply.split(b":")[0]) == (422, b"malformed-encoding"), reply
         client = HttpEnrollmentClient(url)
