@@ -68,29 +68,25 @@ def cmd_pki_init(args: argparse.Namespace) -> int:
     from .ca import (CaPolicy, check_hierarchy_directory, init_hierarchy,
                      passphrase_from_env, save_hierarchy)
     from .crypto import AlgorithmSuite
-    from .errors import OtcError
 
-    try:
-        suite = AlgorithmSuite.from_label(args.suite)
-        if args.not_after:
-            not_after = parse_timestamp(args.not_after)
-        else:
-            try:
-                not_after = datetime.now(timezone.utc) + parse_duration(args.lifetime)
-            except OverflowError:
-                raise ValueError(f"lifetime {args.lifetime!r} ends after year 9999") from None
-        passphrase = passphrase_from_env()
-        check_hierarchy_directory(args.out)  # before any key is generated
-        policy = CaPolicy(chain_not_after=not_after, suite=suite)
-        hierarchy = init_hierarchy(
-            args.root_name, policy,
-            intermediates=args.intermediates,
-            issuers_per_intermediate=args.issuers_per_intermediate,
-        )
-        rows = save_hierarchy(hierarchy, args.out, passphrase)
-    except (OtcError, ValueError, OSError) as exc:
-        return _fail(str(exc))
-    for ca, directory in rows:
+    suite = AlgorithmSuite.from_label(args.suite)
+    if args.not_after:
+        not_after = parse_timestamp(args.not_after)
+    else:
+        now = datetime.now(timezone.utc)
+        lifetime = parse_duration(args.lifetime)
+        if lifetime > datetime.max.replace(tzinfo=timezone.utc) - now:
+            raise ValueError(f"lifetime {args.lifetime!r} ends after year 9999")
+        not_after = now + lifetime
+    passphrase = passphrase_from_env()
+    check_hierarchy_directory(args.out)  # before any key is generated
+    policy = CaPolicy(chain_not_after=not_after, suite=suite)
+    hierarchy = init_hierarchy(
+        args.root_name, policy,
+        intermediates=args.intermediates,
+        issuers_per_intermediate=args.issuers_per_intermediate,
+    )
+    for ca, directory in save_hierarchy(hierarchy, args.out, passphrase):
         expiry = ca.not_after.strftime("%Y-%m-%dT%H:%M:%SZ")
         print(f"{ca.role.label:<13} {ca.certificate.subject_text:<40} expires {expiry}"
               f"  [{directory}]")
@@ -98,11 +94,6 @@ def cmd_pki_init(args: argparse.Namespace) -> int:
 
 
 def cmd_sign(args: argparse.Namespace) -> int:
-    from .errors import (
-        EnrollmentRejectedError,
-        EnrollmentUnreachableError,
-        OtcError,
-    )
     from .ca import _write_key_file
     from .crypto import AlgorithmSuite
     from .signer import HttpEnrollmentClient, one_shot_sign
@@ -110,35 +101,26 @@ def cmd_sign(args: argparse.Namespace) -> int:
     doc_path = Path(args.doc)
     if not doc_path.is_file():
         return _fail(f"document {doc_path} does not exist")
+    suite = AlgorithmSuite.from_label(args.suite)
+    passphrase = b""
+    if args.keep_key:
+        passphrase = os.environ.get(KEY_PASSPHRASE_ENV, "").encode()
+        if not passphrase:
+            return _fail(f"--keep-key requires {KEY_PASSPHRASE_ENV} to be set")
+    client = HttpEnrollmentClient(args.enroll)
     try:
-        suite = AlgorithmSuite.from_label(args.suite)
-        passphrase = b""
-        if args.keep_key:
-            passphrase = os.environ.get(KEY_PASSPHRASE_ENV, "").encode()
-            if not passphrase:
-                return _fail(f"--keep-key requires {KEY_PASSPHRASE_ENV} to be set")
-        client = HttpEnrollmentClient(args.enroll)
-        try:
-            with open(doc_path, "rb") as document:
-                result = one_shot_sign(
-                    document, args.subject, client,
-                    suite=suite, keep_key=args.keep_key,
-                )
-        finally:
-            client.close()
-    except (EnrollmentRejectedError, EnrollmentUnreachableError) as exc:
-        return _fail(f"enrollment failed: {exc}", code=1)
-    except (OtcError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+        with open(doc_path, "rb") as document:
+            result = one_shot_sign(
+                document, args.subject, client,
+                suite=suite, keep_key=args.keep_key,
+            )
+    finally:
+        client.close()
     bundle, keypair = result if args.keep_key else (result, None)
     key_path = Path(str(args.out) + ".key.pem")
-    try:
-        bundle.save(args.out)  # first, so that no key is kept without its bundle
-        if keypair is not None:
-            _write_key_file(key_path, keypair.export_private_pem(passphrase))
-    except OSError as exc:
-        return _fail(str(exc))
+    bundle.save(args.out)  # first, so that no key is kept without its bundle
     if keypair is not None:
+        _write_key_file(key_path, keypair.export_private_pem(passphrase))
         print(
             f"warning: private key kept at {key_path}; every extra signature it"
             " makes needs a fresh certificate, and the key should be destroyed"
@@ -151,23 +133,17 @@ def cmd_sign(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .certmodel import load_certificates
-    from .errors import OtcError
     from .signer import SignedDocumentBundle
     from .verifier import RecencyPolicy, verify_bundle
 
-    try:
-        max_age = parse_duration(args.max_age)
-        skew = parse_duration(args.skew)
-        at_time = parse_timestamp(args.at) if args.at else None
-        policy = RecencyPolicy(max_age=max_age, clock_skew_allowance=skew)
-        bundle = SignedDocumentBundle.load(args.bundle)
-        anchors = load_certificates(Path(args.trust).read_bytes())
-        with open(args.doc, "rb") as document:
-            report = verify_bundle(
-                bundle, document, anchors, policy, at_time, legacy=args.legacy
-            )
-    except (OtcError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+    max_age = parse_duration(args.max_age)
+    skew = parse_duration(args.skew)
+    at_time = parse_timestamp(args.at) if args.at else None
+    policy = RecencyPolicy(max_age=max_age, clock_skew_allowance=skew)
+    bundle = SignedDocumentBundle.load(args.bundle)
+    anchors = load_certificates(Path(args.trust).read_bytes())
+    with open(args.doc, "rb") as document:
+        report = verify_bundle(bundle, document, anchors, policy, at_time, legacy=args.legacy)
     print(report.to_text())
     return 0 if report.accepted else 1
 
@@ -175,7 +151,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import analysis
     from .crypto import AlgorithmSuite
-    from .errors import OtcError
 
     if args.paper:
         rsa_rows, ecdsa_rows = analysis.reference_timings()
@@ -183,31 +158,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print()
         print(analysis.format_table(ecdsa_rows, title="ECDSA"))
         return 0
-    try:
-        suites = [AlgorithmSuite.from_label(label.strip())
-                  for label in args.suites.split(",") if label.strip()]
-        if not suites:
-            raise ValueError("--suites is empty")
-        records = analysis.run_local_bench(suites, iterations=args.iters)
-    except (OtcError, ValueError) as exc:
-        return _fail(str(exc))
-    print(analysis.to_csv(records))
+    suites = [AlgorithmSuite.from_label(label.strip())
+              for label in args.suites.split(",") if label.strip()]
+    if not suites:
+        return _fail("--suites is empty")
+    print(analysis.to_csv(analysis.run_local_bench(suites, iterations=args.iters)))
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .errors import OtcError
     from .service import EnrollmentService, ServiceConfig, load_pool
 
-    try:
-        config = ServiceConfig.parse(args.config)
-        pool = load_pool(config.ca_dir, config.pool_size)
-        service = EnrollmentService(
-            pool, host=config.listen_host, port=config.listen_port
-        )
-        url = service.bind()
-    except (OtcError, OSError) as exc:
-        return _fail(str(exc))
+    config = ServiceConfig.parse(args.config)
+    pool = load_pool(config.ca_dir, config.pool_size)
+    service = EnrollmentService(pool, host=config.listen_host, port=config.listen_port)
+    url = service.bind()
     print(f"enrollment service listening on {url} "
           f"({len(pool)} issuer{'s' if len(pool) != 1 else ''})", flush=True)
 
@@ -308,5 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command. The exit status is decided here alone: a refused
+    or unreachable enrollment is 1, and any other library error or unusable
+    input or file is 2."""
+    from .errors import EnrollmentRejectedError, EnrollmentUnreachableError, OtcError
+
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (EnrollmentRejectedError, EnrollmentUnreachableError) as exc:
+        return _fail(f"enrollment failed: {exc}", code=1)
+    except (OtcError, ValueError, OSError) as exc:
+        return _fail(str(exc))

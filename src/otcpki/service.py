@@ -40,6 +40,7 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass
+from email.utils import formatdate
 from http import HTTPStatus
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
@@ -90,8 +91,6 @@ _STATUS_LINES = {status: b"HTTP/1.1 %d %s" % (status, HTTPStatus(status).phrase.
                  for status in (200, 400, 404, 422, 501, 503, 505)}
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 _PEM_TYPE = PEM_CONTENT_TYPE.encode()
-_DAYS = b"Mon Tue Wed Thu Fri Sat Sun".split()
-_MONTHS = b"Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -112,10 +111,7 @@ class _Server(socketserver.ThreadingTCPServer):
         now = int(time.time())
         second, text = self._date
         if second != now:
-            t = time.gmtime(now)
-            text = b"%s, %02d %s %d %02d:%02d:%02d GMT" % (
-                _DAYS[t.tm_wday], t.tm_mday, _MONTHS[t.tm_mon - 1], t.tm_year,
-                t.tm_hour, t.tm_min, t.tm_sec)
+            text = formatdate(now, usegmt=True).encode()
             self._date = (now, text)
         return text
 
@@ -238,7 +234,8 @@ class ServiceConfig:
 
     Keys: ``listen`` (host:port, default 127.0.0.1:8440), ``ca-dir`` (path
     holding the hierarchy, required), ``pool-size`` (how many issuers to
-    serve; default all found). Each key may be set once.
+    serve; default all found). Each key may be set once. Lines end at
+    ``\\n`` only, so a path may hold any other character.
     """
 
     listen_host: str = "127.0.0.1"
@@ -249,7 +246,7 @@ class ServiceConfig:
     @classmethod
     def parse_text(cls, text: str) -> "ServiceConfig":
         values = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(text.split("\n"), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -279,7 +276,8 @@ class ServiceConfig:
     @classmethod
     def parse(cls, path: Union[str, Path]) -> "ServiceConfig":
         try:
-            text = Path(path).read_text()
+            with open(path, newline="") as handle:  # no newline translation
+                text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         return cls.parse_text(text)
@@ -289,6 +287,8 @@ class ServiceConfig:
         host, sep, port = value.rpartition(":")
         if not sep or not host:
             raise ConfigError(f"listen must be host:port, got {value!r}")
+        if not host.isprintable():  # bind() raises TypeError, not OSError, at a NUL
+            raise ConfigError(f"unprintable character in listen host {host!r}")
         try:
             port_number = int(port)
         except ValueError:
@@ -353,10 +353,6 @@ class EnrollmentService:
         self._server: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
         self._serving = False  # a serve_forever loop runs or is about to
-
-    @property
-    def issuers(self) -> list:
-        return list(self._issuers)
 
     def _next_active_issuer(self) -> Optional[CaIdentity]:
         with self._lock:

@@ -32,7 +32,6 @@ from .certmodel import (
     BoundedMemo,
     Certificate,
     CertificationChain,
-    OtcExtension,
     _extension_failure,
     _path_failure,
 )
@@ -135,43 +134,6 @@ class VerificationReport:
 # Individual checks (the composable ones)
 # ---------------------------------------------------------------------------
 
-def _read_binding(certificate: Certificate) -> Union[OtcExtension, None, Exception]:
-    """The certificate's binding, None when it has none, or the exception
-    that reading it raised (a duplicate or undecodable extension)."""
-    try:
-        return certificate.binding
-    except Exception as exc:
-        return exc
-
-
-def _match_binding(binding: Union[OtcExtension, None, Exception], digest) -> CheckResult:
-    """Does the binding name exactly the given digest? Algorithm and value
-    must both match; a right value under the wrong algorithm fails."""
-    if isinstance(binding, Exception):
-        return CheckResult(
-            "binding-match", False, f"unreadable binding: {binding}",
-            FailureCode.MISSING_BINDING,
-        )
-    if binding is None:
-        return CheckResult(
-            "binding-match", False, "certificate carries no document binding",
-            FailureCode.MISSING_BINDING,
-        )
-    if binding.digest.algorithm is not digest.algorithm:
-        return CheckResult(
-            "binding-match", False,
-            f"bound with {binding.digest.algorithm.value},"
-            f" presented {digest.algorithm.value}",
-            FailureCode.BINDING_MISMATCH,
-        )
-    if binding.digest.value != digest.value:
-        return CheckResult(
-            "binding-match", False, "digest differs from the bound value",
-            FailureCode.BINDING_MISMATCH,
-        )
-    return CheckResult("binding-match", True, "document digest matches the binding")
-
-
 def check_recency(leaf: Certificate, policy: RecencyPolicy, at_time: datetime) -> CheckResult:
     age = _utc(at_time) - leaf.not_before
     if age <= policy.limit:
@@ -262,15 +224,38 @@ def _check_uniform_validity(chain: CertificationChain) -> CheckResult:
                        FailureCode.NON_UNIFORM_VALIDITY)
 
 
-def _check_binding_presence(binding: Union[OtcExtension, None, Exception]) -> CheckResult:
+@_fails_undecodable("binding-presence", FailureCode.MISSING_BINDING)
+def _check_binding_presence(leaf: Certificate) -> CheckResult:
     name = "binding-presence"
-    if isinstance(binding, Exception):
-        return CheckResult(name, False, f"unreadable binding: {binding}",
-                           FailureCode.MISSING_BINDING)
-    if binding is None:
+    if leaf.binding is None:
         return CheckResult(name, False, "leaf carries no document binding",
                            FailureCode.MISSING_BINDING)
     return CheckResult(name, True, "leaf carries one document binding")
+
+
+@_fails_undecodable("binding-match", FailureCode.MISSING_BINDING)
+def _match_binding(leaf: Certificate, digest) -> CheckResult:
+    """Does the leaf's binding name exactly the given digest? Algorithm and
+    value must both match; a right value under the wrong algorithm fails."""
+    binding = leaf.binding
+    if binding is None:
+        return CheckResult(
+            "binding-match", False, "certificate carries no document binding",
+            FailureCode.MISSING_BINDING,
+        )
+    if binding.digest.algorithm is not digest.algorithm:
+        return CheckResult(
+            "binding-match", False,
+            f"bound with {binding.digest.algorithm.value},"
+            f" presented {digest.algorithm.value}",
+            FailureCode.BINDING_MISMATCH,
+        )
+    if binding.digest.value != digest.value:
+        return CheckResult(
+            "binding-match", False, "digest differs from the bound value",
+            FailureCode.BINDING_MISMATCH,
+        )
+    return CheckResult("binding-match", True, "document digest matches the binding")
 
 
 @_fails_undecodable("signature", FailureCode.BAD_SIGNATURE)
@@ -353,9 +338,8 @@ def verify_bundle(
     signed = digest_document(document, bundle.document_digest.algorithm)
     if not legacy:
         checks.append(_check_uniform_validity(chain))
-        binding = _read_binding(leaf)
-        checks.append(_check_binding_presence(binding))
-        checks.append(_match_binding(binding, signed))
+        checks.append(_check_binding_presence(leaf))
+        checks.append(_match_binding(leaf, signed))
         if not checks[-1].passed:
             signed = bundle.document_digest
     checks.append(_check_signature(bundle, signed))

@@ -678,6 +678,24 @@ class TestPersistence:
         with pytest.raises(RoleViolationError, match="does not chain to a self-signed root"):
             load_ca(tmp_path, passphrase)
 
+    def test_chain_of_another_ca_refused(self, tmp_path, passphrase, shared_hierarchy):
+        """chain.pem holds the issuer's intermediate and root, not itself."""
+        issuer = shared_hierarchy.first_issuer()
+        save_ca(issuer, tmp_path, passphrase)
+        (tmp_path / "chain.pem").write_bytes(
+            CertificationChain(issuer.chain_to_root().certificates[1:]).to_pem())
+        with pytest.raises(RoleViolationError,
+                           match="^chain.pem does not start with this CA's certificate$"):
+            load_ca(tmp_path, passphrase)
+
+    def test_chain_without_its_root_refused(self, tmp_path, passphrase, shared_hierarchy):
+        issuer = shared_hierarchy.first_issuer()
+        save_ca(issuer, tmp_path, passphrase)
+        (tmp_path / "chain.pem").write_bytes(
+            CertificationChain(issuer.chain_to_root().certificates[:-1]).to_pem())
+        with pytest.raises(RoleViolationError, match=": chain does not end in a self-signed root$"):
+            load_ca(tmp_path, passphrase)
+
     # Each case re-signs one certificate of an issuer's chain, its own (0)
     # or its intermediate's (1), with the same name and key, so what that CA
     # signed still verifies under it.

@@ -538,3 +538,46 @@ class TestServe:
             capture_output=True, text=True, timeout=30,
         )
         assert proc.returncode == 2
+
+
+class TestExitStatus:
+    """``main()`` alone turns a command's exception into its exit status:
+    1 and ``enrollment failed`` for a refused or unreachable enrollment, 2
+    and ``error:`` for any other error. Each case is one failure of one
+    command; ``{tmp}`` holds ``doc.txt`` and the two configs."""
+
+    CASES = {
+        "pki-init-into-a-non-empty-out": (
+            ["pki-init", "--out", "{tmp}"], 2, "is not empty"),
+        "sign-with-a-suite-off-the-menu": (
+            ["sign", "--doc", "{tmp}/doc.txt", "--subject", "X", "--enroll",
+             "http://127.0.0.1:1", "--suite", "rsa-1024", "--out", "{tmp}/a.otcb"],
+            2, "unknown suite 'rsa-1024'"),
+        "sign-to-a-closed-port": (
+            ["sign", "--doc", "{tmp}/doc.txt", "--subject", "X", "--enroll",
+             "http://127.0.0.1:1", "--out", "{tmp}/b.otcb"],
+            1, "enrollment failed: http://127.0.0.1:1"),
+        "verify-a-missing-bundle": (
+            ["verify", "--doc", "{tmp}/doc.txt", "--bundle", "{tmp}/absent.otcb",
+             "--trust", "{tmp}/doc.txt", "--max-age", "1h"], 2, "absent.otcb"),
+        "bench-with-two-iterations": (
+            ["bench", "--local", "--iters", "2"], 2, "need at least 3 iterations"),
+        "serve-with-an-unknown-key": (
+            ["serve", "--config", "{tmp}/unknown.conf"], 2, "unknown keys: mystery"),
+        "serve-on-a-host-with-a-nul": (
+            ["serve", "--config", "{tmp}/nul.conf"], 2, "unprintable character in listen host"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_failure_per_command(self, tmp_path, monkeypatch, capsys, case):
+        """A NUL in the listen host used to exit 1 with a TypeError traceback
+        from the socket's bind."""
+        monkeypatch.setenv(PASSPHRASE_ENV, "exit-status-pass")
+        (tmp_path / "doc.txt").write_bytes(b"a document\n")
+        (tmp_path / "unknown.conf").write_text(f"ca-dir = {tmp_path}\nmystery = 1\n")
+        (tmp_path / "nul.conf").write_text(f"ca-dir = {tmp_path}\nlisten = a\0b:0\n")
+        argv, status, message = self.CASES[case]
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == status
+        err = capsys.readouterr().err
+        assert err.startswith("error: enrollment failed: " if status == 1 else "error: ")
+        assert message in err

@@ -21,6 +21,7 @@ import urllib.parse
 import urllib.request
 import warnings
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from cryptography import x509
@@ -175,7 +176,8 @@ class TestEnrollEndpoint:
         each encoded once at startup; two enrollments cover both members,
         and their CRLs are /crl's blocks. A chain read from the reply is the
         chain alone: PEM readers skip the CRL block."""
-        _, service, _ = stack
+        hierarchy, service, _ = stack
+        pool = hierarchy.issuers[0]
         crls = {}
         for name in ("First Member", "Second Member"):
             keypair, csr = make_csr(name)
@@ -183,12 +185,12 @@ class TestEnrollEndpoint:
             keypair.destroy()
             assert status == 200
             chain = CertificationChain.from_pem(body)
-            issuer = next(ca for ca in service.issuers if ca.certificate == chain.issuing_ca)
+            issuer = next(ca for ca in pool if ca.certificate == chain.issuing_ca)
             chain_pem = chain.leaf.to_pem() + issuer.chain_to_root().to_pem()
             assert body.startswith(chain_pem)
             assert chain == CertificationChain.from_pem(chain_pem)
             assert len(x509.load_pem_x509_certificates(body)) == 4
-            crl = crls[service.issuers.index(issuer)] = body[len(chain_pem):]
+            crl = crls[pool.index(issuer)] = body[len(chain_pem):]
             assert x509.load_pem_x509_crl(crl).issuer == issuer.certificate.raw.subject
         assert service.handle_crl() == (200, crls[0] + crls[1])
 
@@ -769,16 +771,16 @@ class TestPoolBehavior:
         """Every /enroll reply from a member carries its one CRL, so the
         bundles signed under it hold one CRL object between them and leave
         one entry for it in the verifier's memo."""
-        hierarchy, service, url = stack
+        hierarchy, _, url = stack
         client = HttpEnrollmentClient(url)
         try:
             bundles = [one_shot_sign(b"counted", f"Counted {i}", client) for i in range(6)]
         finally:
             client.close()
         crls = {bundle.chain.issuing_ca: bundle.crl for bundle in bundles}
-        assert len(crls) == len(service.issuers) == 2
+        assert len(crls) == len(hierarchy.issuers[0]) == 2
         assert all(bundle.crl is crls[bundle.chain.issuing_ca] for bundle in bundles)
-        for issuer in service.issuers:
+        for issuer in hierarchy.issuers[0]:
             assert crls[issuer.certificate].to_der() == issuer.issue_blank_crl().to_der()
         verifier._passed.clear()
         for bundle in bundles:
@@ -920,11 +922,12 @@ def enroll_once(url, timeout):
 
 
 @contextlib.contextmanager
-def scripted_service(answer, wrap=None):
-    """A listener that takes one connection, reads the request, and calls
-    ``answer(connection, request)``; yields its URL. ``wrap`` turns the
-    accepted socket into a TLS one. The thread must end within 10 s."""
-    with socket.create_server(("127.0.0.1", 0)) as listener:
+def scripted_service(answer, wrap=None, host="127.0.0.1"):
+    """A listener on ``host`` that takes one connection, reads the request,
+    and calls ``answer(connection, request)``; yields its URL. ``wrap`` turns
+    the accepted socket into a TLS one. The thread must end within 10 s."""
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    with socket.create_server((host, 0), family=family) as listener:
         listener.settimeout(10)
 
         def serve():
@@ -940,7 +943,8 @@ def scripted_service(answer, wrap=None):
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         scheme = "http" if wrap is None else "https"
-        yield f"{scheme}://127.0.0.1:{listener.getsockname()[1]}"
+        netloc = f"[{host}]" if family == socket.AF_INET6 else host
+        yield f"{scheme}://{netloc}:{listener.getsockname()[1]}"
         thread.join(10)
         assert not thread.is_alive()
 
@@ -1064,6 +1068,26 @@ class TestHostileReplies:
                             b"Content-Type: application/x-pem-file\r\n"
                             b"Content-Length: %d\r\n\r\n%s"
                             % (urllib.parse.urlsplit(url).netloc.encode(), len(body), body)]
+
+    def test_host_of_an_ipv6_literal_is_bracketed(self):
+        """RFC 9110 §7.2: the Host field of an IPv6-literal URL keeps its
+        brackets and port."""
+        try:
+            socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+        except OSError:
+            pytest.skip("no ::1 on this host")
+        received = []
+
+        def record(connection, request):
+            received.append(request)
+            connection.sendall(reply_with(b"bad-request: no", b"HTTP/1.1 400 Bad Request\r\n"
+                                                              b"Content-Length: %d\r\n"))
+
+        with scripted_service(record, host="::1") as url:
+            outcome = enroll_once(url, timeout=5)
+        assert isinstance(outcome, EnrollmentRejectedError), outcome
+        port = urllib.parse.urlsplit(url).port
+        assert received[0].split(b"\r\n")[1] == b"Host: [::1]:%d" % port
 
     @pytest.mark.parametrize("with_crl", [True, False], ids=["another-issuers-crl", "no-crl"])
     def test_reply_without_its_issuers_crl(self, shared_issuer, with_crl):
@@ -1352,6 +1376,30 @@ class TestServiceConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ServiceConfig.parse(tmp_path / "absent.conf")
+
+    @pytest.mark.parametrize("character", ["\u2028", "\x85", "\x1c", "\x1d", "\x1e"],
+                             ids=["U+2028", "U+0085", "x1c", "x1d", "x1e"])
+    def test_ca_dir_with_a_unicode_line_break(self, character):
+        """str.splitlines breaks at each of these, so the path was cut in
+        two and its second half refused as a line without =."""
+        config = ServiceConfig.parse_text(f"ca-dir = /srv/a{character}b\npool-size = 1\n")
+        assert config.ca_dir == Path(f"/srv/a{character}b")
+        assert config.pool_size == 1
+
+    def test_ca_dir_with_a_carriage_return_in_a_file(self, tmp_path):
+        """Reading the file in text mode turned the \\r into a line end."""
+        path = tmp_path / "svc.conf"
+        path.write_bytes(b"ca-dir = /srv/a\rb\r\npool-size = 1\r\n")
+        config = ServiceConfig.parse(path)
+        assert config.ca_dir == Path("/srv/a\rb")
+        assert config.pool_size == 1
+
+    @pytest.mark.parametrize("host", ["a\0b", "a\x1fb", "a\x7fb", "a\x85b"],
+                             ids=["NUL", "x1f", "DEL", "U+0085"])
+    def test_control_character_in_listen_host(self, host):
+        """A NUL made bind() raise TypeError, which escaped ``otc serve``."""
+        with pytest.raises(ConfigError, match="^unprintable character in listen host"):
+            ServiceConfig.parse_text(f"ca-dir = /x\nlisten = {host}:0\n")
 
     def test_repeated_key_refused(self):
         with pytest.raises(ConfigError, match="^line 3: ca-dir is set twice$"):

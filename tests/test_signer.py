@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from otcpki import certmodel, signer
 from otcpki.ca import init_hierarchy
-from otcpki.certmodel import CertificationChain
+from otcpki.certmodel import CertificationChain, OtcExtension
 from otcpki.crypto import SUITES, digest_document, verify_signature
 from otcpki.errors import (
     EnrollmentRejectedError,
@@ -38,6 +38,7 @@ from conftest import (
     patch_central_entry,
     set_clock_past,
 )
+from forge import forge_leaf, with_extension
 
 DOC = b"An agreement between two parties, signed exactly once."
 POLICY = RecencyPolicy(max_age=timedelta(hours=1))
@@ -152,6 +153,32 @@ class TestErrorPathHygiene:
             one_shot_sign(DOC, "Victim", SwappingClient(shared_issuer))
         live = [kp for kp in key_ledger.live() if kp not in keypair_pool]
         assert not live
+
+    def test_leaf_bound_to_another_digest_destroys_key(self, shared_issuer, key_ledger):
+        """A CA answering with a certificate for the right key but another
+        document's digest must not be silently accepted."""
+        other = OtcExtension(digest_document(b"another document"))
+
+        class RebindingClient(LocalEnrollmentClient):
+            def enroll(self, csr):
+                leaf = with_extension(forge_leaf(shared_issuer, csr, include_binding=False),
+                                      shared_issuer, other.to_x509(), critical=False)
+                return CertificationChain((leaf, *shared_issuer.chain_to_root()))
+
+        with pytest.raises(EnrollmentRejectedError,
+                           match="does not bind the requested digest") as excinfo:
+            one_shot_sign(DOC, "Rebound", RebindingClient(shared_issuer))
+        assert excinfo.value.ca_code == "leaf-mismatch"
+        assert key_ledger.keypairs and key_ledger.live() == []
+
+    def test_crl_of_a_retired_issuer_is_refused(self):
+        issuer = init_hierarchy("Retired CRL Root", fresh_policy()).first_issuer()
+        client = LocalEnrollmentClient(issuer)
+        client.fetch_crl(None)
+        issuer.retire()
+        with pytest.raises(EnrollmentRejectedError) as excinfo:
+            client.fetch_crl(None)
+        assert excinfo.value.ca_code == "issuer-retired"
 
 
 class TestKeepKey:
@@ -641,6 +668,28 @@ class TestArchiveReader:
         with pytest.raises(MalformedEncodingError,
                            match="meta.txt line 4: digest-hex is set twice"):
             self.load_bytes(tmp_path, archive_with(bundle_members, content=twice.encode()))
+
+    @pytest.mark.parametrize("edit,refusal", [
+        (lambda meta: meta + b"no equals sign\n", "line 4: expected key = value"),
+        (lambda meta: meta.replace(meta[meta.index(b"created-at"):], b""),
+         "missing created-at"),
+    ], ids=["line-without-equals", "missing-key"])
+    def test_meta_line_refused(self, bundle_members, tmp_path, edit, refusal):
+        meta = edit(bundle_members[b"meta.txt"])
+        with pytest.raises(MalformedEncodingError, match=f"^meta.txt {refusal}$"):
+            self.load_bytes(tmp_path, archive_with(bundle_members, content=meta))
+
+    def test_member_past_the_end_of_the_archive(self, bundle_members, tmp_path):
+        """meta.txt's central entry declares a compressed size (offset 20)
+        that runs past the end of the archive."""
+        data = patch_central_entry(archive_with(bundle_members), b"meta.txt", 22, 0x7fff)
+        with pytest.raises(MalformedEncodingError, match="member meta.txt is truncated"):
+            self.load_bytes(tmp_path, data)
+
+    def test_member_that_does_not_inflate(self, bundle_members, tmp_path):
+        """Block type 3 is reserved (RFC 1951 §3.2.3)."""
+        with pytest.raises(MalformedEncodingError, match="member meta.txt does not inflate"):
+            self.load_bytes(tmp_path, archive_with(bundle_members, stored=b"\x07\x00"))
 
     def test_subject_line_of_earlier_versions_is_read(self, bundle_members, tmp_path):
         """Earlier versions wrote the leaf's subject after created-at."""

@@ -16,6 +16,7 @@ from otcpki import ca as ca_module
 from otcpki import verifier
 from otcpki.ca import init_hierarchy
 from otcpki.certmodel import (
+    OTC_EXTENSION_OID,
     Certificate,
     CertificationChain,
     DistinguishedName,
@@ -34,7 +35,7 @@ from otcpki.verifier import (
     verify_bundle,
 )
 
-from conftest import fresh_policy, no_cn_issuer
+from conftest import PADDED_OID_PAYLOAD, fresh_policy, no_cn_issuer
 from forge import (
     break_certificate_signature,
     forge_blank_crl,
@@ -165,6 +166,26 @@ class TestFailureCodes:
         codes = report.failure_codes
         assert FailureCode.MISSING_BINDING.value in codes
         assert FailureCode.BAD_SIGNATURE.value not in codes  # signature itself is fine
+
+    def test_undecodable_binding(self, shared_issuer, bundle, trust_anchors):
+        """A binding that cryptography reads but from_payload refuses (its
+        OID arc is padded) fails both binding checks through their guard."""
+        keypair = EphemeralKeyPair.generate()
+        csr = build_csr(keypair, DistinguishedName.from_common_name("Padded"),
+                        bundle.document_digest)
+        leaf = with_extension(forge_leaf(shared_issuer, csr, include_binding=False),
+                              shared_issuer,
+                              x509.UnrecognizedExtension(OTC_EXTENSION_OID, PADDED_OID_PAYLOAD),
+                              critical=False)
+        forged = with_signature(swap_leaf(bundle, leaf),
+                                keypair.sign_digest(bundle.document_digest))
+        keypair.destroy()
+        report = verify_bundle(forged, DOC, trust_anchors, POLICY)
+        assert not report.accepted
+        checks = {check.name: check for check in report.checks}
+        for name in ("binding-presence", "binding-match"):
+            assert checks[name].failure_code is FailureCode.MISSING_BINDING
+            assert checks[name].detail.startswith("cannot decode: ")
 
     def test_binding_mismatch(self, bundle, trust_anchors):
         report = verify_bundle(bundle, DOC + b"!", trust_anchors, POLICY)
@@ -542,7 +563,7 @@ class TestRecencyBoundary:
 
 def check_binding(certificate: Certificate, digest):
     """The binding-match check of ``verify_bundle`` for one certificate."""
-    return verifier._match_binding(verifier._read_binding(certificate), digest)
+    return verifier._match_binding(certificate, digest)
 
 
 class TestCheckBinding:
