@@ -197,9 +197,20 @@ class CaIdentity:
             raise CaExpiredError(f"{self.certificate.subject_text} expired at"
                                  f" {self.not_after.isoformat()}", code=f"{role}-expired")
 
-    def _sign_child_certificate(self, builder: x509.CertificateBuilder) -> Certificate:
-        return Certificate(self._keypair.sign_builder(
-            builder.add_extension(self._key_identifier, critical=False)))
+    def _certify(self, subject: x509.Name, public_key, extensions: list,
+                 role: str) -> Certificate:
+        """Sign ``public_key``'s certificate for ``subject`` with ``extensions``,
+        ``(extension, critical)`` pairs, then this CA's key identifier. It is
+        valid from now, or this CA's later notBefore, to the chain's one
+        expiry. ``role`` starts the error code if this CA cannot sign.
+        retire() takes the lock to destroy the key: none is signed once it returns."""
+        with self._lock:
+            now = _now()
+            self._require_active(role, now)
+            return Certificate(self._keypair.sign_builder(_certificate_builder(
+                subject, self.certificate.raw.subject, public_key,
+                max(now, self.certificate.not_before), self.not_after,
+                [*extensions, (self._key_identifier, False)])))
 
     # -- operations ---------------------------------------------------------
 
@@ -217,8 +228,7 @@ class CaIdentity:
             )
         # Checked first as well, so that a retired or expired CA says so
         # whatever the request; the check that counts is under the lock.
-        now = _now()
-        self._require_active("issuer", now)
+        self._require_active("issuer", _now())
         if not verify_csr_pop(csr):
             raise PopFailureError("request signature does not prove key possession")
         try:
@@ -235,21 +245,8 @@ class CaIdentity:
             raise MalformedEncodingError(f"request subject: {exc}") from exc
         public_key = csr.public_key
         AlgorithmSuite.of_key(public_key)
-        builder = (
-            x509.CertificateBuilder()
-            .subject_name(subject)
-            .issuer_name(self.certificate.raw.subject)
-            .public_key(public_key)
-            .serial_number(random_serial())
-            .not_valid_before(max(now, self.certificate.not_before))
-            .not_valid_after(self.certificate.not_after)
-            .add_extension(binding.to_x509(), critical=binding.critical)
-        )
-        # retire() takes the lock to destroy the key, so once it returns no
-        # signature is in progress and none can start.
-        with self._lock:
-            self._require_active("issuer", now)
-            return self._sign_child_certificate(builder)
+        return self._certify(subject, public_key, [(binding.to_x509(), binding.critical)],
+                             "issuer")
 
     def issue_blank_crl(self) -> RevocationList:
         """This CA's one blank CRL, in force from its certificate's notBefore
@@ -290,42 +287,44 @@ def _derived_name(base: str, suffix: str) -> DistinguishedName:
     return DistinguishedName.from_common_name(base[:keep] + suffix)
 
 
-def _ca_builder(
-    subject: x509.Name,
-    issuer: x509.Name,
-    public_key,
-    serial: int,
-    not_before: datetime,
-    not_after: datetime,
-    role: CaRole,
-) -> x509.CertificateBuilder:
-    return (
+def _certificate_builder(subject: x509.Name, issuer: x509.Name, public_key,
+                         not_before: datetime, not_after: datetime,
+                         extensions: list) -> x509.CertificateBuilder:
+    """The one template of every certificate a CA signs: a fresh serial,
+    then ``extensions``, ``(extension, critical)`` pairs, in order."""
+    builder = (
         x509.CertificateBuilder()
         .subject_name(subject)
         .issuer_name(issuer)
         .public_key(public_key)
-        .serial_number(serial)
+        .serial_number(random_serial())
         .not_valid_before(not_before)
         .not_valid_after(not_after)
-        .add_extension(
-            x509.BasicConstraints(ca=True, path_length=role.path_length), critical=True
-        )
-        .add_extension(x509.SubjectKeyIdentifier.from_public_key(public_key), critical=False)
-        .add_extension(
-            x509.KeyUsage(
-                digital_signature=False,
-                content_commitment=False,
-                key_encipherment=False,
-                data_encipherment=False,
-                key_agreement=False,
-                key_cert_sign=True,
-                crl_sign=True,
-                encipher_only=False,
-                decipher_only=False,
-            ),
-            critical=True,
-        )
     )
+    for extension, critical in extensions:
+        builder = builder.add_extension(extension, critical=critical)
+    return builder
+
+
+def _ca_extensions(role: CaRole, public_key) -> list:
+    """A CA certificate's own extensions with their criticality: its tier's
+    basicConstraints, its key's identifier, and a keyUsage that signs only
+    certificates and CRLs."""
+    return [
+        (x509.BasicConstraints(ca=True, path_length=role.path_length), True),
+        (x509.SubjectKeyIdentifier.from_public_key(public_key), False),
+        (x509.KeyUsage(
+            digital_signature=False,
+            content_commitment=False,
+            key_encipherment=False,
+            data_encipherment=False,
+            key_agreement=False,
+            key_cert_sign=True,
+            crl_sign=True,
+            encipher_only=False,
+            decipher_only=False,
+        ), True),
+    ]
 
 
 def create_root(name: Union[str, DistinguishedName], policy: CaPolicy) -> CaIdentity:
@@ -333,15 +332,9 @@ def create_root(name: Union[str, DistinguishedName], policy: CaPolicy) -> CaIden
     policy.check_usable()
     subject = DistinguishedName.requested(name)
     keypair = EphemeralKeyPair.generate(policy.suite)
-    builder = _ca_builder(
-        subject.name,
-        subject.name,
-        keypair.public_key,
-        random_serial(),
-        _now(),
-        policy.chain_not_after,
-        CaRole.ROOT,
-    )
+    builder = _certificate_builder(subject.name, subject.name, keypair.public_key, _now(),
+                                   policy.chain_not_after,
+                                   _ca_extensions(CaRole.ROOT, keypair.public_key))
     return CaIdentity(Certificate(keypair.sign_builder(builder)), keypair)
 
 
@@ -358,20 +351,11 @@ def create_subordinate(
             f"a {parent.role.label} CA cannot create a {role.label} CA"
         )
     subject = DistinguishedName.requested(name)
+    # Checked before keygen as well; the check that counts is under the lock.
+    parent._require_active("parent", _now())
     keypair = EphemeralKeyPair.generate(parent.suite)
-    with parent._lock:
-        now = _now()
-        parent._require_active("parent", now)
-        builder = _ca_builder(
-            subject.name,
-            parent.certificate.raw.subject,
-            keypair.public_key,
-            random_serial(),
-            max(now, parent.certificate.not_before),
-            parent.certificate.not_after,
-            role,
-        )
-        certificate = parent._sign_child_certificate(builder)
+    certificate = parent._certify(subject.name, keypair.public_key,
+                                  _ca_extensions(role, keypair.public_key), "parent")
     return CaIdentity(certificate, keypair, (parent.certificate, *parent.lineage))
 
 

@@ -282,13 +282,6 @@ class SigningRequest(_Subject):
     the one-time flow) a document digest, self-signed as proof of
     possession."""
 
-    @property
-    def is_signature_valid(self) -> bool:
-        try:
-            return self._raw.is_signature_valid
-        except Exception:
-            return False
-
 
 # What a certificate without a BasicConstraints extension asserts.
 _NOT_A_CA = x509.BasicConstraints(ca=False, path_length=None)
@@ -378,6 +371,16 @@ class RevocationList(_Wrapper):
     @property
     def is_blank(self) -> bool:
         return len(self._raw) == 0
+
+    def names_key_of(self, issuer: Certificate) -> bool:
+        """The authorityKeyIdentifier names ``issuer``'s key as this PKI's
+        CAs write it (RFC 5280 §4.2.1.1); False when it names none."""
+        try:
+            named = self._raw.extensions.get_extension_for_class(x509.AuthorityKeyIdentifier)
+        except (x509.ExtensionNotFound, x509.DuplicateExtension, ValueError):
+            return False
+        key = x509.SubjectKeyIdentifier.from_public_key(issuer.public_key)
+        return named.value.key_identifier == key.digest
 
     def is_signed_by(self, issuer: Certificate) -> bool:
         try:
@@ -469,8 +472,10 @@ class CertificationChain:
         return self.certificates[-1]
 
     @property
-    def issuing_ca(self) -> Optional[Certificate]:
-        return self.certificates[1] if len(self.certificates) > 1 else None
+    def issuing_ca(self) -> Certificate:
+        """The certificate that issued the leaf: the next one, or the leaf
+        itself in a chain of one."""
+        return self.certificates[1] if len(self.certificates) > 1 else self.leaf
 
     def not_after_values(self) -> tuple:
         return tuple(cert.not_after for cert in self.certificates)
@@ -558,7 +563,10 @@ def build_csr(
 def verify_csr_pop(csr: SigningRequest) -> bool:
     """Proof-of-possession check: the request signature must verify under
     the public key inside the request."""
-    return csr.is_signature_valid
+    try:
+        return csr.raw.is_signature_valid
+    except Exception:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -242,11 +242,13 @@ class HttpEnrollmentClient:
 
     def fetch_crl(self, chain: CertificationChain) -> RevocationList:
         """The CRL of the CA that issued ``chain``, from the last ``/enroll``
-        reply this thread read; no request is sent."""
-        issuing_ca = chain.issuing_ca or chain.leaf
+        reply this thread read; no request is sent. It must name that CA by
+        name and by key identifier, as two CAs can share a name."""
+        issuing_ca = chain.issuing_ca
         block = getattr(self._local, "crl", None)
         crl = None if block is None else decode_crl(block)
-        if crl is None or crl.raw.issuer != issuing_ca.raw.subject:
+        if (crl is None or crl.raw.issuer != issuing_ca.raw.subject
+                or not crl.names_key_of(issuing_ca)):
             raise EnrollmentRejectedError(
                 f"no CRL published for issuer {issuing_ca.subject_text}",
                 ca_code="no-matching-crl",

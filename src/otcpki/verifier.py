@@ -274,7 +274,7 @@ def _check_crl(bundle: SignedDocumentBundle, at_time: datetime, trusted: bool) -
     crl = bundle.crl
     if crl is None:
         return CheckResult(name, False, "bundle carries no CRL", FailureCode.BAD_CRL)
-    issuing_ca = bundle.chain.issuing_ca or bundle.chain.leaf
+    issuing_ca = bundle.chain.issuing_ca
     crl_key = ("crl", crl.to_der(), issuing_ca.to_der())
     # Only pairs whose names match are stored, so a hit compares none.
     if crl_key not in _passed:

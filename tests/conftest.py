@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from otcpki import ca
 from otcpki.ca import CaIdentity, CaPolicy, CaRole, create_subordinate, init_hierarchy
 from otcpki.certmodel import Certificate, DistinguishedName, OtcExtension, SigningRequest
-from otcpki.crypto import DEFAULT_SUITE, DocumentDigest, EphemeralKeyPair, random_serial
+from otcpki.crypto import DEFAULT_SUITE, DocumentDigest, EphemeralKeyPair
 
 # A SHA-256 binding payload whose OID arc 840 is padded with a leading 0x80
 # octet, which X.690 §8.19.2 forbids even in BER: a second encoding of the
@@ -77,14 +77,13 @@ def ca_named(name: x509.Name, role: CaRole, policy, parent=None) -> CaIdentity:
     ``DistinguishedName`` requires, built as ``ca.create_root`` and
     ``ca.create_subordinate`` build theirs."""
     keypair = EphemeralKeyPair.generate(policy.suite)
-    builder = ca._ca_builder(name, parent.certificate.raw.subject if parent else name,
-                             keypair.public_key, random_serial(),
-                             datetime.now(timezone.utc), policy.chain_not_after, role)
+    extensions = ca._ca_extensions(role, keypair.public_key)
     if parent is None:
-        certificate = Certificate(builder.sign(keypair._signing_key(),
-                                               policy.suite.digest.hash_primitive()))
-        return CaIdentity(certificate, keypair)
-    certificate = parent._sign_child_certificate(builder)
+        builder = ca._certificate_builder(name, name, keypair.public_key,
+                                          datetime.now(timezone.utc), policy.chain_not_after,
+                                          extensions)
+        return CaIdentity(Certificate(keypair.sign_builder(builder)), keypair)
+    certificate = parent._certify(name, keypair.public_key, extensions, "parent")
     return CaIdentity(certificate, keypair, (parent.certificate, *parent.lineage))
 
 

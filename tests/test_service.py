@@ -31,7 +31,7 @@ from cryptography.x509.oid import ExtendedKeyUsageOID, ExtensionOID, NameOID
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from otcpki.ca import init_hierarchy
+from otcpki.ca import CaRole, create_subordinate, init_hierarchy
 from otcpki.certmodel import (
     OTC_EXTENSION_OID,
     CertificationChain,
@@ -1089,28 +1089,40 @@ class TestHostileReplies:
         port = urllib.parse.urlsplit(url).port
         assert received[0].split(b"\r\n")[1] == b"Host: [::1]:%d" % port
 
-    @pytest.mark.parametrize("with_crl", [True, False], ids=["another-issuers-crl", "no-crl"])
-    def test_reply_without_its_issuers_crl(self, shared_issuer, with_crl):
+    @pytest.mark.parametrize("crl", ["another-issuers-crl", "no-crl", "same-named-issuers-crl"])
+    def test_reply_without_its_issuers_crl(self, shared_issuer, monkeypatch, crl):
         """An /enroll reply whose CRL another CA issued, or that carries
-        none, as one from a service that served CRLs only at /crl. The
-        issuing CA is named even when it has no CN."""
+        none, as one from a service that served CRLs only at /crl. The other
+        CA may share the issuing CA's name, as two issuers under one parent
+        can; its CRL used to be taken, and the bundle then failed to verify.
+        The issuing CA is named even when it has no CN, and the key dies."""
+        if crl == "same-named-issuers-crl":
+            intermediate = init_hierarchy("Twin Root", fresh_policy()).intermediates[0]
+            issuer, other = (create_subordinate(intermediate, "Twin Issuer", CaRole.ISSUER)
+                             for _ in range(2))
+            named = "CN=Twin Issuer"
+        else:
+            issuer, other = no_cn_issuer(), shared_issuer if crl == "another-issuers-crl" else None
+            named = "O=No CN Issuer"
         keypair, csr = make_csr()
-        chain = LocalEnrollmentClient(no_cn_issuer()).enroll(csr)
-        keypair.destroy()
-        body = chain.to_pem() + (shared_issuer.issue_blank_crl().to_pem() if with_crl else b"")
+        chain = LocalEnrollmentClient(issuer).enroll(csr)
+        body = chain.to_pem() + (b"" if other is None else other.issue_blank_crl().to_pem())
+        # one_shot_sign gets this key, so the scripted leaf is for its key and digest.
+        monkeypatch.setattr(EphemeralKeyPair, "generate", lambda *args: keypair)
 
-        def enroll_then_fetch_crl(url):
+        def sign(url):
             client = HttpEnrollmentClient(url, timeout=5)
             try:
-                return client.fetch_crl(client.enroll(csr))
+                return one_shot_sign(b"remote doc", "Web Client", client)
             finally:
                 client.close()
 
         with scripted_service(sends(reply_with(body))) as url:
-            outcome = bounded(lambda: enroll_then_fetch_crl(url))
+            outcome = bounded(lambda: sign(url))
         assert isinstance(outcome, EnrollmentRejectedError), outcome
         assert outcome.ca_code == "no-matching-crl"
-        assert str(outcome) == "no CRL published for issuer O=No CN Issuer"
+        assert str(outcome) == f"no CRL published for issuer {named}"
+        assert not keypair.is_live
 
     @pytest.mark.parametrize("url", ["ftp://127.0.0.1/", "http://", "http://h:99999",
                                      "http://h/a b", "http://h/é"])
