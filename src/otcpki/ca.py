@@ -217,10 +217,11 @@ class CaIdentity:
     def issue_otc(self, csr: SigningRequest) -> Certificate:
         """Issue a one-time certificate for a request.
 
-        The request must prove possession of its key, a key of a suite on
-        the menu, and carry exactly one document binding in its canonical encoding, the only one that
-        decodes, so the certificate carries the request's binding bytes
-        unchanged. The certificate expires when the whole chain does.
+        The request's key must be of a suite on the menu, the request must
+        prove possession of it, and it must carry exactly one document
+        binding in its canonical encoding, the only one that decodes, so the
+        certificate carries the request's binding bytes unchanged. The
+        certificate expires when the whole chain does.
         """
         if self.role is not CaRole.ISSUER:
             raise RoleViolationError(
@@ -229,6 +230,13 @@ class CaIdentity:
         # Checked first as well, so that a retired or expired CA says so
         # whatever the request; the check that counts is under the lock.
         self._require_active("issuer", _now())
+        # The suite is read first, so that a key off the menu costs no
+        # public-key operation.
+        try:
+            public_key = csr.public_key
+        except Exception as exc:  # an unknown key type, or a point off its curve
+            raise UnsupportedSuiteError(f"request key cannot be read: {exc}") from exc
+        AlgorithmSuite.of_key(public_key)
         if not verify_csr_pop(csr):
             raise PopFailureError("request signature does not prove key possession")
         try:
@@ -243,8 +251,6 @@ class CaIdentity:
             subject = csr.raw.subject
         except ValueError as exc:  # an empty RDN, say, is refused only when read
             raise MalformedEncodingError(f"request subject: {exc}") from exc
-        public_key = csr.public_key
-        AlgorithmSuite.of_key(public_key)
         return self._certify(subject, public_key, [(binding.to_x509(), binding.critical)],
                              "issuer")
 

@@ -39,6 +39,10 @@ __all__ = [
 LOGGER = logging.getLogger(__name__)
 
 _CHUNK_SIZE = 1 << 20
+# The one RSA public exponent on the menu, the one generate() uses. Verifying
+# under a key costs time in the exponent's length, so a longer one would make
+# every acceptor pay for each bundle the key signs.
+_RSA_EXPONENT = 65537
 
 PublicKey = Union[rsa.RSAPublicKey, ec.EllipticCurvePublicKey]
 PrivateKey = Union[rsa.RSAPrivateKey, ec.EllipticCurvePrivateKey]
@@ -90,9 +94,12 @@ class AlgorithmSuite(enum.Enum):
     @classmethod
     def of_key(cls, public_key: PublicKey) -> "AlgorithmSuite":
         """The suite whose keys ``public_key`` is one of. Raises
-        :class:`UnsupportedSuiteError` for a key off the menu."""
+        :class:`UnsupportedSuiteError` for a key off the menu, which holds
+        no RSA key whose public exponent is not 65537."""
         if isinstance(public_key, rsa.RSAPublicKey):
             parameter = public_key.key_size
+            if public_key.public_numbers().e != _RSA_EXPONENT:
+                parameter = f"{parameter} bits, exponent not {_RSA_EXPONENT}"
         elif isinstance(public_key, ec.EllipticCurvePublicKey):
             parameter = type(public_key.curve)
         else:
@@ -186,7 +193,8 @@ class EphemeralKeyPair:
     def generate(cls, suite: AlgorithmSuite = DEFAULT_SUITE) -> "EphemeralKeyPair":
         parameter = suite.key_parameter
         if isinstance(parameter, int):
-            return cls(suite, rsa.generate_private_key(public_exponent=65537, key_size=parameter))
+            return cls(suite, rsa.generate_private_key(public_exponent=_RSA_EXPONENT,
+                                                       key_size=parameter))
         return cls(suite, ec.generate_private_key(parameter()))
 
     @property

@@ -4,7 +4,7 @@ client speak, read under the same limits at both ends.
 A start line and each header line are at most ``MAX_LINE`` bytes, CRLF
 included, and a header holds at most ``MAX_FIELDS`` fields, each a ``name:
 value`` line (obs-fold is refused). A body is framed by one
-``Content-Length`` of 1*DIGIT and is at most ``MAX_BODY`` bytes;
+``Content-Length`` of 1*DIGIT, and a reply body is at most ``MAX_BODY`` bytes;
 ``Transfer-Encoding`` is never decoded. Bytes come through a
 :class:`MessageReader`, which gives each message a deadline.
 """
@@ -33,7 +33,8 @@ __all__ = [
 # included, and at most 100 header fields.
 MAX_LINE = 65536
 MAX_FIELDS = 100
-# The largest body either end reads: a CSR in, a chain or the pool's CRLs out.
+# The largest reply body the client reads: a chain and its CRL, or the pool's
+# CRLs. The service caps a request body lower.
 MAX_BODY = 1 << 20
 # RFC 9110 §5.1: a field name is a token. A line with leading whitespace
 # (obs-fold) or none of ":" has no such name.

@@ -26,9 +26,13 @@ connection also carries ``Connection: close``.
 Connections are kept alive (HTTP/1.1, or HTTP/1.0 with ``Connection:
 keep-alive``) and closed after ``HANDLER_TIMEOUT_S`` seconds without a byte
 from the client, or when a request (request line, headers and body) is not
-all in ``HANDLER_TIMEOUT_S`` seconds after its first byte. At most
-``MAX_CONNECTIONS`` connections are served at once; one more is answered 503
-with ``Connection: close``.
+all in ``HANDLER_TIMEOUT_S`` seconds after its first byte. An ``/enroll`` body
+is at most ``MAX_ENROLL_BODY`` bytes. At most ``MAX_CONNECTIONS`` connections
+are served at once. When all are taken, a new one takes the slot of the
+connection that has waited longest for its current request to arrive whole,
+idle or not (RFC 9112 §9.5 lets a server close an idle connection), and that
+connection is closed. When every connection is answering a request, the new
+one is answered 503 with ``Connection: close``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .errors import (
     OtcError,
 )
 from .framing import (
-    MAX_BODY,
     MAX_LINE,
     VERSIONS,
     MessageReader,
@@ -79,8 +82,14 @@ LOGGER = logging.getLogger(__name__)
 # stop() does not join.
 HANDLER_TIMEOUT_S = 30.0
 # Connections served at once, idle keep-alive ones included; each holds a
-# handler thread. The accept loop answers one more with _BUSY_REPLY.
+# handler thread. The accept loop closes the one that has waited longest for
+# its request to free a slot for one more, or answers it with _BUSY_REPLY.
 MAX_CONNECTIONS = 64
+# How long the accept loop waits for the slot of the connection it closed.
+_SLOT_WAIT_S = 1.0
+# The largest /enroll body read: far above the largest honest CSR, 1626 bytes
+# of PEM for rsa-3072 with 64-character CN, O and OU.
+MAX_ENROLL_BODY = 64 * 1024
 
 _BUSY_BODY = b"service-busy: too many open connections"
 _BUSY_REPLY = (b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n"
@@ -102,6 +111,10 @@ class _Server(socketserver.ThreadingTCPServer):
     def __init__(self, address, service: "EnrollmentService"):
         self.service = service
         self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        # Each connection waiting for its current request to arrive whole,
+        # longest waiting first.
+        self._waiting: dict = {}
+        self._waiting_lock = threading.Lock()
         self._date = (0, b"")
         super().__init__(address, _Handler)
 
@@ -115,8 +128,33 @@ class _Server(socketserver.ThreadingTCPServer):
             self._date = (now, text)
         return text
 
+    def waiting(self, request):
+        """``request`` waits for its next request to arrive whole."""
+        with self._waiting_lock:
+            self._waiting[request] = True
+
+    def answering(self, request) -> bool:
+        """``request`` no longer waits; False when it was closed to free its
+        slot."""
+        with self._waiting_lock:
+            return self._waiting.pop(request, False)
+
+    def _close_longest_waiting(self) -> bool:
+        """Close the connection that has waited longest and take its slot;
+        False when none waits or the slot is not free in ``_SLOT_WAIT_S``."""
+        with self._waiting_lock:  # so that no answering connection is closed
+            if not self._waiting:
+                return False
+            oldest = next(iter(self._waiting))
+            del self._waiting[oldest]
+            try:
+                oldest.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        return self._slots.acquire(timeout=_SLOT_WAIT_S)
+
     def process_request(self, request, client_address):
-        if not self._slots.acquire(blocking=False):
+        if not (self._slots.acquire(blocking=False) or self._close_longest_waiting()):
             # A fresh connection's send buffer is empty, so this cannot block.
             try:
                 request.sendall(_BUSY_REPLY)
@@ -139,7 +177,8 @@ class _Server(socketserver.ThreadingTCPServer):
 
 class _Handler(socketserver.BaseRequestHandler):
     """One connection: its requests answered in order until one ends it, the
-    client closes it, or a timeout of its ``MessageReader`` passes."""
+    client closes it, a timeout of its ``MessageReader`` passes, or the accept
+    loop closes it to free its slot."""
 
     def setup(self):
         # A reply sent while the one before is unacknowledged (after a
@@ -157,10 +196,14 @@ class _Handler(socketserver.BaseRequestHandler):
             pass
 
     def finish(self):
+        # Before the socket is closed, so that the accept loop shuts down
+        # only open sockets.
+        self.server.answering(self.request)
         self.rfile.close()
 
     def _serve_one(self) -> bool:
         """Read and answer one request; False when the connection ends."""
+        self.server.waiting(self.request)
         self._reader.next_message()
         line = self.rfile.readline(MAX_LINE + 1)
         if not line:  # the client closed the connection
@@ -188,13 +231,15 @@ class _Handler(socketserver.BaseRequestHandler):
             # cannot carry another request.
             if self._target != b"/enroll":
                 return self._reply(404, b"not-found: unknown endpoint", close=True)
-            if length is None or not 0 < length <= MAX_BODY:
+            if length is None or not 0 < length <= MAX_ENROLL_BODY:
                 return self._reply(400, b"malformed-encoding: missing, invalid or oversized"
                                         b" Content-Length", close=True)
             if version == b"HTTP/1.1" and fields.get(b"expect") == [b"100-continue"]:
                 self.request.sendall(_CONTINUE)
             body = self.rfile.read(length)
-            if len(body) < length:  # the client hung up mid-body
+            # The client hung up mid-body, or the connection was closed to
+            # free its slot.
+            if len(body) < length or not self.server.answering(self.request):
                 return False
             return self._reply(*service.handle_enroll(body), close=close)
         if self._method == b"GET":
@@ -212,6 +257,7 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _reply(self, status: int, body: bytes, close: bool) -> bool:
         """Send one response in one send; False when it ends the connection."""
+        self.server.answering(self.request)
         content_type = _PEM_TYPE if status == 200 else b"text/plain"
         self.request.sendall(
             b"%s\r\nDate: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n%s"

@@ -131,178 +131,158 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Individual checks (the composable ones)
+# The checks
 # ---------------------------------------------------------------------------
 
-def check_recency(leaf: Certificate, policy: RecencyPolicy, at_time: datetime) -> CheckResult:
-    age = _utc(at_time) - leaf.not_before
-    if age <= policy.limit:
-        return CheckResult("recency", True, f"certificate age {age} within {policy.limit}")
-    return CheckResult(
-        "recency", False,
-        f"certificate age {age} exceeds {policy.limit}",
-        FailureCode.STALE,
-    )
+class _Failed(Exception):
+    """A check's failure: its detail, and its code when that is not the
+    check's own."""
+
+    def __init__(self, detail: str, code: Optional[FailureCode] = None):
+        super().__init__(detail)
+        self.detail = detail
+        self.code = code
 
 
-# ---------------------------------------------------------------------------
-# Full bundle verification
-# ---------------------------------------------------------------------------
-
-def _fails_undecodable(name: str, code: FailureCode):
-    """Turn an exception from a check into its failure. cryptography decodes
-    names, extensions and keys when they are first read, so a certificate or
-    CRL that loads can still raise from a check."""
+def _check(name: str, code: FailureCode):
+    """Run a check as ``name``, failing with ``code``. The check returns the
+    detail of its pass or raises :class:`_Failed`. Any other exception is a
+    failure too: cryptography decodes names, extensions and keys when they
+    are first read, so a certificate or CRL that loads can still raise."""
     def decorate(check):
         @functools.wraps(check)
-        def guarded(*args) -> CheckResult:
+        def run(*args) -> CheckResult:
             try:
-                return check(*args)
+                return CheckResult(name, True, check(*args))
+            except _Failed as failed:
+                return CheckResult(name, False, failed.detail, failed.code or code)
             except Exception as exc:
                 return CheckResult(name, False, f"cannot decode: {exc!r}", code)
-        return guarded
+        return run
     return decorate
 
 
-@_fails_undecodable("chain-trust", FailureCode.UNTRUSTED_CHAIN)
-def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]) -> CheckResult:
-    name = "chain-trust"
+@_check("recency", FailureCode.STALE)
+def check_recency(leaf: Certificate, policy: RecencyPolicy, at_time: datetime) -> str:
+    """The ``recency`` check's result: the leaf's age at ``at_time`` against
+    ``policy``."""
+    age = _utc(at_time) - leaf.not_before
+    if age > policy.limit:
+        raise _Failed(f"certificate age {age} exceeds {policy.limit}")
+    return f"certificate age {age} within {policy.limit}"
+
+
+@_check("chain-trust", FailureCode.UNTRUSTED_CHAIN)
+def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]) -> str:
     anchors = tuple(anchors)
     if not anchors:
-        return CheckResult(name, False, "no trust anchors supplied", FailureCode.UNTRUSTED_CHAIN)
+        raise _Failed("no trust anchors supplied")
     leaf, path = chain.leaf, chain.certificates[1:]
     if leaf.is_ca:
-        return CheckResult(name, False, f"leaf {leaf.subject_text} is a CA certificate",
-                           FailureCode.UNTRUSTED_CHAIN)
+        raise _Failed(f"leaf {leaf.subject_text} is a CA certificate")
     failure = _extension_failure(leaf)
     if failure is not None:
-        return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
+        raise _Failed(failure)
     # The root is compared first, so that a chain under a root no anchor
     # names costs no signature check and leaves nothing in the memo.
     root_der = chain.root.to_der()
     if not any(anchor.to_der() == root_der for anchor in anchors):
-        return CheckResult(name, False, f"root {chain.root.subject_text} is not a trust anchor",
-                           FailureCode.UNTRUSTED_CHAIN)
+        raise _Failed(f"root {chain.root.subject_text} is not a trust anchor")
     path_key = ("ca-path", *(cert.to_der() for cert in path))
     root_name = _passed.get(path_key) if path else None
     if root_name is None:
         failure = _path_failure(chain.certificates)
         if failure is not None:
-            return CheckResult(name, False, failure, FailureCode.UNTRUSTED_CHAIN)
+            raise _Failed(failure)
         root_name = chain.root.subject_text
         if path:
             _passed.put(path_key, root_name)
     elif not leaf.verify_signed_by(path[0]):
         # Every check of the path above the leaf passed before; only the
         # leaf's own link is new.
-        return CheckResult(name, False,
-                           f"{leaf.subject_text} is not signed by {path[0].subject_text}",
-                           FailureCode.UNTRUSTED_CHAIN)
-    return CheckResult(name, True, f"chain of {len(chain)} anchored at {root_name}")
+        raise _Failed(f"{leaf.subject_text} is not signed by {path[0].subject_text}")
+    return f"chain of {len(chain)} anchored at {root_name}"
 
 
-@_fails_undecodable("validity-window", FailureCode.EXPIRED)
-def _check_validity_window(chain: CertificationChain, at_time: datetime) -> CheckResult:
-    name = "validity-window"
+@_check("validity-window", FailureCode.EXPIRED)
+def _check_validity_window(chain: CertificationChain, at_time: datetime) -> str:
     for cert in chain:
         if at_time < cert.not_before:
-            return CheckResult(name, False, f"{cert.subject_text} not valid until"
-                               f" {cert.not_before.isoformat()}", FailureCode.EXPIRED)
+            raise _Failed(f"{cert.subject_text} not valid until {cert.not_before.isoformat()}")
         if at_time > cert.not_after:
-            return CheckResult(name, False, f"{cert.subject_text} expired"
-                               f" {cert.not_after.isoformat()}", FailureCode.EXPIRED)
-    return CheckResult(name, True, "every certificate valid at the verification instant")
+            raise _Failed(f"{cert.subject_text} expired {cert.not_after.isoformat()}")
+    return "every certificate valid at the verification instant"
 
 
-def _check_uniform_validity(chain: CertificationChain) -> CheckResult:
-    name = "uniform-validity"
+@_check("uniform-validity", FailureCode.NON_UNIFORM_VALIDITY)
+def _check_uniform_validity(chain: CertificationChain) -> str:
     values = chain.not_after_values()
-    if len(set(values)) == 1:
-        return CheckResult(name, True, f"all certificates expire {values[0].isoformat()}")
-    spread = ", ".join(sorted({v.isoformat() for v in values}))
-    return CheckResult(name, False, f"expiries differ: {spread}",
-                       FailureCode.NON_UNIFORM_VALIDITY)
+    if len(set(values)) != 1:
+        raise _Failed(f"expiries differ: {', '.join(sorted({v.isoformat() for v in values}))}")
+    return f"all certificates expire {values[0].isoformat()}"
 
 
-@_fails_undecodable("binding-presence", FailureCode.MISSING_BINDING)
-def _check_binding_presence(leaf: Certificate) -> CheckResult:
-    name = "binding-presence"
+@_check("binding-presence", FailureCode.MISSING_BINDING)
+def _check_binding_presence(leaf: Certificate) -> str:
     if leaf.binding is None:
-        return CheckResult(name, False, "leaf carries no document binding",
-                           FailureCode.MISSING_BINDING)
-    return CheckResult(name, True, "leaf carries one document binding")
+        raise _Failed("leaf carries no document binding")
+    return "leaf carries one document binding"
 
 
-@_fails_undecodable("binding-match", FailureCode.MISSING_BINDING)
-def _match_binding(leaf: Certificate, digest) -> CheckResult:
+@_check("binding-match", FailureCode.MISSING_BINDING)
+def _match_binding(leaf: Certificate, digest) -> str:
     """Does the leaf's binding name exactly the given digest? Algorithm and
     value must both match; a right value under the wrong algorithm fails."""
     binding = leaf.binding
     if binding is None:
-        return CheckResult(
-            "binding-match", False, "certificate carries no document binding",
-            FailureCode.MISSING_BINDING,
-        )
+        raise _Failed("certificate carries no document binding")
     if binding.digest.algorithm is not digest.algorithm:
-        return CheckResult(
-            "binding-match", False,
-            f"bound with {binding.digest.algorithm.value},"
-            f" presented {digest.algorithm.value}",
-            FailureCode.BINDING_MISMATCH,
-        )
+        raise _Failed(f"bound with {binding.digest.algorithm.value},"
+                      f" presented {digest.algorithm.value}", FailureCode.BINDING_MISMATCH)
     if binding.digest.value != digest.value:
-        return CheckResult(
-            "binding-match", False, "digest differs from the bound value",
-            FailureCode.BINDING_MISMATCH,
-        )
-    return CheckResult("binding-match", True, "document digest matches the binding")
+        raise _Failed("digest differs from the bound value", FailureCode.BINDING_MISMATCH)
+    return "document digest matches the binding"
 
 
-@_fails_undecodable("signature", FailureCode.BAD_SIGNATURE)
-def _check_signature(bundle: SignedDocumentBundle, digest) -> CheckResult:
-    name = "signature"
-    if verify_signature(bundle.chain.leaf.public_key, digest, bundle.signature):
-        return CheckResult(name, True, "signature verifies under the leaf key")
-    return CheckResult(name, False, "signature does not verify under the leaf key",
-                       FailureCode.BAD_SIGNATURE)
+@_check("signature", FailureCode.BAD_SIGNATURE)
+def _check_signature(bundle: SignedDocumentBundle, digest) -> str:
+    if not verify_signature(bundle.chain.leaf.public_key, digest, bundle.signature):
+        raise _Failed("signature does not verify under the leaf key")
+    return "signature verifies under the leaf key"
 
 
-@_fails_undecodable("crl", FailureCode.BAD_CRL)
-def _check_crl(bundle: SignedDocumentBundle, at_time: datetime, trusted: bool) -> CheckResult:
+@_check("crl", FailureCode.BAD_CRL)
+def _check_crl(bundle: SignedDocumentBundle, at_time: datetime, trusted: bool) -> str:
     """``trusted``: chain-trust passed, so a CRL that passes is remembered."""
-    name = "crl"
     crl = bundle.crl
     if crl is None:
-        return CheckResult(name, False, "bundle carries no CRL", FailureCode.BAD_CRL)
+        raise _Failed("bundle carries no CRL")
     issuing_ca = bundle.chain.issuing_ca
     crl_key = ("crl", crl.to_der(), issuing_ca.to_der())
     # Only pairs whose names match are stored, so a hit compares none.
     if crl_key not in _passed:
         if crl.raw.issuer != issuing_ca.raw.subject:
-            return CheckResult(name, False,
-                               f"CRL issued by {crl.raw.issuer.rfc4514_string()},"
-                               f" leaf issued by {issuing_ca.subject_text}",
-                               FailureCode.BAD_CRL)
+            raise _Failed(f"CRL issued by {crl.raw.issuer.rfc4514_string()},"
+                          f" leaf issued by {issuing_ca.subject_text}")
         if not crl.is_signed_by(issuing_ca):
-            return CheckResult(name, False, "CRL signature does not verify under the issuing CA",
-                               FailureCode.BAD_CRL)
+            raise _Failed("CRL signature does not verify under the issuing CA")
         if trusted:
             _passed.put(crl_key)
     # The memo holds no instant, so the window is checked on every verify.
     if at_time < crl.last_update:
-        return CheckResult(name, False, f"CRL not in force until {crl.last_update.isoformat()}",
-                           FailureCode.BAD_CRL)
+        raise _Failed(f"CRL not in force until {crl.last_update.isoformat()}")
     next_update = crl.next_update
     if next_update is not None and at_time > next_update:
-        return CheckResult(name, False, f"CRL expired {next_update.isoformat()}",
-                           FailureCode.BAD_CRL)
+        raise _Failed(f"CRL expired {next_update.isoformat()}")
     if not crl.is_blank:
-        return CheckResult(name, False,
-                           f"CRL lists {len(crl.revoked_serials)} entries;"
-                           " nothing under this root is ever revoked",
-                           FailureCode.BAD_CRL)
-    return CheckResult(name, True, "blank CRL verifies under the issuing CA")
+        raise _Failed(f"CRL lists {len(crl.revoked_serials)} entries;"
+                      " nothing under this root is ever revoked")
+    return "blank CRL verifies under the issuing CA"
 
+
+# ---------------------------------------------------------------------------
+# Full bundle verification
+# ---------------------------------------------------------------------------
 
 def verify_bundle(
     bundle: SignedDocumentBundle,

@@ -6,6 +6,7 @@ otherwise mutate state build their own.
 """
 
 import contextlib
+import math
 import os
 import stat
 import sys
@@ -49,10 +50,26 @@ def csr_with_extension(keypair, extension) -> SigningRequest:
     return SigningRequest(raw)
 
 
+def huge_exponent_rsa_key(key_size: int) -> rsa.RSAPrivateKey:
+    """A valid RSA key whose public exponent is one bit shorter than its
+    modulus, so that a verify under it costs about what a signature does."""
+    numbers = rsa.generate_private_key(public_exponent=65537, key_size=key_size).private_numbers()
+    p, q = numbers.p, numbers.q
+    order = math.lcm(p - 1, q - 1)
+    e = 1 << (key_size - 2) | 1
+    while math.gcd(e, order) != 1:
+        e += 2
+    d = pow(e, -1, order)
+    return rsa.RSAPrivateNumbers(p, q, d, d % (p - 1), d % (q - 1), rsa.rsa_crt_iqmp(p, q),
+                                 rsa.RSAPublicNumbers(e, p * q)).private_key()
+
+
 # Key types a request can carry that are not on the suite menu.
 OFF_MENU_KEYS = {
     "rsa-1024": lambda: rsa.generate_private_key(public_exponent=65537, key_size=1024),
     "rsa-4096": lambda: rsa.generate_private_key(public_exponent=65537, key_size=4096),
+    # The menu's modulus size, with an exponent other than 65537.
+    "rsa-3072-huge-exponent": lambda: huge_exponent_rsa_key(3072),
     "dsa-2048": lambda: dsa.generate_private_key(key_size=2048),
     "ed25519": ed25519.Ed25519PrivateKey.generate,
     "p-521": lambda: ec.generate_private_key(ec.SECP521R1()),

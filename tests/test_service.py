@@ -31,7 +31,7 @@ from cryptography.x509.oid import ExtendedKeyUsageOID, ExtensionOID, NameOID
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from otcpki.ca import CaRole, create_subordinate, init_hierarchy
+from otcpki.ca import CaIdentity, CaRole, create_subordinate, init_hierarchy
 from otcpki.certmodel import (
     OTC_EXTENSION_OID,
     CertificationChain,
@@ -40,7 +40,7 @@ from otcpki.certmodel import (
     SigningRequest,
     build_csr,
 )
-from otcpki.crypto import EphemeralKeyPair, digest_document
+from otcpki.crypto import SUITES, EphemeralKeyPair, digest_document
 from otcpki.errors import (
     ConfigError,
     EnrollmentRejectedError,
@@ -260,6 +260,36 @@ class TestEnrollEndpoint:
             LocalEnrollmentClient(hierarchy.first_issuer()).enroll(csr)
         assert excinfo.value.ca_code == "unsupported-suite"
 
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-cap", "one-byte-over"])
+    def test_body_cap(self, stack, monkeypatch, over):
+        """A body over MAX_ENROLL_BODY is refused before it is read, however
+        valid the CSR. Up to 1 MiB was read and issued: a 454 KB CSR of 5000
+        RDNs got a 456 KB leaf."""
+        _, _, url = stack
+        issued = []
+        issue = CaIdentity.issue_otc
+        monkeypatch.setattr(CaIdentity, "issue_otc",
+                            lambda ca, csr: issued.append(csr) or issue(ca, csr))
+        keypair, csr = make_csr("Padded Request")
+        keypair.destroy()
+        body = csr.to_pem().ljust(service_module.MAX_ENROLL_BODY + over, b"\n")
+        reply = raw_exchange(url, b"POST /enroll HTTP/1.1\r\nContent-Length: %d\r\n"
+                                  b"Connection: close\r\n\r\n%s" % (len(body), body))
+        assert reply.startswith(b"HTTP/1.1 400 " if over else b"HTTP/1.1 200 ")
+        assert len(issued) == (0 if over else 1)
+
+    def test_largest_honest_request_is_served(self, stack):
+        """rsa-3072 with 64-character CN, O and OU: the largest honest CSR
+        measured, far below MAX_ENROLL_BODY."""
+        _, _, url = stack
+        keypair = EphemeralKeyPair.generate(SUITES["rsa-3072"])
+        name = DistinguishedName.from_string(f"CN={'c' * 64},O={'o' * 64},OU={'u' * 64}")
+        csr = build_csr(keypair, name, digest_document(b"largest"))
+        keypair.destroy()
+        assert len(csr.to_pem()) * 32 < service_module.MAX_ENROLL_BODY
+        status, _ = fetch(url, "/enroll", csr.to_pem())
+        assert status == 200
+
     def test_unknown_path_is_404(self, stack):
         _, _, url = stack
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -467,21 +497,34 @@ class TestConnectionLimits:
         assert sent <= len(header) // 2
 
     def test_connection_over_the_cap_gets_503(self, monkeypatch):
+        """A connection whose request is being answered keeps its slot, so
+        one more is answered 503 while it is."""
         monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 1)
         hierarchy = init_hierarchy("Capped Root", fresh_policy())
         service = EnrollmentService([hierarchy.first_issuer()])
+        answering, release = threading.Event(), threading.Event()
+
+        def held_enroll(body):
+            answering.set()
+            release.wait(10)
+            return 200, b"held"
+
+        monkeypatch.setattr(service, "handle_enroll", held_enroll)
         url = service.start()
-        address = urllib.parse.urlsplit(url)
+        replies = []
+        holder = threading.Thread(target=lambda: replies.append(raw_exchange(
+            url, b"POST /enroll HTTP/1.1\r\nContent-Length: 1\r\nConnection: close\r\n\r\nx")))
+        holder.start()
         try:
-            held = http.client.HTTPConnection(address.hostname, address.port, timeout=5)
-            held.request("GET", "/chain")
-            assert held.getresponse().read()  # served, and kept open
+            assert answering.wait(5)
             reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\n\r\n")
             assert reply.startswith(b"HTTP/1.1 503 ")
             assert b"\r\nConnection: close\r\n" in reply
             assert reply.endswith(b"\r\n\r\nservice-busy: too many open connections")
-            held.close()
-            # The held connection's handler ends on its EOF and frees the slot.
+            release.set()
+            holder.join(10)
+            assert replies[0].startswith(b"HTTP/1.1 200 ") and replies[0].endswith(b"held")
+            # The held connection's handler ends after its reply and frees the slot.
             for _ in range(50):
                 reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\nConnection: close\r\n\r\n")
                 if not reply.startswith(b"HTTP/1.1 503 "):
@@ -489,7 +532,41 @@ class TestConnectionLimits:
                 time.sleep(0.1)
             assert reply.startswith(b"HTTP/1.1 200 ")
         finally:
+            release.set()
             service.stop()
+
+    @pytest.mark.parametrize("sent", [b"", b"P"], ids=["silent", "one-byte"])
+    def test_waiting_connections_give_way(self, sent):
+        """With every slot held by a connection that has not sent a whole
+        request, an honest enrollment closes the one that has waited longest
+        and takes its slot. Such connections used to get every honest
+        request answered 503 for up to HANDLER_TIMEOUT_S."""
+        hierarchy = init_hierarchy("Crowded Root", fresh_policy())
+        service = EnrollmentService([hierarchy.first_issuer()])
+        url = service.start()
+        address = urllib.parse.urlsplit(url)
+        def handlers():
+            return sum("process_request_thread" in thread.name
+                       for thread in threading.enumerate())
+
+        before = handlers()
+        with contextlib.ExitStack() as held:
+            try:
+                crowd = [held.enter_context(socket.create_connection(
+                    (address.hostname, address.port), timeout=5))
+                    for _ in range(service_module.MAX_CONNECTIONS)]
+                for sock in crowd:
+                    sock.sendall(sent)
+                for _ in range(50):  # until each has a handler
+                    if handlers() >= before + len(crowd):
+                        break
+                    time.sleep(0.1)
+                bundle = one_shot_sign(b"crowded", "Honest Signer",
+                                       HttpEnrollmentClient(url, timeout=5))
+                assert bundle.chain.root == hierarchy.root.certificate
+                assert closed_by_service(crowd[0])
+            finally:
+                service.stop()
 
     def test_interrupt_while_starting_a_handler_propagates(self, shared_issuer, monkeypatch):
         """SIGTERM's KeyboardInterrupt can land in Thread.start after the

@@ -66,6 +66,10 @@ CHECK_ORDER = (
 )
 
 
+def _invalid_validity(*_):
+    raise ValueError("invalid validity")
+
+
 @pytest.fixture
 def client(shared_issuer):
     return LocalEnrollmentClient(shared_issuer)
@@ -186,6 +190,19 @@ class TestFailureCodes:
         for name in ("binding-presence", "binding-match"):
             assert checks[name].failure_code is FailureCode.MISSING_BINDING
             assert checks[name].detail.startswith("cannot decode: ")
+
+    @pytest.mark.parametrize("owner,attribute,unreadable,name,code", [
+        (CertificationChain, "not_after_values", _invalid_validity, "uniform-validity",
+         FailureCode.NON_UNIFORM_VALIDITY),
+        (Certificate, "not_before", property(_invalid_validity), "recency", FailureCode.STALE),
+    ], ids=["uniform-validity", "recency"])
+    def test_undecodable_dates(self, bundle, trust_anchors, monkeypatch, owner, attribute,
+                               unreadable, name, code):
+        """A date that raises when read fails its check through the same
+        guard as the other checks. It used to escape verify_bundle."""
+        monkeypatch.setattr(owner, attribute, unreadable)
+        report = verify_bundle(bundle, DOC, trust_anchors, POLICY)
+        assert f"  {name}: FAIL [{code.value}] (cannot decode: ValueError(" in report.to_text()
 
     def test_binding_mismatch(self, bundle, trust_anchors):
         report = verify_bundle(bundle, DOC + b"!", trust_anchors, POLICY)
