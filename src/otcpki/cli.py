@@ -16,6 +16,7 @@ import os
 import re
 import signal
 import sys
+import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -172,18 +173,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig.parse(args.config)
     pool = load_pool(config.ca_dir, config.pool_size)
     service = EnrollmentService(pool, host=config.listen_host, port=config.listen_port)
-    url = service.bind()
-    print(f"enrollment service listening on {url} "
-          f"({len(pool)} issuer{'s' if len(pool) != 1 else ''})", flush=True)
 
     def _interrupt(signum, frame):
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _interrupt)
     try:
-        service.serve_forever()
+        url = service.start()
+        print(f"enrollment service listening on {url} "
+              f"({len(pool)} issuer{'s' if len(pool) != 1 else ''})", flush=True)
+        threading.Event().wait()  # until SIGTERM or SIGINT
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
+    finally:
+        service.stop()
     return 0
 
 

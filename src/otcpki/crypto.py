@@ -142,17 +142,6 @@ class DocumentDigest:
                 f" got {len(self.value)}"
             )
 
-    def hex(self) -> str:
-        return self.value.hex()
-
-    @classmethod
-    def from_hex(cls, algorithm: DigestAlgorithm, hex_value: str) -> "DocumentDigest":
-        try:
-            raw = bytes.fromhex(hex_value)
-        except ValueError:
-            raise DigestMismatchError(f"not a hex digest: {hex_value!r}") from None
-        return cls(algorithm, raw)
-
 
 def digest_document(
     source: Union[bytes, bytearray, memoryview, BinaryIO],

@@ -22,11 +22,12 @@ import weakref
 import zipfile
 import zlib
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import BinaryIO, Optional, Protocol, Tuple, Union
 
-from .ca import CaIdentity, _utc_second
+from cryptography import x509
+
+from .ca import CaIdentity
 from .certmodel import (
     PEM_CONTENT_TYPE,
     CertificationChain,
@@ -39,7 +40,6 @@ from .certmodel import (
 from .crypto import (
     DEFAULT_SUITE,
     AlgorithmSuite,
-    DigestAlgorithm,
     DocumentDigest,
     EphemeralKeyPair,
     digest_document,
@@ -47,7 +47,6 @@ from .crypto import (
 )
 from .errors import (
     ConfigError,
-    DigestMismatchError,
     EnrollmentRejectedError,
     EnrollmentUnreachableError,
     KeyDestroyedError,
@@ -65,13 +64,13 @@ __all__ = [
     "resign_with_existing_key",
 ]
 
-_ARCHIVE_MEMBERS = ("meta.txt", "signature.bin", "chain.pem", "crl.pem")
+_ARCHIVE_MEMBERS = ("signature.bin", "chain.pem", "crl.pem")
 # Largest bundle member load() reads, in bytes.
 _MAX_MEMBER_BYTES = 1 << 20
-# Largest archive load() reads: the four members at the cap, and one cap more
+# Largest archive load() reads: the three members at the cap, and one cap more
 # for headers, other members and deflate's overhead on incompressible data.
 _MAX_ARCHIVE_BYTES = (len(_ARCHIVE_MEMBERS) + 1) * _MAX_MEMBER_BYTES
-# Most central-directory entries load() lets zipfile read; save() writes 4.
+# Most central-directory entries load() lets zipfile read; save() writes 3.
 _MAX_ARCHIVE_ENTRIES = 16
 # The signature that opens a central-directory entry (PKWARE APPNOTE 4.3.12).
 _CENTRAL_ENTRY = b"PK\x01\x02"
@@ -80,11 +79,6 @@ _REFUSED_FLAGS = 0x61
 # A local file header (PKWARE APPNOTE 4.3.7): signature, 22 bytes load() does
 # not read, then the lengths of the name and the extra field that follow it.
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
-# The keys a meta.txt line may set: the three that _meta_text() writes, then
-# the subject that earlier versions wrote and nothing reads.
-_META_KEYS = ("digest-alg", "digest-hex", "created-at", "subject")
-# meta.txt's created-at, as _meta_text() writes it.
-_CREATED_AT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 _PEM_TYPE = PEM_CONTENT_TYPE.encode()
 
 
@@ -288,32 +282,20 @@ class LocalEnrollmentClient:
 
 @dataclass(frozen=True)
 class SignedDocumentBundle:
-    """Everything a verifier needs, in one archive: the digest that was
-    signed, the detached signature, the full chain, and the issuer's blank
-    CRL. The document travels separately; only its digest is baked in."""
+    """Everything a verifier needs, in one archive: the detached signature,
+    the full chain, and the issuer's blank CRL. The document travels
+    separately; the digest that was signed is the one the leaf binds."""
 
     document_digest: DocumentDigest
     signature: bytes
     chain: CertificationChain
     crl: Optional[RevocationList]
-    created_at: datetime
-
-    def __post_init__(self):
-        object.__setattr__(self, "created_at", _utc_second(self.created_at))
-
-    def _meta_text(self) -> str:
-        return (
-            f"digest-alg = {self.document_digest.algorithm.value}\n"
-            f"digest-hex = {self.document_digest.hex()}\n"
-            f"created-at = {self.created_at.strftime('%Y-%m-%dT%H:%M:%SZ')}\n"
-        )
 
     def save(self, path: Union[str, Path]):
         path = Path(path)
         # Stored, not deflated: a bundle is ~1 KB larger and loads without
         # inflating anything.
         with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
-            archive.writestr("meta.txt", self._meta_text())
             archive.writestr("signature.bin", self.signature)
             archive.writestr("chain.pem", self.chain.to_pem())
             if self.crl is not None:
@@ -321,18 +303,27 @@ class SignedDocumentBundle:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SignedDocumentBundle":
+        """Read a bundle; its digest is the one its leaf binds. A bundle of
+        earlier versions also holds ``meta.txt``, which is not read."""
         members = _read_members(Path(path))
-        missing = {"meta.txt", "signature.bin", "chain.pem"} - members.keys()
+        missing = {"signature.bin", "chain.pem"} - members.keys()
         if missing:
             raise MalformedEncodingError(f"bundle missing {', '.join(sorted(missing))}")
-        meta = _parse_meta(members["meta.txt"])
+        chain = CertificationChain.from_pem(members["chain.pem"])
+        # cryptography parses the leaf's extensions when they are first read.
+        try:
+            binding = chain.leaf.binding
+        except (MalformedEncodingError, ValueError, x509.DuplicateExtension,
+                x509.UnsupportedGeneralNameType) as exc:
+            raise MalformedEncodingError(f"leaf binding cannot be read: {exc}") from exc
+        if binding is None:
+            raise MalformedEncodingError("leaf carries no document binding")
         crl = members.get("crl.pem")
         return cls(
-            document_digest=meta["digest"],
+            document_digest=binding.digest,
             signature=members["signature.bin"],
-            chain=CertificationChain.from_pem(members["chain.pem"]),
+            chain=chain,
             crl=None if crl is None else decode_crl(crl),
-            created_at=meta["created_at"],
         )
 
 
@@ -417,43 +408,6 @@ def _read_member(data: bytes, entry: zipfile.ZipInfo) -> bytes:
     return content
 
 
-def _parse_meta(raw: bytes) -> dict:
-    """The digest and creation instant in meta.txt: ``key = value`` lines,
-    each ended by ``\\n``, setting each of ``_META_KEYS`` at most once. A
-    blank line or an unknown key is refused at its line. No more lines are
-    split off than there are keys, and only the first line of the rest is
-    read, so a member of many lines costs about what one of five does."""
-    pieces = raw.split(b"\n", len(_META_KEYS))
-    if not pieces[-1]:  # what follows the newline that ends the last line
-        pieces.pop()
-    pairs = {}
-    for lineno, piece in enumerate(pieces, 1):
-        line = piece.partition(b"\n")[0].decode("utf-8", "replace")
-        if not line.strip():
-            raise MalformedEncodingError(f"meta.txt line {lineno}: blank line")
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise MalformedEncodingError(f"meta.txt line {lineno}: expected key = value")
-        if key not in _META_KEYS:
-            raise MalformedEncodingError(f"meta.txt line {lineno}: unknown key {key[:40]!r}")
-        if key in pairs:
-            raise MalformedEncodingError(f"meta.txt line {lineno}: {key} is set twice")
-        pairs[key] = value.strip()
-    try:
-        algorithm = DigestAlgorithm(pairs["digest-alg"])
-        digest = DocumentDigest.from_hex(algorithm, pairs["digest-hex"])
-        created_at = pairs["created-at"]
-        if not _CREATED_AT.fullmatch(created_at):
-            raise ValueError(f"created-at {created_at!r} is not YYYY-MM-DDTHH:MM:SSZ")
-        created = datetime.fromisoformat(created_at[:-1]).replace(tzinfo=timezone.utc)
-    except KeyError as exc:
-        raise MalformedEncodingError(f"meta.txt missing {exc.args[0]}") from exc
-    except (ValueError, DigestMismatchError) as exc:
-        raise MalformedEncodingError(f"meta.txt: {exc}") from exc
-    return {"digest": digest, "created_at": created}
-
-
 # ---------------------------------------------------------------------------
 # The one-shot workflow
 # ---------------------------------------------------------------------------
@@ -484,7 +438,6 @@ def _enroll_and_sign(
         signature=signature,
         chain=chain,
         crl=crl,
-        created_at=datetime.now(timezone.utc),
     )
 
 

@@ -152,7 +152,6 @@ def with_chain(bundle: SignedDocumentBundle, chain: CertificationChain) -> Signe
         signature=bundle.signature,
         chain=chain,
         crl=bundle.crl,
-        created_at=bundle.created_at,
     )
 
 
@@ -162,7 +161,6 @@ def with_crl(bundle: SignedDocumentBundle, crl) -> SignedDocumentBundle:
         signature=bundle.signature,
         chain=bundle.chain,
         crl=crl,
-        created_at=bundle.created_at,
     )
 
 
@@ -172,7 +170,6 @@ def with_signature(bundle: SignedDocumentBundle, signature: bytes) -> SignedDocu
         signature=signature,
         chain=bundle.chain,
         crl=bundle.crl,
-        created_at=bundle.created_at,
     )
 
 

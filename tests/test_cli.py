@@ -315,7 +315,7 @@ class TestSignAndVerify:
     def test_unreadable_bundle_is_usage_error(self, cli_stack, capsys, field_offset, value):
         unreadable = cli_stack.base / "unreadable.otcb"
         unreadable.write_bytes(patch_central_entry(cli_stack.bundle.read_bytes(),
-                                                   b"meta.txt", field_offset, value))
+                                                   b"signature.bin", field_offset, value))
         rc = main([
             "verify", "--doc", str(cli_stack.doc),
             "--bundle", str(unreadable),

@@ -678,19 +678,14 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="not bound"):
             service.url
 
-    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_stop_ends_a_serve_forever_loop_in_another_thread(self, shared_issuer):
-        """Both ends used to close the server they found on the service, so
-        the one that came second raised AttributeError on None."""
+    def test_stop_after_start_returns_promptly(self, shared_issuer):
+        """``otc serve`` stops its service on SIGTERM. The accept loop used
+        to look for stop() every 0.5 s, so stop() took that long."""
         service = EnrollmentService([shared_issuer])
-        service.bind()
-        loop = threading.Thread(target=service.serve_forever, daemon=True)
-        loop.start()
-        stopper = threading.Thread(target=service.stop, daemon=True)
-        stopper.start()
-        stopper.join(timeout=5)
-        loop.join(timeout=5)
-        assert not stopper.is_alive() and not loop.is_alive()
+        service.start()
+        started = time.monotonic()
+        service.stop()
+        assert time.monotonic() - started < 0.3
 
 
 class TestHostileRequests:
@@ -1474,6 +1469,26 @@ class TestServiceConfig:
         config = ServiceConfig.parse_text(f"ca-dir = /srv/a{character}b\npool-size = 1\n")
         assert config.ca_dir == Path(f"/srv/a{character}b")
         assert config.pool_size == 1
+
+    @pytest.mark.parametrize("end", ["leading", "trailing"])
+    @pytest.mark.parametrize("character", ["\xa0", "\u2028", "\x85", "\x1c", "\u3000"],
+                             ids=["U+00A0", "U+2028", "U+0085", "x1c", "U+3000"])
+    def test_ca_dir_keeps_unicode_whitespace_at_its_ends(self, character, end):
+        """str.strip() dropped each of these from either end of a value, so
+        the service read another directory."""
+        path = f"{character}/srv/a" if end == "leading" else f"/srv/a{character}"
+        config = ServiceConfig.parse_text(f"ca-dir = {path}\npool-size = 1\n")
+        assert config.ca_dir == Path(path)
+
+    @pytest.mark.parametrize("line", [
+        "listen = 127.0.0.1:8_440", "listen = 127.0.0.1:+80", "listen = 127.0.0.1:\uff18\uff10",
+        "listen = 127.0.0.1: 80", "pool-size = 1_0", "pool-size = +1", "pool-size = \uff11",
+    ], ids=["port-underscore", "port-plus", "port-full-width", "port-space",
+            "pool-underscore", "pool-plus", "pool-full-width"])
+    def test_numbers_are_ascii_digits_only(self, line):
+        """int() read each of these as a number."""
+        with pytest.raises(ConfigError, match="is not a number"):
+            ServiceConfig.parse_text(f"ca-dir = /x\n{line}\n")
 
     def test_ca_dir_with_a_carriage_return_in_a_file(self, tmp_path):
         """Reading the file in text mode turned the \\r into a line end."""

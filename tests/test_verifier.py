@@ -164,7 +164,6 @@ class TestFailureCodes:
             signature=signature,
             chain=CertificationChain((bare_leaf, *shared_issuer.chain_to_root())),
             crl=client.fetch_crl(None),
-            created_at=datetime.now(timezone.utc),
         )
         report = verify_bundle(forged, DOC, trust_anchors, POLICY)
         codes = report.failure_codes
