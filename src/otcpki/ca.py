@@ -27,6 +27,8 @@ from cryptography import x509
 from cryptography.hazmat.primitives import serialization
 
 from .certmodel import (
+    LAZY_READ_ERRORS,
+    OTC_EXTENSION_OID,
     Certificate,
     CertificationChain,
     DistinguishedName,
@@ -241,16 +243,13 @@ class CaIdentity:
             raise PopFailureError("request signature does not prove key possession")
         try:
             binding = csr.binding
-        except x509.DuplicateExtension as exc:
-            raise DuplicateBindingError(str(exc)) from exc
-        except ValueError as exc:  # cryptography parses extensions lazily
-            raise MalformedEncodingError(f"request extensions: {exc}") from exc
-        if binding is None:
-            raise MissingBindingError("request carries no document binding")
-        try:
+            if binding is None:
+                raise MissingBindingError("request carries no document binding")
             subject = csr.raw.subject
-        except ValueError as exc:  # an empty RDN, say, is refused only when read
-            raise MalformedEncodingError(f"request subject: {exc}") from exc
+        except LAZY_READ_ERRORS as exc:
+            if isinstance(exc, x509.DuplicateExtension) and exc.oid == OTC_EXTENSION_OID:
+                raise DuplicateBindingError(str(exc)) from exc
+            raise MalformedEncodingError(f"request cannot be read: {exc}") from exc
         return self._certify(subject, public_key, [(binding.to_x509(), binding.critical)],
                              "issuer")
 

@@ -19,13 +19,14 @@ ignore it while aware verifiers enforce it.
 
 from __future__ import annotations
 
+import functools
 import re
-import threading
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional, Type, TypeVar, Union
 
 from cryptography import x509
+from cryptography.exceptions import UnsupportedAlgorithm
 from cryptography.hazmat.primitives import serialization
 from cryptography.x509.oid import ExtensionOID
 
@@ -68,48 +69,29 @@ _PAYLOAD_PREFIXES = {
 _ALG_ID = slice(2, 15)
 _DIGEST_BY_ALG_ID = {prefix[_ALG_ID]: alg for alg, prefix in _PAYLOAD_PREFIXES.items()}
 
-# Entries in each bounded memo: the decoded CA certificates and CRLs below,
-# and the verifier's passed checks.
+# Entries in each module's memo: this one's of decoded CA certificates and
+# CRLs below, and the verifier's of passed checks.
 MEMO_LIMIT = 1024
 
-
-class BoundedMemo:
-    """A map shared between threads that holds at most ``MEMO_LIMIT``
-    entries; adding one more drops the oldest."""
-
-    def __init__(self):
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        return self._entries.get(key)
-
-    def put(self, key, value=None) -> None:
-        with self._lock:
-            if len(self._entries) >= MEMO_LIMIT:
-                del self._entries[next(iter(self._entries))]
-            self._entries[key] = value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-# Decoded objects by exact PEM bytes: (CertificationChain, the PEM after a
-# chain's leaf block) -> its certificates, (RevocationList, PEM) -> the CRL.
-_decoded = BoundedMemo()
-# Most PEM bytes a _decoded entry is keyed by. The largest honest key is an
-# /enroll reply's tail after its leaf: the three CA certificates and the CRL
-# of an rsa-3072 hierarchy with 64-character CNs, 5693 bytes. A larger blob
-# is decoded on every call, so that a bundle member of up to 1 MiB cannot
+# Most PEM bytes a decoded object is remembered by. The largest honest key is
+# an /enroll reply's tail after its leaf: the three CA certificates and the
+# CRL of an rsa-3072 hierarchy with 64-character CNs, 5693 bytes. A larger
+# blob is decoded on every call, so that a bundle member of up to 1 MiB cannot
 # keep its bytes and its decoded objects in the memo.
 _MEMO_KEY_BYTES = 8192
+
+# What cryptography raises when a field it parses lazily (extensions, names,
+# keys) is first read.
+LAZY_READ_ERRORS = (ValueError, x509.DuplicateExtension, x509.UnsupportedGeneralNameType,
+                    UnsupportedAlgorithm)
+
+
+@functools.lru_cache(maxsize=MEMO_LIMIT)
+def _remembered_decode(pem: bytes, kind: type):
+    """``decode(pem, kind)``, or for ``CertificationChain`` every certificate
+    in ``pem``, remembered by both when it returns; a call that raises is
+    not remembered."""
+    return load_certificates(pem) if kind is CertificationChain else decode(pem, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +359,7 @@ class RevocationList(_Wrapper):
         CAs write it (RFC 5280 §4.2.1.1); False when it names none."""
         try:
             named = self._raw.extensions.get_extension_for_class(x509.AuthorityKeyIdentifier)
-        except (x509.ExtensionNotFound, x509.DuplicateExtension, ValueError):
+        except (x509.ExtensionNotFound, *LAZY_READ_ERRORS):
             return False
         key = x509.SubjectKeyIdentifier.from_public_key(issuer.public_key)
         return named.value.key_identifier == key.digest
@@ -504,15 +486,13 @@ class CertificationChain:
             raise MalformedEncodingError(f"a chain of {blocks} PEM blocks; at most"
                                          f" {_MAX_CHAIN_BLOCKS} are read")
         leaf = _LEAF_BLOCK.match(data)
-        if leaf is None or len(data) - leaf.end() > _MEMO_KEY_BYTES:
-            return cls(load_certificates(data))
-        key = (CertificationChain, bytes(data[leaf.end():]))
-        above = _decoded.get(key)
-        if above is None:
-            certificates = load_certificates(data)
-            _decoded.put(key, certificates[1:])
-            return cls(certificates)
-        return cls(load_certificates(leaf.group()) + above)
+        if leaf is not None and len(data) - leaf.end() <= _MEMO_KEY_BYTES:
+            try:
+                return cls(load_certificates(leaf.group())
+                           + _remembered_decode(bytes(data[leaf.end():]), CertificationChain))
+            except MalformedEncodingError:
+                pass  # a tail with no certificate, say: the whole blob decides
+        return cls(load_certificates(data))
 
 
 # Most PEM blocks a chain is read from. The hierarchy makes chains of 4
@@ -592,12 +572,7 @@ def decode_crl(data: bytes) -> RevocationList:
     signs for. Bytes over ``_MEMO_KEY_BYTES`` are not remembered."""
     if len(data) > _MEMO_KEY_BYTES:
         return decode(data, RevocationList)
-    key = (RevocationList, bytes(data))
-    crl = _decoded.get(key)
-    if crl is None:
-        crl = decode(data, RevocationList)
-        _decoded.put(key, crl)
-    return crl
+    return _remembered_decode(bytes(data), RevocationList)
 
 
 def decode(data: bytes, kind: Type[_T]) -> _T:

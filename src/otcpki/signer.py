@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Optional, Protocol, Tuple, Union
 
-from cryptography import x509
-
 from .ca import CaIdentity
 from .certmodel import (
+    LAZY_READ_ERRORS,
     PEM_CONTENT_TYPE,
     CertificationChain,
     DistinguishedName,
@@ -310,11 +309,9 @@ class SignedDocumentBundle:
         if missing:
             raise MalformedEncodingError(f"bundle missing {', '.join(sorted(missing))}")
         chain = CertificationChain.from_pem(members["chain.pem"])
-        # cryptography parses the leaf's extensions when they are first read.
         try:
             binding = chain.leaf.binding
-        except (MalformedEncodingError, ValueError, x509.DuplicateExtension,
-                x509.UnsupportedGeneralNameType) as exc:
+        except (MalformedEncodingError, *LAZY_READ_ERRORS) as exc:
             raise MalformedEncodingError(f"leaf binding cannot be read: {exc}") from exc
         if binding is None:
             raise MalformedEncodingError("leaf carries no document binding")
@@ -420,12 +417,15 @@ def _enroll_and_sign(
 ) -> SignedDocumentBundle:
     csr = build_csr(keypair, subject, digest)
     chain = enrollment.enroll(csr)
-    leaf = chain.leaf
-    if spki_der(leaf.public_key) != spki_der(keypair.public_key):
+    try:
+        public_key, binding = chain.leaf.public_key, chain.leaf.binding
+    except (MalformedEncodingError, *LAZY_READ_ERRORS) as exc:
+        raise EnrollmentRejectedError(f"issued certificate cannot be read: {exc}",
+                                      ca_code="leaf-mismatch") from exc
+    if spki_der(public_key) != spki_der(keypair.public_key):
         raise EnrollmentRejectedError(
             "issued certificate names a different key", ca_code="leaf-mismatch"
         )
-    binding = leaf.binding
     if binding is None or binding.digest != digest:
         raise EnrollmentRejectedError(
             "issued certificate does not bind the requested digest",

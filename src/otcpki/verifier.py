@@ -15,8 +15,9 @@ Acceptors see many leaves under a few issuer chains, so the module keeps a
 bounded memo of the checks that do not depend on the leaf: a CA path whose
 links all verify up to a trust anchor, and a CRL whose signature verifies
 under the issuing CA of such a path.
-Entries are keyed by exact DER bytes and only passes are stored, so a report
-reads the same whether or not its chain was seen before.
+Entries are keyed by certificates and CRLs, which compare by their exact DER,
+and only passes are stored, so a report reads the same whether or not its
+chain was seen before.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from typing import BinaryIO, Iterable, Optional, Tuple, Union
 
 from .ca import _utc
 from .certmodel import (
-    BoundedMemo,
+    MEMO_LIMIT,
     Certificate,
     CertificationChain,
+    RevocationList,
     _extension_failure,
     _path_failure,
 )
@@ -48,16 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_CLOCK_SKEW = timedelta(seconds=300)
-
-# The memo of passed leaf-independent checks, at most certmodel.MEMO_LIMIT
-# entries. An entry holds the DER it is keyed by, under 2 KB for a
-# three-certificate ECDSA path. Keys: ("ca-path", *DER of each certificate
-# above the leaf) for a path that passed _path_failure, holding the root's
-# RFC 4514 name; ("crl", CRL DER, issuing CA DER) for a CRL whose issuer name
-# and signature matched that CA. Both are stored only for a chain that passes
-# chain-trust, so that chains under other roots cannot fill the memo.
-_passed = BoundedMemo()
-
 
 class FailureCode(enum.Enum):
     UNTRUSTED_CHAIN = "untrusted-chain"
@@ -162,6 +154,32 @@ def _check(name: str, code: FailureCode):
     return decorate
 
 
+@functools.lru_cache(maxsize=MEMO_LIMIT)
+def _remembered_pass(check, *args):
+    """``check(*args)``, remembered once it passes. It is asked only about
+    chains under a trust anchor, so that other roots cannot fill the memo."""
+    return check(*args)
+
+
+def _ca_path_root(path: tuple) -> str:
+    """The root's name when ``path``, the certificates above a leaf, is a
+    path of CAs that ``_path_failure`` passes; raises otherwise. The walk
+    takes a first certificate that is not a CA for a leaf, so it is refused
+    here."""
+    if not path or not path[0].is_ca or _path_failure(path) is not None:
+        raise _Failed("the CA path above the leaf fails")
+    return path[-1].subject_text
+
+
+def _crl_issued_by(crl: RevocationList, issuing_ca: Certificate) -> None:
+    """Raise :class:`_Failed` unless ``issuing_ca`` issued and signed ``crl``."""
+    if crl.raw.issuer != issuing_ca.raw.subject:
+        raise _Failed(f"CRL issued by {crl.raw.issuer.rfc4514_string()},"
+                      f" leaf issued by {issuing_ca.subject_text}")
+    if not crl.is_signed_by(issuing_ca):
+        raise _Failed("CRL signature does not verify under the issuing CA")
+
+
 @_check("recency", FailureCode.STALE)
 def check_recency(leaf: Certificate, policy: RecencyPolicy, at_time: datetime) -> str:
     """The ``recency`` check's result: the leaf's age at ``at_time`` against
@@ -177,7 +195,7 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
     anchors = tuple(anchors)
     if not anchors:
         raise _Failed("no trust anchors supplied")
-    leaf, path = chain.leaf, chain.certificates[1:]
+    leaf = chain.leaf
     if leaf.is_ca:
         raise _Failed(f"leaf {leaf.subject_text} is a CA certificate")
     failure = _extension_failure(leaf)
@@ -185,22 +203,20 @@ def _check_chain_trust(chain: CertificationChain, anchors: Iterable[Certificate]
         raise _Failed(failure)
     # The root is compared first, so that a chain under a root no anchor
     # names costs no signature check and leaves nothing in the memo.
-    root_der = chain.root.to_der()
-    if not any(anchor.to_der() == root_der for anchor in anchors):
+    if chain.root not in anchors:
         raise _Failed(f"root {chain.root.subject_text} is not a trust anchor")
-    path_key = ("ca-path", *(cert.to_der() for cert in path))
-    root_name = _passed.get(path_key) if path else None
-    if root_name is None:
+    try:
+        root_name = _remembered_pass(_ca_path_root, chain.certificates[1:])
+    except Exception:  # the path fails or cannot be read, or the chain is one certificate
+        # The report names the first fault of the whole walk, leaf included.
         failure = _path_failure(chain.certificates)
         if failure is not None:
             raise _Failed(failure)
         root_name = chain.root.subject_text
-        if path:
-            _passed.put(path_key, root_name)
-    elif not leaf.verify_signed_by(path[0]):
-        # Every check of the path above the leaf passed before; only the
-        # leaf's own link is new.
-        raise _Failed(f"{leaf.subject_text} is not signed by {path[0].subject_text}")
+    else:
+        if not leaf.verify_signed_by(chain.issuing_ca):
+            raise _Failed(f"{leaf.subject_text} is not signed by"
+                          f" {chain.issuing_ca.subject_text}")
     return f"chain of {len(chain)} anchored at {root_name}"
 
 
@@ -257,17 +273,10 @@ def _check_crl(bundle: SignedDocumentBundle, at_time: datetime, trusted: bool) -
     crl = bundle.crl
     if crl is None:
         raise _Failed("bundle carries no CRL")
-    issuing_ca = bundle.chain.issuing_ca
-    crl_key = ("crl", crl.to_der(), issuing_ca.to_der())
-    # Only pairs whose names match are stored, so a hit compares none.
-    if crl_key not in _passed:
-        if crl.raw.issuer != issuing_ca.raw.subject:
-            raise _Failed(f"CRL issued by {crl.raw.issuer.rfc4514_string()},"
-                          f" leaf issued by {issuing_ca.subject_text}")
-        if not crl.is_signed_by(issuing_ca):
-            raise _Failed("CRL signature does not verify under the issuing CA")
-        if trusted:
-            _passed.put(crl_key)
+    if trusted:
+        _remembered_pass(_crl_issued_by, crl, bundle.chain.issuing_ca)
+    else:
+        _crl_issued_by(crl, bundle.chain.issuing_ca)
     # The memo holds no instant, so the window is checked on every verify.
     if at_time < crl.last_update:
         raise _Failed(f"CRL not in force until {crl.last_update.isoformat()}")

@@ -19,7 +19,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed25519, rsa
 from hypothesis import strategies as st
 
-from otcpki import ca
+from otcpki import ca, certmodel, verifier
 from otcpki.ca import CaIdentity, CaPolicy, CaRole, create_subordinate, init_hierarchy
 from otcpki.certmodel import Certificate, DistinguishedName, OtcExtension, SigningRequest
 from otcpki.crypto import DEFAULT_SUITE, DocumentDigest, EphemeralKeyPair
@@ -29,6 +29,31 @@ from otcpki.crypto import DEFAULT_SUITE, DocumentDigest, EphemeralKeyPair
 # binding of bytes(range(32)).
 PADDED_OID_PAYLOAD = (bytes.fromhex("3030300c060a608086480165030402010420")
                       + bytes(range(32)))
+
+
+# Every memo in the package: certmodel's of decoded CA certificates and CRLs,
+# and the verifier's of passed checks.
+MEMOS = (certmodel._remembered_decode, verifier._remembered_pass)
+
+
+def clear_memos():
+    """Empty every memo, so that the next load decodes and the next verify
+    checks as if nothing was seen before."""
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the first argument of each call to ``owner.name`` in the
+    returned list; the call itself goes through."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def utcnow():

@@ -1,7 +1,7 @@
 """DER splicing helpers for forging inputs the library refuses to build.
 
 The x509 builders reject duplicate extension OIDs, so to exercise the CA's
-duplicate-binding rejection we take a legitimate CSR apart, duplicate the
+duplicate-extension handling we take a legitimate CSR apart, duplicate an
 extension node, reassemble, and re-sign the modified body with the same key
 so proof of possession still holds.
 """
@@ -10,10 +10,7 @@ from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
 
-from otcpki.certmodel import SigningRequest
-
-# DER of OTC_EXTENSION_OID, 1.3.6.1.4.1.55555.1.1 (tag, length, arcs).
-_OUR_OID_DER = bytes.fromhex("060a2b0601040183b2030101")
+from otcpki.certmodel import OTC_EXTENSION_OID, SigningRequest
 
 
 def parse_tree(data, pos=0):
@@ -53,7 +50,20 @@ def serialize_tree(node) -> bytes:
     return bytes([tag, 0x80 | len(length_bytes)]) + length_bytes + content
 
 
-def _duplicate_binding_node(node) -> bool:
+def _oid_der(oid: x509.ObjectIdentifier) -> bytes:
+    """The DER of an OBJECT IDENTIFIER (X.690 §8.19): tag, length, arcs."""
+    first, second, *rest = (int(arc) for arc in oid.dotted_string.split("."))
+    body = b""
+    for arc in (40 * first + second, *rest):
+        octets = [arc & 0x7F]
+        while arc > 0x7F:
+            arc >>= 7
+            octets.insert(0, 0x80 | arc & 0x7F)
+        body += bytes(octets)
+    return bytes([0x06, len(body)]) + body
+
+
+def _duplicate_extension_node(node, oid: bytes) -> bool:
     tag, body = node
     if not isinstance(body, list):
         return False
@@ -63,21 +73,23 @@ def _duplicate_binding_node(node) -> bool:
             child_tag == 0x30
             and isinstance(child_body, list)
             and child_body
-            and serialize_tree(child_body[0]) == _OUR_OID_DER
+            and serialize_tree(child_body[0]) == oid
         ):
             body.insert(index, child)
             return True
-        if _duplicate_binding_node(child):
+        if _duplicate_extension_node(child, oid):
             return True
     return False
 
 
-def forge_duplicate_binding_csr(csr: SigningRequest, keypair) -> SigningRequest:
-    """A CSR identical to ``csr`` but with its binding extension present
-    twice, re-signed so POP still verifies."""
+def forge_duplicate_extension_csr(csr: SigningRequest, keypair,
+                                  oid: x509.ObjectIdentifier = OTC_EXTENSION_OID
+                                  ) -> SigningRequest:
+    """A CSR identical to ``csr`` but with its extension ``oid``, by default
+    the binding, present twice, re-signed so POP still verifies."""
     tree, _ = parse_tree(csr.to_der())
     info, algid, _signature = tree[1]
-    assert _duplicate_binding_node(info), "binding extension not found"
+    assert _duplicate_extension_node(info, _oid_der(oid)), f"extension {oid} not found"
     new_info = serialize_tree(info)
     key = keypair._signing_key()
     if isinstance(key, rsa.RSAPrivateKey):

@@ -50,11 +50,12 @@ def forge_leaf(
     return Certificate(builder.sign(key, issuer.suite.digest.hash_primitive()))
 
 
-def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign: bool = True
-               ) -> Certificate:
+def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign: bool = True,
+               is_ca: bool = True) -> Certificate:
     """``ca``'s certificate re-signed by ``parent`` with the same name, key
     and validity but the given constraints, as a careless parent CA might
-    issue it. What ``ca`` signed still verifies under the new certificate."""
+    issue it; ``is_ca=False`` makes it an end-entity certificate. What ``ca``
+    signed still verifies under the new certificate."""
     original = ca.certificate.raw
     builder = (
         x509.CertificateBuilder()
@@ -64,7 +65,7 @@ def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign
         .serial_number(random_serial())
         .not_valid_before(original.not_valid_before_utc)
         .not_valid_after(original.not_valid_after_utc)
-        .add_extension(x509.BasicConstraints(ca=True, path_length=path_length), critical=True)
+        .add_extension(x509.BasicConstraints(ca=is_ca, path_length=path_length), critical=True)
         .add_extension(
             x509.KeyUsage(
                 digital_signature=True,
@@ -126,15 +127,17 @@ def forge_nonblank_crl(issuer: CaIdentity, serial: int) -> RevocationList:
 
 
 def forge_blank_crl(issuer: CaIdentity, last_update: datetime,
-                    next_update: datetime) -> RevocationList:
+                    next_update: datetime, extensions=()) -> RevocationList:
     """A blank CRL signed by the issuer, with the given thisUpdate and
-    nextUpdate."""
+    nextUpdate and non-critical ``extensions``."""
     builder = (
         x509.CertificateRevocationListBuilder()
         .issuer_name(issuer.certificate.raw.subject)
         .last_update(last_update)
         .next_update(next_update)
     )
+    for extension in extensions:
+        builder = builder.add_extension(extension, critical=False)
     return RevocationList(issuer._keypair.sign_builder(builder))
 
 

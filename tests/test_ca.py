@@ -65,7 +65,7 @@ from conftest import (
     set_clock_past,
     utcnow,
 )
-from dersurgery import forge_duplicate_binding_csr
+from dersurgery import forge_duplicate_extension_csr
 from forge import reissue_ca, with_chain, with_extension
 
 OPENSSL = shutil.which("openssl")
@@ -269,7 +269,7 @@ class TestIssueOtc:
 
     def test_duplicate_binding_rejected(self, shared_issuer, keypair_pool):
         keypair = keypair_pool[5]
-        forged = forge_duplicate_binding_csr(make_csr(keypair), keypair)
+        forged = forge_duplicate_extension_csr(make_csr(keypair), keypair)
         assert verify_csr_pop(forged)  # POP holds, so the dup check is what fires
         with pytest.raises(DuplicateBindingError):
             shared_issuer.issue_otc(forged)

@@ -8,8 +8,6 @@ written; they are frozen here as golden vectors.
 
 import shutil
 import subprocess
-import sys
-import threading
 
 import pytest
 from cryptography import x509
@@ -23,7 +21,6 @@ from otcpki import certmodel
 from otcpki.certmodel import (
     MEMO_LIMIT,
     OTC_EXTENSION_OID,
-    BoundedMemo,
     Certificate,
     CertificationChain,
     DistinguishedName,
@@ -49,7 +46,7 @@ from otcpki.errors import (
     MalformedEncodingError,
 )
 
-from conftest import PADDED_OID_PAYLOAD, no_cn_issuer, overwritten
+from conftest import MEMOS, PADDED_OID_PAYLOAD, clear_memos, no_cn_issuer, overwritten
 
 # Golden vectors: header bytes for SEQUENCE { AlgorithmIdentifier, OCTET
 # STRING } with the NIST hash OIDs, followed by the raw digest.
@@ -446,14 +443,14 @@ class TestChainFromPem:
             return load_certificates(pem)
 
         monkeypatch.setattr(certmodel, "load_certificates", counted)
-        memo_entries = len(certmodel._decoded)
+        clear_memos()
         if blocks <= 8:
             assert len(CertificationChain.from_pem(blob)) == blocks - 1
             return
         with pytest.raises(MalformedEncodingError, match="9 PEM blocks"):
             CertificationChain.from_pem(blob)
         assert decoded == []
-        assert len(certmodel._decoded) == memo_entries
+        assert certmodel._remembered_decode.cache_info().currsize == 0
 
     def test_ca_certificates_are_reused(self, pem_blocks):
         leaves, cas, _ = pem_blocks
@@ -464,39 +461,8 @@ class TestChainFromPem:
 
 
 class TestDecodedMemo:
-    def test_oldest_entry_goes_past_the_limit(self):
-        memo = BoundedMemo()
-        for key in range(MEMO_LIMIT + 1):
-            memo.put(key, str(key))
-        assert len(memo) == MEMO_LIMIT
-        assert 0 not in memo and memo.get(0) is None
-        assert memo.get(MEMO_LIMIT) == str(MEMO_LIMIT)
-
-    def test_concurrent_puts_keep_the_bound(self):
-        """Eviction is check-then-delete; without the lock, two threads can
-        drop the same oldest key (KeyError) or leave the memo short."""
-        memo, errors = BoundedMemo(), []
-
-        def fill(thread: int):
-            try:
-                for n in range(8 * MEMO_LIMIT):
-                    memo.put((thread, n))
-                    memo.get((thread, n // 2))
-            except Exception as exc:
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=fill, args=(t,)) for t in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and len(memo) == MEMO_LIMIT
+    def test_every_memo_holds_at_most_memo_limit(self):
+        assert [memo.cache_info().maxsize for memo in MEMOS] == [MEMO_LIMIT] * len(MEMOS)
 
     def test_revocation_list_caches_its_der(self, shared_issuer):
         crl = decode_crl(shared_issuer.issue_blank_crl().to_pem())

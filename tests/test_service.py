@@ -37,8 +37,10 @@ from otcpki.certmodel import (
     CertificationChain,
     DistinguishedName,
     OtcExtension,
+    RevocationList,
     SigningRequest,
     build_csr,
+    decode,
 )
 from otcpki.crypto import SUITES, EphemeralKeyPair, digest_document
 from otcpki.errors import (
@@ -47,7 +49,7 @@ from otcpki.errors import (
     EnrollmentUnreachableError,
     OtcError,
 )
-from otcpki import framing
+from otcpki import cli, framing
 from otcpki import service as service_module
 from otcpki import verifier
 from otcpki.service import EnrollmentService, ServiceConfig
@@ -58,13 +60,16 @@ from conftest import (
     OFF_MENU_KEYS,
     PADDED_OID_PAYLOAD,
     bound_csr,
+    clear_memos,
+    count_calls,
     csr_with_extension,
     fresh_policy,
     no_cn_issuer,
     overwritten,
     set_clock_past,
 )
-from dersurgery import parse_tree, serialize_tree
+from dersurgery import forge_duplicate_extension_csr, parse_tree, serialize_tree
+from forge import forge_blank_crl, forge_leaf, with_extension
 
 POLICY = RecencyPolicy(max_age=timedelta(minutes=10))
 
@@ -839,7 +844,7 @@ class TestPoolBehavior:
             report = verify_bundle(bundle, document, anchors, POLICY)
             assert report.accepted, report.to_text()
 
-    def test_one_crl_per_member(self, stack):
+    def test_one_crl_per_member(self, stack, monkeypatch):
         """Every /enroll reply from a member carries its one CRL, so the
         bundles signed under it hold one CRL object between them and leave
         one entry for it in the verifier's memo."""
@@ -854,14 +859,14 @@ class TestPoolBehavior:
         assert all(bundle.crl is crls[bundle.chain.issuing_ca] for bundle in bundles)
         for issuer in hierarchy.issuers[0]:
             assert crls[issuer.certificate].to_der() == issuer.issue_blank_crl().to_der()
-        verifier._passed.clear()
+        clear_memos()
+        crl_signatures = count_calls(monkeypatch, RevocationList, "is_signed_by")
         for bundle in bundles:
             assert verify_bundle(bundle, b"counted", [hierarchy.root.certificate],
                                  POLICY).accepted
         # One CA path and one CRL for each member.
-        assert len(verifier._passed) == 2 * len(crls)
-        for issuing_ca, crl in crls.items():
-            assert ("crl", crl.to_der(), issuing_ca.to_der()) in verifier._passed
+        assert verifier._remembered_pass.cache_info().currsize == 2 * len(crls)
+        assert sorted(map(id, crl_signatures)) == sorted(map(id, crls.values()))
 
     def test_concurrent_enrollments_distinct_serials(self, stack):
         _, _, url = stack
@@ -1033,6 +1038,29 @@ def reply_with(body, head=b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"):
     return head + b"\r\n" + body
 
 
+# Leaf extensions that cryptography refuses when the signer first reads them:
+# a subjectAltName holding an x400Address, and a basicConstraints that is not
+# DER.
+UNREADABLE_LEAF_EXTENSIONS = {
+    "x400-address": x509.UnrecognizedExtension(ExtensionOID.SUBJECT_ALTERNATIVE_NAME,
+                                               bytes.fromhex("3004a3023000")),
+    "malformed-basic-constraints": x509.UnrecognizedExtension(
+        ExtensionOID.BASIC_CONSTRAINTS, b"\xff\x00"),
+}
+
+
+def issues_unreadable_leaf(issuer: CaIdentity, extension):
+    """A scripted answer to ``/enroll``: a leaf for the request's key and
+    binding, issued by ``issuer`` with ``extension`` added, its chain and
+    ``issuer``'s CRL."""
+    def answer(connection, request):
+        csr = decode(request.partition(b"\r\n\r\n")[2], SigningRequest)
+        leaf = with_extension(forge_leaf(issuer, csr), issuer, extension, critical=False)
+        connection.sendall(reply_with(CertificationChain((leaf, *issuer.chain_to_root())).to_pem()
+                                      + issuer.issue_blank_crl().to_pem()))
+    return answer
+
+
 class TestHostileReplies:
     """The client reads replies under the service's own limits, each within
     its deadline; anything else is EnrollmentUnreachableError."""
@@ -1105,6 +1133,34 @@ class TestHostileReplies:
             outcome = enroll_once(url, timeout=5)
         assert outcome == CertificationChain.from_pem(chain_pem)
 
+    @pytest.mark.parametrize("fault", UNREADABLE_LEAF_EXTENSIONS)
+    def test_unreadable_leaf_is_refused(self, shared_issuer, key_ledger, fault):
+        """A leaf that names the signer's key but cannot be read. The signer
+        raised UnsupportedGeneralNameType or a bare ValueError, which `otc
+        sign` printed as a traceback."""
+        answer = issues_unreadable_leaf(shared_issuer, UNREADABLE_LEAF_EXTENSIONS[fault])
+        with scripted_service(answer) as url:
+            client = HttpEnrollmentClient(url, timeout=5)
+            try:
+                with pytest.raises(EnrollmentRejectedError, match="cannot be read") as excinfo:
+                    one_shot_sign(b"unreadable leaf", "Unreadable Leaf", client)
+            finally:
+                client.close()
+        assert excinfo.value.ca_code == "leaf-mismatch"
+        assert key_ledger.keypairs and key_ledger.live() == []
+
+    @pytest.mark.parametrize("fault", UNREADABLE_LEAF_EXTENSIONS)
+    def test_unreadable_leaf_exits_1(self, shared_issuer, tmp_path, capsys, fault):
+        document = tmp_path / "doc.txt"
+        document.write_bytes(b"unreadable leaf")
+        answer = issues_unreadable_leaf(shared_issuer, UNREADABLE_LEAF_EXTENSIONS[fault])
+        with scripted_service(answer) as url:
+            status = cli.main(["sign", "--doc", str(document), "--subject", "Unreadable Leaf",
+                               "--enroll", url, "--out", str(tmp_path / "out.otcb")])
+        assert status == 1
+        assert "enrollment failed: issued certificate cannot be read" in capsys.readouterr().err
+        assert not (tmp_path / "out.otcb").exists()
+
     def test_rejection_carries_the_service_code(self):
         reply = reply_with(b"issuer-retired: no active issuer in the pool",
                            b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: %d\r\n")
@@ -1161,13 +1217,17 @@ class TestHostileReplies:
         port = urllib.parse.urlsplit(url).port
         assert received[0].split(b"\r\n")[1] == b"Host: [::1]:%d" % port
 
-    @pytest.mark.parametrize("crl", ["another-issuers-crl", "no-crl", "same-named-issuers-crl"])
+    @pytest.mark.parametrize("crl", ["another-issuers-crl", "no-crl", "same-named-issuers-crl",
+                                     "unreadable-crl"])
     def test_reply_without_its_issuers_crl(self, shared_issuer, monkeypatch, crl):
         """An /enroll reply whose CRL another CA issued, or that carries
         none, as one from a service that served CRLs only at /crl. The other
         CA may share the issuing CA's name, as two issuers under one parent
         can; its CRL used to be taken, and the bundle then failed to verify.
-        The issuing CA is named even when it has no CN, and the key dies."""
+        The issuing CA is named even when it has no CN, and the key dies.
+        The issuing CA's own CRL with an x400Address in its issuerAltName,
+        which cryptography cannot read, made the signer raise
+        UnsupportedGeneralNameType."""
         if crl == "same-named-issuers-crl":
             intermediate = init_hierarchy("Twin Root", fresh_policy()).intermediates[0]
             issuer, other = (create_subordinate(intermediate, "Twin Issuer", CaRole.ISSUER)
@@ -1179,6 +1239,11 @@ class TestHostileReplies:
         keypair, csr = make_csr()
         chain = LocalEnrollmentClient(issuer).enroll(csr)
         body = chain.to_pem() + (b"" if other is None else other.issue_blank_crl().to_pem())
+        if crl == "unreadable-crl":
+            certificate = issuer.certificate
+            body += forge_blank_crl(issuer, certificate.not_before, certificate.not_after, [
+                issuer._key_identifier, x509.UnrecognizedExtension(
+                    ExtensionOID.ISSUER_ALTERNATIVE_NAME, bytes.fromhex("3004a3023000"))]).to_pem()
         # one_shot_sign gets this key, so the scripted leaf is for its key and digest.
         monkeypatch.setattr(EphemeralKeyPair, "generate", lambda *args: keypair)
 
@@ -1421,6 +1486,31 @@ class TestHostileCsrs:
             client.enroll(forged)
         client.close()
         assert excinfo.value.ca_code == "malformed-encoding"
+
+    @pytest.mark.parametrize("fault", ["x400-address", "repeated-subject-alt-name"])
+    def test_unreadable_extension_beside_the_binding_is_malformed(self, stack, fault):
+        """A request that proves possession and carries the binding once,
+        with a subjectAltName that holds an x400Address or is present twice.
+        The first made handle_enroll raise UnsupportedGeneralNameType; the
+        second was answered duplicate-otc-extension, a code meant for the
+        binding alone."""
+        _, service, _ = stack
+        keypair = EphemeralKeyPair.generate()
+        san = (x509.UnrecognizedExtension(ExtensionOID.SUBJECT_ALTERNATIVE_NAME,
+                                          bytes.fromhex("3004a3023000"))
+               if fault == "x400-address" else
+               x509.SubjectAlternativeName([x509.DNSName("otc.invalid")]))
+        csr = SigningRequest(keypair.sign_builder(
+            x509.CertificateSigningRequestBuilder()
+            .subject_name(DistinguishedName.from_common_name("Odd Names").name)
+            .add_extension(OtcExtension(digest_document(b"odd names")).to_x509(), critical=False)
+            .add_extension(san, critical=False)))
+        if fault == "repeated-subject-alt-name":
+            csr = forge_duplicate_extension_csr(csr, keypair,
+                                                ExtensionOID.SUBJECT_ALTERNATIVE_NAME)
+        keypair.destroy()
+        status, reply = service.handle_enroll(csr.to_pem())
+        assert (status, reply.split(b":")[0]) == (422, b"malformed-encoding"), reply
 
 
 class TestServiceConfig:

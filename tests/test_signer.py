@@ -33,6 +33,7 @@ from otcpki.signer import (
 from otcpki.verifier import RecencyPolicy, verify_bundle
 
 from conftest import (
+    clear_memos,
     fresh_policy,
     overwritten,
     patch_central_entry,
@@ -708,20 +709,20 @@ class TestArchiveReader:
         assert report.accepted, report.to_text()
         assert report == verify_bundle(expected, DOC, trust_anchors, POLICY, at)
 
-    def test_memo_keeps_no_large_crl_or_chain_tail(self, bundle_members, tmp_path,
-                                                   monkeypatch):
+    def test_memo_keeps_no_large_crl_or_chain_tail(self, bundle_members, tmp_path):
         """Only PEM of at most ``_MEMO_KEY_BYTES`` is remembered. A 948 KB
         CRL in each of 24 bundles used to raise the process's RSS by 36.6 MiB."""
-        monkeypatch.setattr(certmodel, "_decoded", certmodel.BoundedMemo())
+        clear_memos()
         self.load_bytes(tmp_path, archive_with(bundle_members))
-        assert len(certmodel._decoded) == 2  # the chain above the leaf, and the CRL
+        memo = certmodel._remembered_decode.cache_info
+        assert memo().currsize == 2  # the chain above the leaf, and the CRL
         large_crl = revocation_list_of(600)
         blank_lines = b"\n" * (16 << 10)  # after the chain, so in the memo key of its tail
         for member, large in ((b"crl.pem", large_crl),
                               (b"chain.pem", bundle_members[b"chain.pem"] + blank_lines)):
             loaded = self.load_bytes(tmp_path, archive_with({**bundle_members, member: large}))
             assert loaded.chain == CertificationChain.from_pem(bundle_members[b"chain.pem"])
-            assert len(certmodel._decoded) == 2
+            assert memo().currsize == 2
         assert min(len(large_crl), len(blank_lines)) > certmodel._MEMO_KEY_BYTES
 
     def test_second_bundle_under_a_seen_chain_decodes_only_its_leaf(

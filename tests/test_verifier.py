@@ -35,7 +35,7 @@ from otcpki.verifier import (
     verify_bundle,
 )
 
-from conftest import PADDED_OID_PAYLOAD, fresh_policy, no_cn_issuer
+from conftest import PADDED_OID_PAYLOAD, clear_memos, count_calls, fresh_policy, no_cn_issuer
 from forge import (
     break_certificate_signature,
     forge_blank_crl,
@@ -309,6 +309,17 @@ class TestPathConstraints:
         report = verify_bundle(forged, DOC, trust_anchors, POLICY)
         assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
         assert report.checks[0].detail.endswith("keyUsage does not assert keyCertSign")
+
+    def test_issuing_certificate_that_is_not_a_ca(self, shared_hierarchy, bundle,
+                                                  trust_anchors):
+        """The path above the leaf passes the walk when its first certificate
+        is taken for a leaf; it is refused, with the memo cold or warm."""
+        forged = reissued_path_bundle(shared_hierarchy, bundle, 1, path_length=None,
+                                      is_ca=False)
+        for _ in range(2):
+            report = verify_bundle(forged, DOC, trust_anchors, POLICY)
+            assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
+            assert report.checks[0].detail.endswith(" is not a CA certificate")
 
     def test_path_length_constraint_exceeded(self, shared_hierarchy, bundle, trust_anchors):
         # An intermediate that may have no CA below it, above the issuing CA.
@@ -724,7 +735,7 @@ class TestMemo:
             certs[1 + index] = edited
             mutated = with_chain(bundle, CertificationChain(certs))
         warm = verify_bundle(mutated, DOC, anchors, POLICY, at)
-        verifier._passed.clear()
+        clear_memos()
         cold = verify_bundle(mutated, DOC, anchors, POLICY, at)
         assert not warm.accepted
         assert warm.to_text() == cold.to_text()
@@ -733,10 +744,11 @@ class TestMemo:
                                                                shared_issuer, bundle,
                                                                trust_anchors):
         """A remembered CRL skips the issuer-name comparison, which only a
-        pair with matching names could have passed."""
-        verifier._passed.clear()
+        pair with matching names could have passed. Another CRL under the
+        same chain is compared, and its failure is not remembered."""
+        clear_memos()
         assert verify_bundle(bundle, DOC, trust_anchors, POLICY).accepted
-        assert ("crl", bundle.crl.to_der(), shared_issuer.certificate.to_der()) in verifier._passed
+        assert verifier._remembered_pass.cache_info().currsize == 2  # the CA path and the CRL
         root = shared_hierarchy.root
         report = verify_bundle(with_crl(bundle, root.issue_blank_crl()), DOC, trust_anchors,
                                POLICY)
@@ -744,6 +756,7 @@ class TestMemo:
         assert report.checks[-1].detail == (
             f"CRL issued by {root.certificate.raw.subject.rfc4514_string()},"
             f" leaf issued by {shared_issuer.certificate.raw.subject.rfc4514_string()}")
+        assert verifier._remembered_pass.cache_info().currsize == 2
 
     def test_one_crl_entry_per_issuer(self, client, shared_issuer, trust_anchors):
         """64 signatures through one LocalEnrollmentClient carry one CRL
@@ -751,12 +764,23 @@ class TestMemo:
         bundles = [one_shot_sign(DOC, f"Counted {i}", client) for i in range(64)]
         crl = shared_issuer.issue_blank_crl()
         assert all(bundle.crl is crl for bundle in bundles)
-        verifier._passed.clear()
+        clear_memos()
         for bundle in bundles:
             assert verify_bundle(bundle, DOC, trust_anchors, POLICY).accepted
-        # One CA path and one CRL.
-        assert len(verifier._passed) == 2
-        assert ("crl", crl.to_der(), shared_issuer.certificate.to_der()) in verifier._passed
+        # One CA path and one CRL, each asked about once per bundle.
+        memo = verifier._remembered_pass.cache_info()
+        assert (memo.currsize, memo.misses, memo.hits) == (2, 2, 2 * len(bundles) - 2)
+
+    def test_warm_verify_checks_one_link_and_one_signature(self, bundle, trust_anchors,
+                                                           monkeypatch):
+        """Once its CA path and CRL are remembered, a bundle costs two
+        public-key operations: the leaf's link and the document signature."""
+        assert verify_bundle(bundle, DOC, trust_anchors, POLICY).accepted  # warms the memo
+        links = count_calls(monkeypatch, Certificate, "verify_signed_by")
+        signatures = count_calls(monkeypatch, verifier, "verify_signature")
+        crl_signatures = count_calls(monkeypatch, RevocationList, "is_signed_by")
+        assert verify_bundle(bundle, DOC, trust_anchors, POLICY).accepted
+        assert (links, len(signatures), crl_signatures) == ([bundle.chain.leaf], 1, [])
 
     def test_unanchored_chain_checks_no_signature_and_is_not_remembered(
             self, bundle, monkeypatch):
@@ -765,21 +789,14 @@ class TestMemo:
         and the root's self-signature, and to add its CA path and CRL to the
         memo, so that chains under any root could push out honest ones."""
         stranger = init_hierarchy("Unanchored Stranger", fresh_policy()).root
-        calls = []
-        verify_signed_by = Certificate.verify_signed_by
-
-        def counted(certificate, issuer):
-            calls.append(certificate)
-            return verify_signed_by(certificate, issuer)
-
-        monkeypatch.setattr(Certificate, "verify_signed_by", counted)
-        verifier._passed.clear()
+        calls = count_calls(monkeypatch, Certificate, "verify_signed_by")
+        clear_memos()
         report = verify_bundle(bundle, DOC, [stranger.certificate], POLICY)
         assert report.failure_codes == (FailureCode.UNTRUSTED_CHAIN.value,)
         assert report.checks[0].detail == (f"root {bundle.chain.root.subject_text}"
                                            " is not a trust anchor")
         assert calls == []
-        assert len(verifier._passed) == 0
+        assert verifier._remembered_pass.cache_info().currsize == 0
 
     def test_unanchored_broken_chain_reports_its_root(self, bundle):
         """A chain under a root no anchor names is refused for that root,
@@ -842,12 +859,14 @@ class TestMemo:
                                                           key_cert_sign=False)),
             "path-length": case(reissued_path_bundle(shared_hierarchy, bundle, 2,
                                                      path_length=0)),
+            "issuing-certificate-not-a-ca": case(reissued_path_bundle(
+                shared_hierarchy, bundle, 1, path_length=None, is_ca=False)),
         }
         for name, arguments in cases.items():
-            verifier._passed.clear()
+            clear_memos()
             cold = verify_bundle(**arguments)
             verify_bundle(bundle, DOC, trust_anchors, POLICY)
-            assert verifier._passed, "the honest bundle fills the memo"
+            assert verifier._remembered_pass.cache_info().currsize, "the honest bundle fills it"
             warm = verify_bundle(**arguments)
             assert warm.to_text() == cold.to_text(), name
 
