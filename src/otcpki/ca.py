@@ -42,7 +42,6 @@ from .crypto import (
     DEFAULT_SUITE,
     AlgorithmSuite,
     EphemeralKeyPair,
-    random_serial,
     spki_der,
 )
 from .errors import (
@@ -138,7 +137,7 @@ class CaIdentity:
 
     All mutating operations take the per-CA lock, so a single identity can
     serve concurrent enrollment threads. Serials are drawn at random per
-    issuance (see :func:`random_serial`); nothing records them.
+    issuance (see :func:`_certificate_builder`); nothing records them.
     """
 
     def __init__(
@@ -161,8 +160,7 @@ class CaIdentity:
         # Names this CA's key in all it signs (RFC 5280 §4.2.1.1, §5.2.1).
         # It is made from the key, not read from the certificate, so CAs
         # whose certificates carry no subjectKeyIdentifier still sign with it.
-        self._key_identifier = x509.AuthorityKeyIdentifier.from_issuer_public_key(
-            certificate.public_key)
+        self._key_identifier = x509.AuthorityKeyIdentifier(certificate.key_identifier, None, None)
         self._blank_crl: Optional[RevocationList] = None
 
     # -- introspection ------------------------------------------------------
@@ -302,7 +300,10 @@ def _certificate_builder(subject: x509.Name, issuer: x509.Name, public_key,
         .subject_name(subject)
         .issuer_name(issuer)
         .public_key(public_key)
-        .serial_number(random_serial())
+        # 159 random bits from the OS CSPRNG. Uniqueness rests on them alone:
+        # after 10**7 draws a repeat has a chance of about 10**-34, so no
+        # record of earlier serials is kept (RFC 5280 §4.1.2.2).
+        .serial_number(x509.random_serial_number())
         .not_valid_before(not_before)
         .not_valid_after(not_after)
     )

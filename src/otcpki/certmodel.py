@@ -38,7 +38,6 @@ from .crypto import (
 )
 from .errors import (
     InvalidNameError,
-    KindMismatchError,
     MalformedEncodingError,
 )
 
@@ -234,6 +233,15 @@ class _Wrapper:
     def to_pem(self) -> bytes:
         return self._raw.public_bytes(serialization.Encoding.PEM)
 
+    def _named_key(self, absent: Optional[bytes] = None) -> Optional[bytes]:
+        """The keyIdentifier of the authorityKeyIdentifier (RFC 5280
+        §4.2.1.1): None when it has none, ``absent`` when there is none."""
+        try:
+            named = self._raw.extensions.get_extension_for_class(x509.AuthorityKeyIdentifier)
+        except x509.ExtensionNotFound:
+            return absent
+        return named.value.key_identifier
+
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.to_der() == other.to_der()
 
@@ -275,6 +283,12 @@ class Certificate(_Subject):
     @property
     def serial(self) -> int:
         return self._raw.serial_number
+
+    @functools.cached_property
+    def key_identifier(self) -> bytes:
+        """The SHA-1 of the subjectPublicKey, the identifier by which this
+        PKI's CAs name their keys (RFC 5280 §4.2.1.2)."""
+        return x509.SubjectKeyIdentifier.from_public_key(self.public_key).digest
 
     @property
     def not_before(self) -> datetime:
@@ -320,9 +334,11 @@ class Certificate(_Subject):
 
     def verify_signed_by(self, issuer: "Certificate") -> bool:
         """True when this certificate's signature verifies under the given
-        issuer certificate and the names line up."""
+        issuer certificate, the names line up and the authorityKeyIdentifier,
+        if any, names the issuer's key, as OpenSSL requires."""
         try:
-            if _claims_unused_bits(self.to_der(), self._raw.signature):
+            if (_claims_unused_bits(self.to_der(), self._raw.signature)
+                    or self._named_key(issuer.key_identifier) != issuer.key_identifier):
                 return False
             self._raw.verify_directly_issued_by(issuer._raw)
             return True
@@ -358,15 +374,16 @@ class RevocationList(_Wrapper):
         """The authorityKeyIdentifier names ``issuer``'s key as this PKI's
         CAs write it (RFC 5280 §4.2.1.1); False when it names none."""
         try:
-            named = self._raw.extensions.get_extension_for_class(x509.AuthorityKeyIdentifier)
-        except (x509.ExtensionNotFound, *LAZY_READ_ERRORS):
+            return self._named_key() == issuer.key_identifier
+        except LAZY_READ_ERRORS:
             return False
-        key = x509.SubjectKeyIdentifier.from_public_key(issuer.public_key)
-        return named.value.key_identifier == key.digest
 
     def is_signed_by(self, issuer: Certificate) -> bool:
+        """True when the signature verifies under ``issuer``'s key and the
+        authorityKeyIdentifier, if any, names that key."""
         try:
-            if _claims_unused_bits(self.to_der(), self._raw.signature):
+            if (_claims_unused_bits(self.to_der(), self._raw.signature)
+                    or self._named_key(issuer.key_identifier) != issuer.key_identifier):
                 return False
             return self._raw.is_signature_valid(issuer.public_key)
         except Exception:
@@ -576,27 +593,12 @@ def decode_crl(data: bytes) -> RevocationList:
 
 
 def decode(data: bytes, kind: Type[_T]) -> _T:
-    """Parse PEM bytes as the requested kind; DER is not read.
-
-    Raises :class:`KindMismatchError` when the bytes are a valid X.509
-    object of a different kind, and :class:`MalformedEncodingError` (with
-    the parser's detail where available) otherwise.
-    """
-    if kind not in _LOADERS:
-        raise TypeError(f"cannot decode into {kind!r}")
+    """Parse PEM bytes as the requested kind; DER is not read. Bytes that do
+    not parse as that kind, another kind's PEM among them, raise
+    :class:`MalformedEncodingError` with cryptography's reason, which names
+    the kind it expected."""
     loader, kind_name = _LOADERS[kind]
     try:
         return kind(loader(data))
     except Exception as exc:
-        # Distinguish "wrong kind" from "not parseable at all".
-        for other_kind, (other_loader, other_name) in _LOADERS.items():
-            if other_kind is kind:
-                continue
-            try:
-                other_loader(data)
-            except Exception:
-                continue
-            raise KindMismatchError(
-                f"expected a {kind_name}, found a {other_name}"
-            ) from None
         raise MalformedEncodingError(f"cannot parse {kind_name}: {exc}") from exc

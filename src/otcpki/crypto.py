@@ -15,11 +15,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
-import secrets
 from dataclasses import dataclass
 from typing import BinaryIO, Union
 
-from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa, utils
 
@@ -56,10 +54,10 @@ class DigestAlgorithm(enum.Enum):
 
     @property
     def digest_length(self) -> int:
-        return {DigestAlgorithm.SHA256: 32, DigestAlgorithm.SHA384: 48}[self]
+        return self.hash_primitive().digest_size
 
     def new_hasher(self):
-        return hashlib.new(self.value.replace("-", ""))
+        return hashlib.new(self.hash_primitive().name)
 
     def hash_primitive(self) -> hashes.HashAlgorithm:
         if self is DigestAlgorithm.SHA256:
@@ -252,30 +250,10 @@ def _scheme(key: Union[PrivateKey, PublicKey], algorithm: DigestAlgorithm) -> tu
 def verify_signature(public_key: PublicKey, digest: DocumentDigest, signature: bytes) -> bool:
     """Check a signature over a digest. Returns False for every failure
     cause; diagnostic detail goes to debug logging only."""
-    if not isinstance(public_key, (rsa.RSAPublicKey, ec.EllipticCurvePublicKey)):
-        LOGGER.debug("verify: unsupported key type %s", type(public_key).__name__)
-        return False
     try:
         public_key.verify(signature, digest.value, *_scheme(public_key, digest.algorithm))
-    except InvalidSignature:
-        LOGGER.debug("verify: signature mismatch")
-        return False
-    except Exception as exc:  # malformed keys, garbage signatures, ...
-        LOGGER.debug("verify: %s", exc)
+    except Exception as exc:  # a wrong signature, a malformed or foreign key, ...
+        LOGGER.debug("verify: %r", exc)
         return False
     return True
 
-
-def random_serial() -> int:
-    """A fresh 159-bit random certificate serial.
-
-    159 bits keeps the DER INTEGER encoding non-negative within the 20-octet
-    ceiling certificates allow for serials. Uniqueness rests on the CSPRNG
-    alone: after 10**7 draws the chance of any repeat is about 10**-34, so
-    no record of earlier serials is kept (RFC 5280 §4.1.2.2 and the CA/B
-    Forum Baseline Requirements §7.1 ask for at least 64 random bits).
-    """
-    while True:
-        serial = secrets.randbits(159)
-        if serial > 0:
-            return serial

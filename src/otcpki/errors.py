@@ -13,7 +13,6 @@ __all__ = [
     "KeyDestroyedError",
     "DigestMismatchError",
     "MalformedEncodingError",
-    "KindMismatchError",
     "InvalidNameError",
     "InvalidPolicyError",
     "RoleViolationError",
@@ -61,13 +60,6 @@ class MalformedEncodingError(OtcError):
     """Bytes that do not decode as the expected DER or PEM structure."""
 
     code = "malformed-encoding"
-
-
-class KindMismatchError(OtcError):
-    """Valid encoding, wrong object kind (e.g. a certificate where a CSR
-    was expected)."""
-
-    code = "kind-mismatch"
 
 
 class InvalidNameError(OtcError):

@@ -56,7 +56,6 @@ from .errors import (
     CaRetiredError,
     ConfigError,
     MalformedEncodingError,
-    KindMismatchError,
     OtcError,
 )
 from .framing import (
@@ -429,7 +428,7 @@ class EnrollmentService:
     def handle_enroll(self, body: bytes) -> Tuple[int, bytes]:
         try:
             csr = decode(body, SigningRequest)
-        except (MalformedEncodingError, KindMismatchError) as exc:
+        except MalformedEncodingError as exc:
             return 400, f"{exc.code}: {exc}".encode()
         issuer = self._next_active_issuer()
         if issuer is None:

@@ -240,13 +240,18 @@ class HttpEnrollmentClient:
         issuing_ca = chain.issuing_ca
         block = getattr(self._local, "crl", None)
         crl = None if block is None else decode_crl(block)
-        if (crl is None or crl.raw.issuer != issuing_ca.raw.subject
-                or not crl.names_key_of(issuing_ca)):
-            raise EnrollmentRejectedError(
-                f"no CRL published for issuer {issuing_ca.subject_text}",
-                ca_code="no-matching-crl",
-            )
-        return crl
+        try:
+            if (crl is not None and crl.raw.issuer == issuing_ca.raw.subject
+                    and crl.names_key_of(issuing_ca)):
+                return crl
+        except LAZY_READ_ERRORS:
+            pass  # a name that cannot be read matches none
+        try:
+            named = issuing_ca.subject_text
+        except LAZY_READ_ERRORS:
+            named = "whose name cannot be read"
+        raise EnrollmentRejectedError(f"no CRL published for issuer {named}",
+                                      ca_code="no-matching-crl")
 
     def close(self):
         """Close every thread's connection; a later request reconnects."""

@@ -17,12 +17,19 @@ import pytest
 from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import dsa, ec, ed25519, rsa
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from otcpki import ca, certmodel, verifier
 from otcpki.ca import CaIdentity, CaPolicy, CaRole, create_subordinate, init_hierarchy
 from otcpki.certmodel import Certificate, DistinguishedName, OtcExtension, SigningRequest
 from otcpki.crypto import DEFAULT_SUITE, DocumentDigest, EphemeralKeyPair
+
+# With CI set, Hypothesis loads its own derandomized "ci" profile, which
+# prints the blob that replays a failure; a local run prints it too.
+if "CI" not in os.environ:
+    settings.register_profile("local", print_blob=True)
+    settings.load_profile("local")
 
 # A SHA-256 binding payload whose OID arc 840 is padded with a leading 0x80
 # octet, which X.690 §8.19.2 forbids even in BER: a second encoding of the

@@ -10,7 +10,7 @@ from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
 
-from otcpki.certmodel import OTC_EXTENSION_OID, SigningRequest
+from otcpki.certmodel import OTC_EXTENSION_OID, Certificate, RevocationList, SigningRequest
 
 
 def parse_tree(data, pos=0):
@@ -102,3 +102,18 @@ def forge_duplicate_extension_csr(csr: SigningRequest, keypair,
         (0x03, b"\x00" + signature),
     ])
     return SigningRequest(x509.load_der_x509_csr(serialize_tree(rebuilt)))
+
+
+def with_empty_rdn(signed, name_index: int = 0):
+    """``signed``, a certificate or CRL, with an empty RDN appended to name
+    ``name_index`` of its TBS (0: the issuer, 1: a certificate's subject).
+    cryptography parses it, and raises ValueError when that name is read;
+    the signature no longer verifies."""
+    tree, _ = parse_tree(signed.to_der())
+    # A name is a SEQUENCE of SETs; nothing else in a TBS opens with a SET.
+    names = [node for node in tree[1][0][1]
+             if node[0] == 0x30 and node[1] and node[1][0][0] == 0x31]
+    names[name_index][1].append((0x31, []))
+    load = {Certificate: x509.load_der_x509_certificate,
+            RevocationList: x509.load_der_x509_crl}[type(signed)]
+    return type(signed)(load(serialize_tree(tree)))

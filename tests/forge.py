@@ -16,7 +16,6 @@ from otcpki.certmodel import (
     RevocationList,
     SigningRequest,
 )
-from otcpki.crypto import random_serial
 from otcpki.signer import SignedDocumentBundle
 
 
@@ -36,7 +35,7 @@ def forge_leaf(
         .subject_name(csr.raw.subject)
         .issuer_name(issuer.certificate.raw.subject)
         .public_key(csr.public_key)
-        .serial_number(random_serial())
+        .serial_number(x509.random_serial_number())
         .not_valid_before(datetime.now(timezone.utc).replace(microsecond=0))
         .not_valid_after(not_after or issuer.certificate.not_after)
     )
@@ -62,7 +61,7 @@ def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign
         .subject_name(original.subject)
         .issuer_name(parent.certificate.raw.subject)
         .public_key(original.public_key())
-        .serial_number(random_serial())
+        .serial_number(x509.random_serial_number())
         .not_valid_before(original.not_valid_before_utc)
         .not_valid_after(original.not_valid_after_utc)
         .add_extension(x509.BasicConstraints(ca=is_ca, path_length=path_length), critical=True)
@@ -87,21 +86,22 @@ def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign
 
 def with_extension(certificate: Certificate, signer: CaIdentity, extension, *, critical: bool
                    ) -> Certificate:
-    """``certificate`` with one more extension, re-signed by ``signer``, its
-    issuer. Name and key are unchanged, so what it signed still verifies
-    under the new certificate."""
+    """``certificate`` with ``extension`` in place of any of its type, or
+    added, re-signed by ``signer``, its issuer. Name and key are unchanged,
+    so what it signed still verifies under the new certificate."""
     original = certificate.raw
     builder = (
         x509.CertificateBuilder()
         .subject_name(original.subject)
         .issuer_name(original.issuer)
         .public_key(original.public_key())
-        .serial_number(random_serial())
+        .serial_number(x509.random_serial_number())
         .not_valid_before(original.not_valid_before_utc)
         .not_valid_after(original.not_valid_after_utc)
     )
     for present in original.extensions:
-        builder = builder.add_extension(present.value, critical=present.critical)
+        if present.oid != extension.oid:
+            builder = builder.add_extension(present.value, critical=present.critical)
     builder = builder.add_extension(extension, critical=critical)
     key = signer._keypair._signing_key()
     return Certificate(builder.sign(key, signer.suite.digest.hash_primitive()))

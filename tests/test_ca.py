@@ -40,7 +40,7 @@ from otcpki.certmodel import (
     build_csr,
     verify_csr_pop,
 )
-from otcpki.crypto import EphemeralKeyPair, digest_document, random_serial
+from otcpki.crypto import EphemeralKeyPair, digest_document
 from otcpki.signer import LocalEnrollmentClient, one_shot_sign
 from otcpki.verifier import RecencyPolicy, verify_bundle
 from otcpki.errors import (
@@ -215,7 +215,7 @@ class TestHierarchyRules:
             .subject_name(subject)
             .issuer_name(issuer)
             .public_key(keypair.public_key)
-            .serial_number(random_serial())
+            .serial_number(x509.random_serial_number())
             .not_valid_before(utcnow())
             .not_valid_after(utcnow() + timedelta(days=1))
             .add_extension(x509.BasicConstraints(ca=True, path_length=path_length),

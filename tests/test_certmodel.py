@@ -42,7 +42,6 @@ from otcpki.crypto import (
 from otcpki.errors import (
     InvalidNameError,
     KeyDestroyedError,
-    KindMismatchError,
     MalformedEncodingError,
 )
 
@@ -271,11 +270,11 @@ class TestCodec:
         csr = build_csr(keypair_pool[0], DistinguishedName.from_common_name("A"),
                         sha256_digest())
         cert = shared_issuer.certificate
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(MalformedEncodingError, match="Are you sure this is a CSR"):
             decode(cert.to_pem(), SigningRequest)
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(MalformedEncodingError, match="Are you sure this is a certificate"):
             decode(csr.to_pem(), Certificate)
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(MalformedEncodingError, match="Are you sure this is a CRL"):
             decode(cert.to_pem(), RevocationList)
 
     def test_decode_garbage(self):

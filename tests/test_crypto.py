@@ -16,7 +16,6 @@ from otcpki.crypto import (
     DocumentDigest,
     EphemeralKeyPair,
     digest_document,
-    random_serial,
     spki_der,
     verify_signature,
 )
@@ -234,12 +233,3 @@ class TestVerifyFailures:
         tampered = DocumentDigest(DigestAlgorithm.SHA256, bytes(mutated))
         assert not verify_signature(keypair.public_key, tampered, signature)
 
-
-class TestRandomSerial:
-    def test_fits_in_twenty_octets_positive(self):
-        for _ in range(200):
-            serial = random_serial()
-            assert 0 < serial < (1 << 159)
-
-    def test_distinct_across_draws(self):
-        assert len({random_serial() for _ in range(10_000)}) == 10_000

@@ -52,7 +52,7 @@ from otcpki.errors import (
 from otcpki import cli, framing
 from otcpki import service as service_module
 from otcpki import verifier
-from otcpki.service import EnrollmentService, ServiceConfig
+from otcpki.service import EnrollmentService, ServiceConfig, load_pool
 from otcpki.signer import HttpEnrollmentClient, LocalEnrollmentClient, one_shot_sign
 from otcpki.verifier import RecencyPolicy, verify_bundle
 
@@ -68,7 +68,12 @@ from conftest import (
     overwritten,
     set_clock_past,
 )
-from dersurgery import forge_duplicate_extension_csr, parse_tree, serialize_tree
+from dersurgery import (
+    forge_duplicate_extension_csr,
+    parse_tree,
+    serialize_tree,
+    with_empty_rdn,
+)
 from forge import forge_blank_crl, forge_leaf, with_extension
 
 POLICY = RecencyPolicy(max_age=timedelta(minutes=10))
@@ -222,6 +227,7 @@ class TestEnrollEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             fetch(url, "/enroll", hierarchy.root.certificate.to_pem())
         assert excinfo.value.code == 400
+        assert excinfo.value.read().startswith(b"malformed-encoding: cannot parse CSR: ")
 
     def test_missing_binding_is_422(self, stack):
         from cryptography import x509
@@ -1049,15 +1055,17 @@ UNREADABLE_LEAF_EXTENSIONS = {
 }
 
 
-def issues_unreadable_leaf(issuer: CaIdentity, extension):
+def scripted_issuance(issuer: CaIdentity, extension=None, crl: RevocationList = None):
     """A scripted answer to ``/enroll``: a leaf for the request's key and
-    binding, issued by ``issuer`` with ``extension`` added, its chain and
-    ``issuer``'s CRL."""
+    binding, issued by ``issuer`` with ``extension`` added if one is given,
+    its chain and ``crl``, by default ``issuer``'s CRL."""
     def answer(connection, request):
         csr = decode(request.partition(b"\r\n\r\n")[2], SigningRequest)
-        leaf = with_extension(forge_leaf(issuer, csr), issuer, extension, critical=False)
+        leaf = forge_leaf(issuer, csr)
+        if extension is not None:
+            leaf = with_extension(leaf, issuer, extension, critical=False)
         connection.sendall(reply_with(CertificationChain((leaf, *issuer.chain_to_root())).to_pem()
-                                      + issuer.issue_blank_crl().to_pem()))
+                                      + (crl or issuer.issue_blank_crl()).to_pem()))
     return answer
 
 
@@ -1138,7 +1146,7 @@ class TestHostileReplies:
         """A leaf that names the signer's key but cannot be read. The signer
         raised UnsupportedGeneralNameType or a bare ValueError, which `otc
         sign` printed as a traceback."""
-        answer = issues_unreadable_leaf(shared_issuer, UNREADABLE_LEAF_EXTENSIONS[fault])
+        answer = scripted_issuance(shared_issuer, UNREADABLE_LEAF_EXTENSIONS[fault])
         with scripted_service(answer) as url:
             client = HttpEnrollmentClient(url, timeout=5)
             try:
@@ -1153,12 +1161,26 @@ class TestHostileReplies:
     def test_unreadable_leaf_exits_1(self, shared_issuer, tmp_path, capsys, fault):
         document = tmp_path / "doc.txt"
         document.write_bytes(b"unreadable leaf")
-        answer = issues_unreadable_leaf(shared_issuer, UNREADABLE_LEAF_EXTENSIONS[fault])
+        answer = scripted_issuance(shared_issuer, UNREADABLE_LEAF_EXTENSIONS[fault])
         with scripted_service(answer) as url:
             status = cli.main(["sign", "--doc", str(document), "--subject", "Unreadable Leaf",
                                "--enroll", url, "--out", str(tmp_path / "out.otcb")])
         assert status == 1
         assert "enrollment failed: issued certificate cannot be read" in capsys.readouterr().err
+        assert not (tmp_path / "out.otcb").exists()
+
+    def test_crl_with_an_empty_rdn_exits_1(self, shared_issuer, tmp_path, capsys):
+        """The signer raised a bare ValueError as it read the issuer name of
+        the reply's CRL, and `otc sign` exited 2."""
+        document = tmp_path / "doc.txt"
+        document.write_bytes(b"empty rdn")
+        crl = with_empty_rdn(shared_issuer.issue_blank_crl())
+        with scripted_service(scripted_issuance(shared_issuer, crl=crl)) as url:
+            status = cli.main(["sign", "--doc", str(document), "--subject", "Empty RDN",
+                               "--enroll", url, "--out", str(tmp_path / "out.otcb")])
+        assert status == 1
+        assert ("enrollment failed: no CRL published for issuer"
+                f" {shared_issuer.certificate.subject_text}") in capsys.readouterr().err
         assert not (tmp_path / "out.otcb").exists()
 
     def test_rejection_carries_the_service_code(self):
@@ -1218,7 +1240,7 @@ class TestHostileReplies:
         assert received[0].split(b"\r\n")[1] == b"Host: [::1]:%d" % port
 
     @pytest.mark.parametrize("crl", ["another-issuers-crl", "no-crl", "same-named-issuers-crl",
-                                     "unreadable-crl"])
+                                     "unreadable-crl", "empty-rdn-crl", "empty-rdn-issuing-ca"])
     def test_reply_without_its_issuers_crl(self, shared_issuer, monkeypatch, crl):
         """An /enroll reply whose CRL another CA issued, or that carries
         none, as one from a service that served CRLs only at /crl. The other
@@ -1227,7 +1249,8 @@ class TestHostileReplies:
         The issuing CA is named even when it has no CN, and the key dies.
         The issuing CA's own CRL with an x400Address in its issuerAltName,
         which cryptography cannot read, made the signer raise
-        UnsupportedGeneralNameType."""
+        UnsupportedGeneralNameType; with an empty RDN in its issuer name, a
+        bare ValueError, as did an issuing CA with one in its subject."""
         if crl == "same-named-issuers-crl":
             intermediate = init_hierarchy("Twin Root", fresh_policy()).intermediates[0]
             issuer, other = (create_subordinate(intermediate, "Twin Issuer", CaRole.ISSUER)
@@ -1244,6 +1267,13 @@ class TestHostileReplies:
             body += forge_blank_crl(issuer, certificate.not_before, certificate.not_after, [
                 issuer._key_identifier, x509.UnrecognizedExtension(
                     ExtensionOID.ISSUER_ALTERNATIVE_NAME, bytes.fromhex("3004a3023000"))]).to_pem()
+        if crl == "empty-rdn-crl":
+            body += with_empty_rdn(issuer.issue_blank_crl()).to_pem()
+        if crl == "empty-rdn-issuing-ca":
+            certificates = list(chain)
+            certificates[1] = with_empty_rdn(certificates[1], name_index=1)
+            body = CertificationChain(certificates).to_pem() + issuer.issue_blank_crl().to_pem()
+            named = "whose name cannot be read"
         # one_shot_sign gets this key, so the scripted leaf is for its key and digest.
         monkeypatch.setattr(EphemeralKeyPair, "generate", lambda *args: keypair)
 
@@ -1511,6 +1541,26 @@ class TestHostileCsrs:
         keypair.destroy()
         status, reply = service.handle_enroll(csr.to_pem())
         assert (status, reply.split(b":")[0]) == (422, b"malformed-encoding"), reply
+
+
+class TestLoadPool:
+    """The refusals of ``load_pool``, each before any key is read."""
+
+    def test_ca_dir_that_is_not_a_directory(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(ConfigError, match="^ca-dir .*/file is not a directory$"):
+            load_pool(tmp_path / "file")
+
+    def test_no_issuer_directories(self, tmp_path):
+        (tmp_path / "int-01").mkdir()
+        with pytest.raises(ConfigError, match="^no issuer directories under "):
+            load_pool(tmp_path)
+
+    def test_pool_size_over_the_issuer_count(self, tmp_path):
+        for issuer in ("int-01/iss-01", "int-01/iss-02"):
+            (tmp_path / issuer).mkdir(parents=True)
+        with pytest.raises(ConfigError, match="^pool-size 3 exceeds the 2 issuers under "):
+            load_pool(tmp_path, 3)
 
 
 class TestServiceConfig:

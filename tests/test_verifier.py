@@ -440,6 +440,30 @@ def unused_bit_leaf_bundle(client):
     return swap_leaf(signed, leaf)
 
 
+def another_key(h):
+    """An authorityKeyIdentifier that names the root's key, which issued
+    neither the leaf nor the issuing CA."""
+    return x509.AuthorityKeyIdentifier.from_issuer_public_key(h.root.certificate.public_key)
+
+
+def another_certificate(h):
+    """An authorityKeyIdentifier with no keyIdentifier, naming by issuer and
+    serial a certificate that issued nothing in the chain."""
+    return x509.AuthorityKeyIdentifier(
+        None, [x509.DirectoryName(h.root.certificate.raw.subject)], 12345)
+
+
+def leaf_without_authority_key(shared_issuer, bundle):
+    """The bundle re-signed under a leaf issued without an
+    authorityKeyIdentifier, as ``forge_leaf`` issues it."""
+    keypair = EphemeralKeyPair.generate()
+    csr = build_csr(keypair, DistinguishedName.from_common_name("No AKI"),
+                    bundle.document_digest)
+    signature = keypair.sign_digest(bundle.document_digest)
+    keypair.destroy()
+    return with_signature(swap_leaf(bundle, forge_leaf(shared_issuer, csr)), signature)
+
+
 @pytest.mark.skipif(OPENSSL is None, reason="openssl CLI not installed")
 class TestAgainstOpensslVerify:
     """Differential check of chain-trust against ``openssl verify
@@ -447,10 +471,14 @@ class TestAgainstOpensslVerify:
     rejects a chain, chain-trust rejects it too. ``-x509_strict`` became the
     reference once CA certificates carried subject key identifiers and every
     certificate an authority key identifier; before, it rejected every chain
-    this PKI issued. Two differences are tolerated, each one way:
-    OpenSSL accepts a leaf that is a CA, which chain-trust refuses; and
+    this PKI issued. Three differences are tolerated, each one way:
+    OpenSSL accepts a leaf that is a CA, which chain-trust refuses;
     OpenSSL refuses a leaf whose binding is critical (error 34), which
-    chain-trust processes and accepts in both modes."""
+    chain-trust processes and accepts in both modes; and OpenSSL refuses a
+    leaf without an authorityKeyIdentifier (error 85), which chain-trust
+    accepts, so that a forged leaf without a binding fails binding-presence
+    alone. An authorityKeyIdentifier that names another key, or that names
+    none, is refused by both."""
 
     CASES = {
         "honest": lambda h, client, bundle: bundle,
@@ -468,6 +496,12 @@ class TestAgainstOpensslVerify:
             h, bundle, 1, UNKNOWN_EXTENSION),
         "issuer-name-constraints": lambda h, client, bundle: extended_bundle(
             h, bundle, 1, SOMEONE_ELSE_ONLY),
+        "leaf-names-another-key": lambda h, client, bundle: extended_bundle(
+            h, bundle, 0, another_key(h), critical=False),
+        "issuer-names-another-key": lambda h, client, bundle: extended_bundle(
+            h, bundle, 1, another_key(h), critical=False),
+        "leaf-names-another-certificate": lambda h, client, bundle: extended_bundle(
+            h, bundle, 0, another_certificate(h), critical=False),
     }
 
     @staticmethod
@@ -500,6 +534,56 @@ class TestAgainstOpensslVerify:
         openssl = self.openssl_verify(critical_binding_bundle(shared_issuer, bundle).chain,
                                       tmp_path)
         assert "error 34 " in openssl.stdout + openssl.stderr
+
+    def test_missing_authority_key_is_a_tolerated_difference(self, shared_issuer, bundle,
+                                                            trust_anchors, tmp_path):
+        signed = leaf_without_authority_key(shared_issuer, bundle)
+        openssl = self.openssl_verify(signed.chain, tmp_path)
+        assert "error 85 " in openssl.stdout + openssl.stderr
+        assert verify_bundle(signed, DOC, trust_anchors, POLICY).accepted
+
+    # How each blank CRL signed by the issuing CA reads under ``-crl_check``
+    # and in the verifier: what its authorityKeyIdentifier is, OpenSSL's
+    # outcome, and whether the CRL check passes.
+    CRL_CASES = {
+        "another-key": (another_key, "error 3 ", False),
+        "another-certificate": (another_certificate, "error 3 ", False),
+        "no-authority-key": (None, "OK", True),
+    }
+
+    @pytest.mark.parametrize("case", CRL_CASES)
+    def test_crl_check_rejects_what_openssl_rejects(self, case, shared_hierarchy,
+                                                    shared_issuer, bundle, trust_anchors,
+                                                    tmp_path):
+        """The CRL check accepted a CRL whose authorityKeyIdentifier names
+        another key or another certificate."""
+        named, openssl_says, passes = self.CRL_CASES[case]
+        crl = forge_blank_crl(shared_issuer, bundle.crl.last_update, bundle.crl.next_update,
+                              [] if named is None else [named(shared_hierarchy)])
+        (tmp_path / "crl").write_bytes(crl.to_pem())
+        openssl = self.openssl_verify(bundle.chain, tmp_path, "-crl_check",
+                                      "-CRLfile", str(tmp_path / "crl"))
+        assert openssl_says in openssl.stdout + openssl.stderr
+        report = verify_bundle(with_crl(bundle, crl), DOC, trust_anchors, POLICY)
+        assert report.failure_codes == (() if passes else (FailureCode.BAD_CRL.value,))
+
+    def test_self_signed_leaf_as_its_own_anchor(self, tmp_path):
+        """A chain of one: a self-signed end-entity certificate that is its
+        own trust anchor, which OpenSSL accepts too."""
+        keypair = EphemeralKeyPair.generate()
+        name = DistinguishedName.from_common_name("Self Signed Leaf").name
+        now = datetime.now(timezone.utc).replace(microsecond=0)
+        leaf = Certificate(keypair.sign_builder(
+            x509.CertificateBuilder().subject_name(name).issuer_name(name)
+            .public_key(keypair.public_key).serial_number(x509.random_serial_number())
+            .not_valid_before(now - HOUR).not_valid_after(now + DAY)))
+        (tmp_path / "leaf").write_bytes(leaf.to_pem())
+        openssl = subprocess.run([OPENSSL, "verify", "-x509_strict", "-CAfile",
+                                  str(tmp_path / "leaf"), str(tmp_path / "leaf")],
+                                 capture_output=True, text=True, timeout=30)
+        assert openssl.returncode == 0, openssl.stdout + openssl.stderr
+        result = verifier._check_chain_trust(CertificationChain((leaf,)), [leaf])
+        assert (result.passed, result.detail) == (True, "chain of 1 anchored at CN=Self Signed Leaf")
 
 
 @pytest.fixture(scope="module")
