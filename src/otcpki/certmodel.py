@@ -31,6 +31,7 @@ from cryptography.hazmat.primitives import serialization
 from cryptography.x509.oid import ExtensionOID
 
 from .crypto import (
+    AlgorithmSuite,
     DigestAlgorithm,
     DocumentDigest,
     EphemeralKeyPair,
@@ -138,17 +139,6 @@ class OtcExtension:
         return x509.UnrecognizedExtension(OTC_EXTENSION_OID, self.payload())
 
 
-def _extract_binding(extensions: x509.Extensions) -> Optional[OtcExtension]:
-    """Pull the binding out of a parsed extension set, or None."""
-    try:
-        ext = extensions.get_extension_for_oid(OTC_EXTENSION_OID)
-    except x509.ExtensionNotFound:
-        return None
-    # cryptography has no parser for this OID, so the value is always an
-    # UnrecognizedExtension holding the raw payload.
-    return OtcExtension.from_payload(ext.value.value, critical=ext.critical)
-
-
 # ---------------------------------------------------------------------------
 # Names
 # ---------------------------------------------------------------------------
@@ -205,14 +195,6 @@ class DistinguishedName:
 # Wrappers over parsed X.509 objects
 # ---------------------------------------------------------------------------
 
-def _claims_unused_bits(der: bytes, signature: bytes) -> bool:
-    """A certificate or CRL ends with its signature BIT STRING, whose first
-    content octet counts the unused bits of the last. cryptography verifies
-    the signature bytes whatever that count says; OpenSSL refuses a
-    signature that leaves any bit unused, and so does this PKI."""
-    return der[-len(signature) - 1] != 0
-
-
 class _Wrapper:
     """A parsed X.509 object. Two wrappers of one kind are equal when their
     DER is."""
@@ -233,14 +215,31 @@ class _Wrapper:
     def to_pem(self) -> bytes:
         return self._raw.public_bytes(serialization.Encoding.PEM)
 
-    def _named_key(self, absent: Optional[bytes] = None) -> Optional[bytes]:
-        """The keyIdentifier of the authorityKeyIdentifier (RFC 5280
-        §4.2.1.1): None when it has none, ``absent`` when there is none."""
+    def _extension(self, oid: x509.ObjectIdentifier) -> Optional[x509.Extension]:
+        """The extension ``oid`` names, or None when there is none."""
         try:
-            named = self._raw.extensions.get_extension_for_class(x509.AuthorityKeyIdentifier)
+            return self._raw.extensions.get_extension_for_oid(oid)
         except x509.ExtensionNotFound:
-            return absent
-        return named.value.key_identifier
+            return None
+
+    def _signed_by(self, issuer: "Certificate") -> bool:
+        """True when the signature verifies under ``issuer``'s key, which must
+        be on the suite menu, and the authorityKeyIdentifier, if any, names
+        that key (RFC 5280 §4.2.1.1), as OpenSSL requires. A verify under a
+        key off the menu may cost what a signature does, so none is run."""
+        try:
+            # The object ends with its signature BIT STRING, whose first
+            # content octet counts unused bits. OpenSSL refuses any, and so
+            # does this PKI, though cryptography verifies the bytes anyway.
+            if self.to_der()[-len(self._raw.signature) - 1] != 0:
+                return False
+            named = self._extension(ExtensionOID.AUTHORITY_KEY_IDENTIFIER)
+            if named is not None and named.value.key_identifier != issuer.key_identifier:
+                return False
+            AlgorithmSuite.of_key(issuer.public_key)
+            return self._verifies_under(issuer)
+        except Exception:
+            return False
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.to_der() == other.to_der()
@@ -264,7 +263,11 @@ class _Subject(_Wrapper):
 
     @property
     def binding(self) -> Optional[OtcExtension]:
-        return _extract_binding(self._raw.extensions)
+        ext = self._extension(OTC_EXTENSION_OID)
+        # cryptography has no parser for this OID, so the value is always an
+        # UnrecognizedExtension holding the raw payload.
+        return None if ext is None else OtcExtension.from_payload(ext.value.value,
+                                                                  critical=ext.critical)
 
 
 class SigningRequest(_Subject):
@@ -300,10 +303,8 @@ class Certificate(_Subject):
 
     @property
     def _basic_constraints(self) -> x509.BasicConstraints:
-        try:
-            return self._raw.extensions.get_extension_for_class(x509.BasicConstraints).value
-        except x509.ExtensionNotFound:
-            return _NOT_A_CA
+        ext = self._extension(ExtensionOID.BASIC_CONSTRAINTS)
+        return _NOT_A_CA if ext is None else ext.value
 
     @property
     def is_ca(self) -> bool:
@@ -313,15 +314,12 @@ class Certificate(_Subject):
     def path_length(self) -> Optional[int]:
         return self._basic_constraints.path_length
 
-    @property
-    def may_sign_certificates(self) -> bool:
-        """False when a keyUsage extension is present without keyCertSign
-        (RFC 5280 §4.2.1.3)."""
-        try:
-            usage = self._raw.extensions.get_extension_for_class(x509.KeyUsage)
-        except x509.ExtensionNotFound:
-            return True
-        return usage.value.key_cert_sign
+    def asserts_key_usage(self, purpose: str) -> bool:
+        """Whether a keyUsage extension asserts ``purpose``, an
+        ``x509.KeyUsage`` attribute such as ``"key_cert_sign"``. RFC 5280
+        §4.2.1.3 makes keyUsage a MUST for a CA, so its absence asserts none."""
+        usage = self._extension(ExtensionOID.KEY_USAGE)
+        return usage is not None and getattr(usage.value, purpose)
 
     @property
     def is_self_issued(self) -> bool:
@@ -332,18 +330,12 @@ class Certificate(_Subject):
     def is_self_signed(self) -> bool:
         return self.is_self_issued and self.verify_signed_by(self)
 
-    def verify_signed_by(self, issuer: "Certificate") -> bool:
-        """True when this certificate's signature verifies under the given
-        issuer certificate, the names line up and the authorityKeyIdentifier,
-        if any, names the issuer's key, as OpenSSL requires."""
-        try:
-            if (_claims_unused_bits(self.to_der(), self._raw.signature)
-                    or self._named_key(issuer.key_identifier) != issuer.key_identifier):
-                return False
-            self._raw.verify_directly_issued_by(issuer._raw)
-            return True
-        except Exception:
-            return False
+    verify_signed_by = _Wrapper._signed_by
+
+    def _verifies_under(self, issuer: "Certificate") -> bool:
+        # cryptography checks that the names line up, then the signature.
+        self._raw.verify_directly_issued_by(issuer._raw)
+        return True
 
     def __repr__(self) -> str:
         return f"<Certificate {self.subject_text} serial={self.serial:x}>"
@@ -372,22 +364,15 @@ class RevocationList(_Wrapper):
 
     def names_key_of(self, issuer: Certificate) -> bool:
         """The authorityKeyIdentifier names ``issuer``'s key as this PKI's
-        CAs write it (RFC 5280 §4.2.1.1); False when it names none."""
-        try:
-            return self._named_key() == issuer.key_identifier
-        except LAZY_READ_ERRORS:
-            return False
+        CAs write it (RFC 5280 §4.2.1.1); False when it names none. Reading
+        the extension may raise one of ``LAZY_READ_ERRORS``."""
+        named = self._extension(ExtensionOID.AUTHORITY_KEY_IDENTIFIER)
+        return named is not None and named.value.key_identifier == issuer.key_identifier
 
-    def is_signed_by(self, issuer: Certificate) -> bool:
-        """True when the signature verifies under ``issuer``'s key and the
-        authorityKeyIdentifier, if any, names that key."""
-        try:
-            if (_claims_unused_bits(self.to_der(), self._raw.signature)
-                    or self._named_key(issuer.key_identifier) != issuer.key_identifier):
-                return False
-            return self._raw.is_signature_valid(issuer.public_key)
-        except Exception:
-            return False
+    is_signed_by = _Wrapper._signed_by
+
+    def _verifies_under(self, issuer: Certificate) -> bool:
+        return self._raw.is_signature_valid(issuer.public_key)
 
 
 # The extensions a path check processes. A certificate with any other
@@ -413,10 +398,10 @@ def _extension_failure(certificate: Certificate) -> Optional[str]:
 def _path_failure(certificates: tuple) -> Optional[str]:
     """Why the links from the first certificate up to a self-signed root
     fail RFC 5280 §6.1, or None. Each issuer must be a CA, pass
-    ``_extension_failure``, assert keyCertSign if it has a keyUsage
-    extension, have no more CA certificates below it than its
-    pathLenConstraint allows, and sign the certificate below it. A first
-    certificate that is a CA, as in a CA's own chain, is an issuer too."""
+    ``_extension_failure``, assert keyCertSign in a keyUsage extension, have
+    no more CA certificates below it than its pathLenConstraint allows, and
+    sign the certificate below it. A first certificate that is a CA, as in a
+    CA's own chain, is an issuer too."""
     for depth, (child, issuer) in enumerate(zip((None, *certificates), certificates)):
         if child is None and not issuer.is_ca:
             continue  # a leaf
@@ -425,7 +410,7 @@ def _path_failure(certificates: tuple) -> Optional[str]:
         failure = _extension_failure(issuer)
         if failure is not None:
             return failure
-        if not issuer.may_sign_certificates:
+        if not issuer.asserts_key_usage("key_cert_sign"):
             return f"{issuer.subject_text} keyUsage does not assert keyCertSign"
         # depth certificates sit below issuer; only the CA certificates that
         # are not self-issued count against the constraint.

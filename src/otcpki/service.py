@@ -30,9 +30,11 @@ all in ``HANDLER_TIMEOUT_S`` seconds after its first byte. An ``/enroll`` body
 is at most ``MAX_ENROLL_BODY`` bytes. At most ``MAX_CONNECTIONS`` connections
 are served at once. When all are taken, a new one takes the slot of the
 connection that has waited longest for its current request to arrive whole,
-idle or not (RFC 9112 §9.5 lets a server close an idle connection), and that
-connection is closed. When every connection is answering a request, the new
-one is answered 503 with ``Connection: close``.
+idle or not (RFC 9112 §9.5 lets a server close an idle connection), or for
+its client to read a reply, and that connection is closed. A reply of at
+most 7.5 KB goes in one send, which a client that read the replies before
+takes whole, so no reply to it is cut. When every connection is answering a
+request, the new one is answered 503 with ``Connection: close``.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ class _Server(socketserver.ThreadingTCPServer):
     def __init__(self, address, service: "EnrollmentService"):
         self.service = service
         self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
-        # Each connection waiting for its current request to arrive whole,
-        # longest waiting first.
+        # Each connection waiting for its current request to arrive whole or
+        # for its client to read a reply, longest waiting first.
         self._waiting: dict = {}
         self._waiting_lock = threading.Lock()
         self._date = (0, b"")
@@ -131,8 +133,10 @@ class _Server(socketserver.ThreadingTCPServer):
         return text
 
     def waiting(self, request):
-        """``request`` waits for its next request to arrive whole."""
+        """``request`` waits, from now, for its next request to arrive whole
+        or for its client to read a reply."""
         with self._waiting_lock:
+            self._waiting.pop(request, None)
             self._waiting[request] = True
 
     def answering(self, request) -> bool:
@@ -259,7 +263,7 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _reply(self, status: int, body: bytes, close: bool) -> bool:
         """Send one response in one send; False when it ends the connection."""
-        self.server.answering(self.request)
+        self.server.waiting(self.request)  # a client that stops reading holds no slot
         content_type = _PEM_TYPE if status == 200 else b"text/plain"
         self.request.sendall(
             b"%s\r\nDate: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n%s"

@@ -245,7 +245,7 @@ class HttpEnrollmentClient:
                     and crl.names_key_of(issuing_ca)):
                 return crl
         except LAZY_READ_ERRORS:
-            pass  # a name that cannot be read matches none
+            pass  # a name or key identifier that cannot be read matches none
         try:
             named = issuing_ca.subject_text
         except LAZY_READ_ERRORS:

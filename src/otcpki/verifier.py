@@ -37,7 +37,8 @@ from .certmodel import (
     _extension_failure,
     _path_failure,
 )
-from .crypto import digest_document, verify_signature
+from .crypto import AlgorithmSuite, digest_document, verify_signature
+from .errors import UnsupportedSuiteError
 from .signer import SignedDocumentBundle
 
 __all__ = [
@@ -138,9 +139,10 @@ class _Failed(Exception):
 
 def _check(name: str, code: FailureCode):
     """Run a check as ``name``, failing with ``code``. The check returns the
-    detail of its pass or raises :class:`_Failed`. Any other exception is a
-    failure too: cryptography decodes names, extensions and keys when they
-    are first read, so a certificate or CRL that loads can still raise."""
+    detail of its pass or raises :class:`_Failed`, or UnsupportedSuiteError
+    for a key off the menu. Any other exception is a failure too:
+    cryptography decodes names, extensions and keys when they are first
+    read, so a certificate or CRL that loads can still raise."""
     def decorate(check):
         @functools.wraps(check)
         def run(*args) -> CheckResult:
@@ -148,6 +150,8 @@ def _check(name: str, code: FailureCode):
                 return CheckResult(name, True, check(*args))
             except _Failed as failed:
                 return CheckResult(name, False, failed.detail, failed.code or code)
+            except UnsupportedSuiteError as refused:
+                return CheckResult(name, False, f"key refused: {refused}", code)
             except Exception as exc:
                 return CheckResult(name, False, f"cannot decode: {exc!r}", code)
         return run
@@ -172,10 +176,14 @@ def _ca_path_root(path: tuple) -> str:
 
 
 def _crl_issued_by(crl: RevocationList, issuing_ca: Certificate) -> None:
-    """Raise :class:`_Failed` unless ``issuing_ca`` issued and signed ``crl``."""
+    """Raise :class:`_Failed` unless ``issuing_ca`` issued and signed ``crl``
+    and its keyUsage asserts cRLSign (RFC 5280 §4.2.1.3 and §6.3.3 (f))."""
     if crl.raw.issuer != issuing_ca.raw.subject:
         raise _Failed(f"CRL issued by {crl.raw.issuer.rfc4514_string()},"
                       f" leaf issued by {issuing_ca.subject_text}")
+    if not issuing_ca.asserts_key_usage("crl_sign"):
+        raise _Failed(f"{issuing_ca.subject_text} keyUsage does not assert cRLSign")
+    AlgorithmSuite.of_key(issuing_ca.public_key)  # no verify under a key off the menu
     if not crl.is_signed_by(issuing_ca):
         raise _Failed("CRL signature does not verify under the issuing CA")
 
@@ -262,7 +270,9 @@ def _match_binding(leaf: Certificate, digest) -> str:
 
 @_check("signature", FailureCode.BAD_SIGNATURE)
 def _check_signature(bundle: SignedDocumentBundle, digest) -> str:
-    if not verify_signature(bundle.chain.leaf.public_key, digest, bundle.signature):
+    key = bundle.chain.leaf.public_key
+    AlgorithmSuite.of_key(key)  # no verify under a key off the menu
+    if not verify_signature(key, digest, bundle.signature):
         raise _Failed("signature does not verify under the leaf key")
     return "signature verifies under the leaf key"
 

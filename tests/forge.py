@@ -8,14 +8,18 @@ shown rejecting things the honest code paths refuse to produce.
 from datetime import datetime, timedelta, timezone
 
 from cryptography import x509
+from cryptography.hazmat.primitives import hashes
 
-from otcpki.ca import CaIdentity
+from otcpki.ca import CaIdentity, CaRole, _ca_extensions, _certificate_builder
 from otcpki.certmodel import (
     Certificate,
     CertificationChain,
+    DistinguishedName,
+    OtcExtension,
     RevocationList,
     SigningRequest,
 )
+from otcpki.crypto import _scheme, digest_document
 from otcpki.signer import SignedDocumentBundle
 
 
@@ -50,11 +54,13 @@ def forge_leaf(
 
 
 def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign: bool = True,
-               is_ca: bool = True) -> Certificate:
+               crl_sign: bool = True, key_usage: bool = True, is_ca: bool = True
+               ) -> Certificate:
     """``ca``'s certificate re-signed by ``parent`` with the same name, key
     and validity but the given constraints, as a careless parent CA might
-    issue it; ``is_ca=False`` makes it an end-entity certificate. What ``ca``
-    signed still verifies under the new certificate."""
+    issue it; ``key_usage=False`` leaves out the keyUsage extension and
+    ``is_ca=False`` makes it an end-entity certificate. What ``ca`` signed
+    still verifies under the new certificate."""
     original = ca.certificate.raw
     builder = (
         x509.CertificateBuilder()
@@ -65,7 +71,9 @@ def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign
         .not_valid_before(original.not_valid_before_utc)
         .not_valid_after(original.not_valid_after_utc)
         .add_extension(x509.BasicConstraints(ca=is_ca, path_length=path_length), critical=True)
-        .add_extension(
+    )
+    if key_usage:
+        builder = builder.add_extension(
             x509.KeyUsage(
                 digital_signature=True,
                 content_commitment=False,
@@ -73,13 +81,12 @@ def reissue_ca(ca: CaIdentity, parent: CaIdentity, *, path_length, key_cert_sign
                 data_encipherment=False,
                 key_agreement=False,
                 key_cert_sign=key_cert_sign,
-                crl_sign=True,
+                crl_sign=crl_sign,
                 encipher_only=False,
                 decipher_only=False,
             ),
             critical=True,
         )
-    )
     key = parent._keypair._signing_key()
     return Certificate(builder.sign(key, parent.suite.digest.hash_primitive()))
 
@@ -179,3 +186,42 @@ def with_signature(bundle: SignedDocumentBundle, signature: bytes) -> SignedDocu
 def swap_leaf(bundle: SignedDocumentBundle, leaf: Certificate) -> SignedDocumentBundle:
     chain = CertificationChain((leaf, *bundle.chain.certificates[1:]))
     return with_chain(bundle, chain)
+
+
+def forge_bundle(keys, document: bytes) -> SignedDocumentBundle:
+    """A bundle made with no CA's checks, under four private ``keys`` of any
+    type: the leaf's, the issuing CA's, the intermediate's and the root's.
+    Each certificate carries the extensions this PKI gives its tier and an
+    authorityKeyIdentifier, and is signed by the next key, the root by its
+    own; the blank CRL is signed by the issuing CA's key and the document's
+    SHA-256 by the leaf's."""
+    digest = digest_document(document)
+    names = [DistinguishedName.from_common_name(f"Forged Depth {depth}").name
+             for depth in range(len(keys))]
+    own = [[(OtcExtension(digest).to_x509(), False)],
+           *(_ca_extensions(role, key.public_key())
+             for role, key in zip((CaRole.ISSUER, CaRole.INTERMEDIATE, CaRole.ROOT), keys[1:]))]
+    now = datetime.now(timezone.utc).replace(microsecond=0)
+    certificates = []
+    for depth, key in enumerate(keys):
+        above = min(depth + 1, len(keys) - 1)
+        named = x509.AuthorityKeyIdentifier.from_issuer_public_key(keys[above].public_key())
+        builder = _certificate_builder(names[depth], names[above], key.public_key(),
+                                       now - timedelta(hours=1), now + timedelta(days=1),
+                                       [*own[depth], (named, False)])
+        certificates.append(Certificate(builder.sign(keys[above], hashes.SHA256())))
+    crl = (
+        x509.CertificateRevocationListBuilder()
+        .issuer_name(names[1])
+        .last_update(now - timedelta(hours=1))
+        .next_update(now + timedelta(days=1))
+        .add_extension(x509.AuthorityKeyIdentifier.from_issuer_public_key(
+            keys[1].public_key()), critical=False)
+        .sign(keys[1], hashes.SHA256())
+    )
+    return SignedDocumentBundle(
+        document_digest=digest,
+        signature=keys[0].sign(digest.value, *_scheme(keys[0], digest.algorithm)),
+        chain=CertificationChain(certificates),
+        crl=RevocationList(crl),
+    )

@@ -16,6 +16,7 @@ import ssl
 import sys
 import threading
 import time
+import types
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -483,6 +484,21 @@ def closed_by_service(sock) -> bool:
         return True
 
 
+def pipeline_until_unread(sock, request: bytes):
+    """Send ``request`` over and over on ``sock`` without reading, until the
+    service stops reading too: it is blocked sending replies that the
+    client has not read."""
+    sock.setblocking(False)
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            sock.send(request * 16)
+        except BlockingIOError:
+            if not select.select([], [sock], [], 0.25)[1]:
+                return
+    raise AssertionError("the service kept reading for 10 s")
+
+
 class TestConnectionLimits:
     def test_trickled_request_is_cut_off(self, monkeypatch):
         monkeypatch.setattr(service_module, "HANDLER_TIMEOUT_S", 0.5)
@@ -578,6 +594,82 @@ class TestConnectionLimits:
                 assert closed_by_service(crowd[0])
             finally:
                 service.stop()
+
+    @pytest.mark.parametrize("pipelined", ["get-chain", "post-enroll"])
+    def test_connections_that_stop_reading_give_way(self, monkeypatch, pipelined):
+        """With every slot held by a connection that pipelines requests and
+        reads none of the replies, an honest enrollment succeeds within 5 s:
+        it takes the slot of the connection that has waited longest for its
+        client to read. Such connections used to keep their slots for
+        HANDLER_TIMEOUT_S, 30 s, and every honest request got 503."""
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 4)
+        hierarchy = init_hierarchy("Unread Root", fresh_policy())
+        service = EnrollmentService([hierarchy.first_issuer()])
+        url = service.start()
+        address = urllib.parse.urlsplit(url)
+        keypair = EphemeralKeyPair.generate()
+        pem = build_csr(keypair, DistinguishedName.from_common_name("Unread"),
+                        digest_document(b"unread")).to_pem()
+        keypair.destroy()
+        request = {"get-chain": b"GET /chain HTTP/1.1\r\n\r\n",
+                   "post-enroll": b"POST /enroll HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                                  % (len(pem), pem)}[pipelined]
+        client = HttpEnrollmentClient(url, timeout=5)
+        with contextlib.ExitStack() as held:
+            try:
+                for _ in range(service_module.MAX_CONNECTIONS):
+                    sock = held.enter_context(socket.socket())
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                    sock.connect((address.hostname, address.port))
+                    pipeline_until_unread(sock, request)
+                started = time.monotonic()
+                bundle = one_shot_sign(b"honest", "Honest Signer", client)
+                assert time.monotonic() - started < 5
+                assert bundle.chain.root == hierarchy.root.certificate
+            finally:
+                client.close()
+                service.stop()
+
+    @pytest.mark.parametrize("cut_by", ["client", "new-connection"])
+    def test_enroll_body_cut_short_is_not_answered(self, monkeypatch, cut_by):
+        """An /enroll whose body ends early, because the client stopped
+        sending or because its connection was closed to free the slot for a
+        new one, gets no reply."""
+        monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 1)
+        service = EnrollmentService([init_hierarchy("Cut Root", fresh_policy()).first_issuer()])
+        url = service.start()
+        address = urllib.parse.urlsplit(url)
+        try:
+            with socket.create_connection((address.hostname, address.port),
+                                          timeout=5) as sock:
+                sock.sendall(b"POST /enroll HTTP/1.1\r\nContent-Length: 100\r\n\r\n-----BEGIN")
+                if cut_by == "client":
+                    sock.shutdown(socket.SHUT_WR)
+                else:  # until its handler waits for the body and gives way
+                    for _ in range(50):
+                        reply = raw_exchange(url, b"GET /chain HTTP/1.1\r\n"
+                                                  b"Connection: close\r\n\r\n")
+                        if not reply.startswith(b"HTTP/1.1 503 "):
+                            break
+                        time.sleep(0.1)
+                    assert reply.startswith(b"HTTP/1.1 200 ")
+                assert closed_by_service(sock)
+        finally:
+            service.stop()
+
+    def test_read_after_the_message_deadline_times_out(self, monkeypatch):
+        """A read that starts once the whole message was due raises at once;
+        a slow request is otherwise cut off by the socket timeout set from
+        the time left."""
+        ours, theirs = socket.socketpair()
+        with ours, theirs, framing.MessageReader(ours, 30.0) as reader:
+            theirs.sendall(b"GET /chain")
+            reader.next_message()
+            assert reader.readinto(bytearray(3)) == 3  # the first byte sets the deadline
+            later = time.monotonic() + 30.0
+            monkeypatch.setattr(framing, "time", types.SimpleNamespace(monotonic=lambda: later))
+            with pytest.raises(TimeoutError, match="deadline"):
+                reader.readinto(bytearray(3))
 
     def test_interrupt_while_starting_a_handler_propagates(self, shared_issuer, monkeypatch):
         """SIGTERM's KeyboardInterrupt can land in Thread.start after the

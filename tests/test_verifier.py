@@ -9,6 +9,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 from cryptography import x509
+from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from otcpki.certmodel import (
     SigningRequest,
     build_csr,
 )
-from otcpki.crypto import EphemeralKeyPair, digest_document
+from otcpki.crypto import EphemeralKeyPair, digest_document, spki_der
 from otcpki.signer import LocalEnrollmentClient, one_shot_sign
 from otcpki.verifier import (
     DEFAULT_CLOCK_SKEW,
@@ -39,6 +40,7 @@ from conftest import PADDED_OID_PAYLOAD, clear_memos, count_calls, fresh_policy,
 from forge import (
     break_certificate_signature,
     forge_blank_crl,
+    forge_bundle,
     forge_leaf,
     forge_nonblank_crl,
     reissue_ca,
@@ -453,6 +455,14 @@ def another_certificate(h):
         None, [x509.DirectoryName(h.root.certificate.raw.subject)], 12345)
 
 
+def blank_crl_bundle(h, bundle, *extensions):
+    """The bundle with a blank CRL that its issuing CA signs, in force when
+    the bundle's is, carrying only ``extensions``."""
+    crl = forge_blank_crl(h.first_issuer(), bundle.crl.last_update, bundle.crl.next_update,
+                          extensions)
+    return with_crl(bundle, crl)
+
+
 def leaf_without_authority_key(shared_issuer, bundle):
     """The bundle re-signed under a leaf issued without an
     authorityKeyIdentifier, as ``forge_leaf`` issues it."""
@@ -478,13 +488,17 @@ class TestAgainstOpensslVerify:
     leaf without an authorityKeyIdentifier (error 85), which chain-trust
     accepts, so that a forged leaf without a binding fails binding-presence
     alone. An authorityKeyIdentifier that names another key, or that names
-    none, is refused by both."""
+    none, is refused by both, and so is a CA certificate without keyUsage
+    (errors 92 and 81). Under ``-crl_check``, both refuse a blank CRL whose
+    issuing CA's keyUsage does not assert cRLSign (error 35)."""
 
     CASES = {
         "honest": lambda h, client, bundle: bundle,
         "leaf-is-a-ca": lambda h, client, bundle: ca_leaf_bundle(h.first_issuer(), bundle),
         "issuer-without-keycertsign": lambda h, client, bundle: reissued_path_bundle(
             h, bundle, 1, path_length=0, key_cert_sign=False),
+        "issuer-without-key-usage": lambda h, client, bundle: reissued_path_bundle(
+            h, bundle, 1, path_length=0, key_usage=False),
         "intermediate-pathlen-0": lambda h, client, bundle: reissued_path_bundle(
             h, bundle, 2, path_length=0),
         "broken-leaf-signature": lambda h, client, bundle: swap_leaf(
@@ -542,29 +556,32 @@ class TestAgainstOpensslVerify:
         assert "error 85 " in openssl.stdout + openssl.stderr
         assert verify_bundle(signed, DOC, trust_anchors, POLICY).accepted
 
-    # How each blank CRL signed by the issuing CA reads under ``-crl_check``
-    # and in the verifier: what its authorityKeyIdentifier is, OpenSSL's
-    # outcome, and whether the CRL check passes.
+    # How each bundle's blank CRL, signed by the issuing CA, reads under
+    # ``-crl_check`` and in the verifier: the bundle, OpenSSL's outcome, and
+    # whether the CRL check passes.
     CRL_CASES = {
-        "another-key": (another_key, "error 3 ", False),
-        "another-certificate": (another_certificate, "error 3 ", False),
-        "no-authority-key": (None, "OK", True),
+        "another-key": (lambda h, bundle: blank_crl_bundle(h, bundle, another_key(h)),
+                        "error 3 ", False),
+        "another-certificate": (lambda h, bundle: blank_crl_bundle(
+            h, bundle, another_certificate(h)), "error 3 ", False),
+        "no-authority-key": (blank_crl_bundle, "OK", True),
+        "issuer-without-crl-sign": (lambda h, bundle: reissued_path_bundle(
+            h, bundle, 1, path_length=0, crl_sign=False), "error 35 ", False),
     }
 
     @pytest.mark.parametrize("case", CRL_CASES)
-    def test_crl_check_rejects_what_openssl_rejects(self, case, shared_hierarchy,
-                                                    shared_issuer, bundle, trust_anchors,
-                                                    tmp_path):
+    def test_crl_check_rejects_what_openssl_rejects(self, case, shared_hierarchy, bundle,
+                                                    trust_anchors, tmp_path):
         """The CRL check accepted a CRL whose authorityKeyIdentifier names
-        another key or another certificate."""
-        named, openssl_says, passes = self.CRL_CASES[case]
-        crl = forge_blank_crl(shared_issuer, bundle.crl.last_update, bundle.crl.next_update,
-                              [] if named is None else [named(shared_hierarchy)])
-        (tmp_path / "crl").write_bytes(crl.to_pem())
-        openssl = self.openssl_verify(bundle.chain, tmp_path, "-crl_check",
+        another key or another certificate, and one whose issuing CA's
+        keyUsage does not assert cRLSign."""
+        make, openssl_says, passes = self.CRL_CASES[case]
+        forged = make(shared_hierarchy, bundle)
+        (tmp_path / "crl").write_bytes(forged.crl.to_pem())
+        openssl = self.openssl_verify(forged.chain, tmp_path, "-crl_check",
                                       "-CRLfile", str(tmp_path / "crl"))
         assert openssl_says in openssl.stdout + openssl.stderr
-        report = verify_bundle(with_crl(bundle, crl), DOC, trust_anchors, POLICY)
+        report = verify_bundle(forged, DOC, trust_anchors, POLICY)
         assert report.failure_codes == (() if passes else (FailureCode.BAD_CRL.value,))
 
     def test_self_signed_leaf_as_its_own_anchor(self, tmp_path):
@@ -584,6 +601,54 @@ class TestAgainstOpensslVerify:
         assert openssl.returncode == 0, openssl.stdout + openssl.stderr
         result = verifier._check_chain_trust(CertificationChain((leaf,)), [leaf])
         assert (result.passed, result.detail) == (True, "chain of 1 anchored at CN=Self Signed Leaf")
+
+
+class TestOffMenuKeys:
+    """No public-key operation runs under a key off the suite menu, at any
+    depth of a chain, anchored or not. A bundle whose CA and leaf keys were
+    RSA-3072 with an exponent one bit shorter than the modulus cost an
+    acceptor about 15 times an honest one: its signature and CRL checks
+    verified under those keys after chain-trust had refused the chain."""
+
+    # The checks that fail with the key at each depth of a four-certificate
+    # chain under an anchor; an unanchored chain fails chain-trust as well.
+    FAILING = {
+        "leaf": ("signature",),
+        "issuing-ca": ("chain-trust", "crl"),
+        "intermediate": ("chain-trust",),
+        "root": ("chain-trust",),
+    }
+
+    @pytest.mark.parametrize("anchored", [True, False], ids=["anchored", "unanchored"])
+    @pytest.mark.parametrize("depth,failing", enumerate(FAILING.values()), ids=FAILING)
+    def test_no_public_key_operation_under_the_key(self, off_menu_keys, trust_anchors,
+                                                   depth, failing, anchored, monkeypatch):
+        keys = [ec.generate_private_key(ec.SECP256R1()) for _ in range(4)]
+        keys[depth] = off_menu_keys["rsa-3072-huge-exponent"]
+        forged = forge_bundle(keys, DOC)
+        # Each public-key operation's key: the signature rule's one call to
+        # cryptography for a certificate or CRL, and the document signature.
+        used = []
+        for owner in (Certificate, RevocationList):
+            def counted(signed, issuer, verify=owner._verifies_under):
+                used.append(spki_der(issuer.public_key))
+                return verify(signed, issuer)
+
+            monkeypatch.setattr(owner, "_verifies_under", counted)
+        documents = count_calls(monkeypatch, verifier, "verify_signature")
+        clear_memos()
+        report = verify_bundle(forged, DOC, [forged.chain.root] if anchored else trust_anchors,
+                               POLICY)
+        used += map(spki_der, documents)
+        assert used and spki_der(keys[depth].public_key()) not in used
+        if not anchored:
+            failing = tuple(name for name in CHECK_ORDER
+                            if name == "chain-trust" or name in failing)
+        assert tuple(check.name for check in report.checks if not check.passed) == failing
+        for check in report.checks:
+            if check.name in ("signature", "crl") and not check.passed:
+                assert "key refused: unsupported key" in check.detail
+                assert "exponent not 65537" in check.detail
 
 
 @pytest.fixture(scope="module")
